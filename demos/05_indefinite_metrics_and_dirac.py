@@ -19,7 +19,6 @@ from kreinalg import (
     is_pseudo_orthogonal,
     is_pseudo_unitary,
     minkowski_structure,
-    signature,
 )
 from kreinalg.generators import (
     lorentz_boost,
@@ -36,7 +35,7 @@ rng = np.random.default_rng(17)
 # product and a metric operator squaring to the identity.
 k = random_nondegenerate_hform(rng, 4, "complex", n_plus=2)
 ms = compatible_structure_from_hform(k)
-print("signature:", signature(ms))
+print("signature:", ms.signature)
 print("h@h residual:", np.linalg.norm(ms.h @ ms.h - np.eye(4)))
 
 x = random_ket(rng, 4, "complex")

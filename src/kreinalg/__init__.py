@@ -2,6 +2,7 @@
 
 The package is layered bottom-up:
 
+* :mod:`kreinalg.policy` - every tolerance and the rules that apply it;
 * :mod:`kreinalg.matrices` - dense matrices, conjugation, determinants,
   Kronecker products, classification predicates;
 * :mod:`kreinalg.spaces` - bases, dual bases, and matrix representations;
@@ -89,6 +90,7 @@ from .unitary import (
     InnerProduct,
     adjoint,
     inner_product,
+    is_selfadjoint,
     is_unitary_wrt,
     norm,
     orthonormalize,
@@ -117,7 +119,6 @@ from .indefinite import (
     metric_structure_from,
     minkowski_structure,
     raise_lower_index,
-    signature,
 )
 from .lemmas import LemmaReport, run_lemma_suite
 

@@ -29,7 +29,6 @@ from .indefinite import (
     is_pseudo_orthogonal,
     is_pseudo_unitary,
     metric_structure_from,
-    signature,
 )
 from .io import dumps, matrix_document, parse_matrix_document, scalar_pair
 from .lemmas import DEFAULT_DIMS, run_lemma_suite
@@ -44,8 +43,9 @@ from .tensors import (
     tensor_from_operator,
     tensor_product,
 )
-from .matrices import field_of, frobenius, hermitian_conjugate
-from .unitary import InnerProduct, adjoint, is_unitary_wrt, spectral_representation
+from .matrices import field_of
+from .unitary import InnerProduct, adjoint, is_selfadjoint, is_unitary_wrt
+from .unitary import spectral_representation, standard_inner_product
 
 __all__ = ["main", "run_subcommand", "OPERATION_COVERAGE", "SUBCOMMANDS"]
 
@@ -106,10 +106,10 @@ OPERATION_COVERAGE = {
     "adjoint": "adjoint",
     "eigen_hermitian": "eig",
     "spectral_representation": "spectral",
+    "is_selfadjoint": "check",
     "is_unitary_wrt": "check",
     "metric_structure_from": "signature",
     "compatible_structure_from_hform": "signature",
-    "signature": "signature",
     "canonical_projectors": "projectors",
     "h_orthonormal_basis": "canonical-basis",
     "dirac_adjoint_vector": "dirac-adjoint",
@@ -153,10 +153,7 @@ def _inner_product(args, matrix: np.ndarray) -> InnerProduct:
     if getattr(args, "gram", None):
         g = _load(args.gram)
         return InnerProduct(VectorSpace(g.shape[0], field_of(g), "V"), g)
-    eye = np.eye(n)
-    if field_of(matrix) == "complex":
-        eye = eye.astype(np.complex128)
-    return InnerProduct(VectorSpace(n, field_of(matrix), "V"), eye)
+    return standard_inner_product(VectorSpace(n, field_of(matrix), "V"))
 
 
 def _decomposition_result(dec) -> dict:
@@ -202,7 +199,7 @@ def _cmd_dirac_adjoint(args) -> dict:
 
 
 def _cmd_signature(args) -> dict:
-    n_plus, n_minus = signature(_structure(args))
+    n_plus, n_minus = _structure(args).signature
     return {"n_plus": n_plus, "n_minus": n_minus}
 
 
@@ -308,9 +305,7 @@ def _cmd_check(args) -> dict:
     if kind == "orthogonal":
         return {"result": is_orthogonal(f), "det": scalar_pair(determinant(f))}
     if kind == "selfadjoint":
-        ip = _inner_product(args, f)
-        residual = frobenius(adjoint(f, ip) - f)
-        return {"result": bool(residual <= 1e-9 * max(1.0, frobenius(f)))}
+        return {"result": is_selfadjoint(f, _inner_product(args, f))}
     ms = _structure(args)
     if kind == "dirac-selfadjoint":
         return {"result": is_dirac_selfadjoint(f, ms)}

@@ -3,9 +3,12 @@
 The solver is a cyclic Jacobi iteration on the full complex Hermitian
 matrix: each rotation is a 2-by-2 unitary chosen to zero one off-diagonal
 pair, and a sweep visits every pair once.  Convergence is declared when
-the off-diagonal Frobenius mass drops below ``JACOBI_OFF_TOL`` times the
-matrix norm.  Real symmetric input stays exactly real throughout, because
-every rotation then has a phase factor of +-1.
+the off-diagonal Frobenius mass drops below ``policy.JACOBI_TOL`` times
+the matrix norm.  Real symmetric input stays exactly real throughout,
+because every rotation then has a phase factor of +-1.
+
+Every production eigensolve goes through the private seam :func:`_eigh`,
+so the solver behind the package is chosen in one place.
 
 A characteristic-polynomial root finder (Faddeev-LeVerrier coefficients
 plus companion-matrix roots) is kept as an independent cross-check path
@@ -18,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError, SymmetryError
-from .matrices import REAL, field_of, frobenius, hermitian_conjugate
+from . import policy
+from .errors import ConvergenceError
+from .matrices import REAL, _require_square, field_of, frobenius, hermitian_conjugate
 
 __all__ = [
-    "JACOBI_OFF_TOL",
-    "JACOBI_MAX_SWEEPS",
-    "CLUSTER_TOL_FACTOR",
-    "HERMITIAN_TOL",
     "SpectralDecomposition",
     "jacobi_hermitian",
     "cluster_eigenvalues",
@@ -34,40 +34,27 @@ __all__ = [
     "charpoly_eigenvalues",
 ]
 
-# Convergence: off-diagonal Frobenius mass <= JACOBI_OFF_TOL * ||A||_F.
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
-# Eigenvalues closer than CLUSTER_TOL_FACTOR * max(1, ||A||_F) merge into
-# one eigenspace.
-CLUSTER_TOL_FACTOR = 1e-8
-
-# Relative Frobenius tolerance for the Hermitian precondition.
-HERMITIAN_TOL = 1e-9
-
-
 def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
-def jacobi_hermitian(a, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_hermitian(a):
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns ``(diag, vectors, sweeps)`` where ``diag`` is the converged
     complex diagonal (imaginary parts are roundoff-level), the columns of
     ``vectors`` are orthonormal eigenvectors, and ``sweeps`` counts the
     full sweeps performed.  Raises ConvergenceError if the off-diagonal
-    mass has not dropped below tolerance within ``max_sweeps`` sweeps.
+    mass has not dropped below tolerance within ``policy.JACOBI_MAX_SWEEPS``
+    sweeps.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    n = _require_square(np.asarray(a))
     work = np.array(a, dtype=np.complex128)
     vectors = np.eye(n, dtype=np.complex128)
     if n == 1:
         return np.diag(work).copy(), vectors, 0
-    threshold = off_tol * frobenius(work)
+    threshold = policy.JACOBI_TOL * frobenius(work)
+    max_sweeps = policy.JACOBI_MAX_SWEEPS
     # Rotations on entries this small cannot move the off-diagonal mass
     # past the convergence threshold; skip them.
     skip = threshold / (10.0 * n * n) if threshold > 0.0 else 0.0
@@ -116,6 +103,30 @@ def jacobi_hermitian(a, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = JACOB
     )
 
 
+def _eigh(a):
+    """The eigensolver seam: real eigenvalues and orthonormal eigenvectors.
+
+    ``jacobi_hermitian`` is looked up at call time, so a wrapper bound to
+    that module global sees every production solve.
+    """
+    diag, vectors, _ = jacobi_hermitian(a)
+    return diag.real, vectors
+
+
+def _hermitian_form_eigh(a: np.ndarray, what: str):
+    """Check (SymmetryError), symmetrize and decompose a form: ``(a, w, vectors)``."""
+    policy.require_hermitian(a, what)
+    a = (a + hermitian_conjugate(a)) / 2.0
+    w, vectors = _eigh(a)
+    return a, w, vectors
+
+
+def _spectral_function(vectors, values, real: bool) -> np.ndarray:
+    """``V diag(values) V^+`` for orthonormal eigenvectors V of a Hermitian matrix."""
+    out = vectors @ np.diag(values) @ hermitian_conjugate(vectors)
+    return out.real if real else out
+
+
 def cluster_eigenvalues(values, tol: float):
     """Group nearly equal real eigenvalues, descending.
 
@@ -158,33 +169,35 @@ class SpectralDecomposition:
             out = out + value * proj
         return out
 
-    def kernel_dimension(self, tol: float = CLUSTER_TOL_FACTOR) -> int:
-        """Multiplicity of the zero eigenvalue (0 if the operator is regular)."""
-        for value, mult in zip(self.eigenvalues, self.multiplicities):
-            if abs(value) <= tol * max(1.0, abs(self.eigenvalues[0])):
-                return mult
-        return 0
 
-
-def eigen_hermitian(a, hermitian_tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def eigen_hermitian(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
-    The input must be Hermitian to ``hermitian_tol`` relative Frobenius
-    error, otherwise SymmetryError is raised.
+    The input must be finite and Hermitian under the self-adjointness rule
+    of :mod:`kreinalg.policy`, otherwise SymmetryError is raised.
     """
     a = np.asarray(a)
-    scale = max(1.0, frobenius(a))
-    if frobenius(hermitian_conjugate(a) - a) > hermitian_tol * scale:
-        raise SymmetryError("matrix is not Hermitian within tolerance")
-    diag, vectors, _ = jacobi_hermitian(a)
-    cluster_tol = CLUSTER_TOL_FACTOR * max(1.0, frobenius(a))
-    distinct, groups = cluster_eigenvalues(diag.real, cluster_tol)
-    real_input = field_of(a) == REAL
+    _require_square(a)
+    policy.require_hermitian(a, "matrix")
+    w, vectors = _eigh(a)
+    return _spectral_decomposition(w, vectors, field_of(a) == REAL)
+
+
+def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomposition:
+    """Group eigenpairs into eigenspaces with projectors ``V V^+ G``.
+
+    The columns of ``vectors`` are G-orthonormal; G is the identity when
+    ``gram`` is omitted.
+    """
+    tol = policy.CLUSTER_TOL * max(1.0, float(np.linalg.norm(w)))
+    distinct, groups = cluster_eigenvalues(w, tol)
     projectors = []
     for group in groups:
         cols = vectors[:, group]
         proj = cols @ hermitian_conjugate(cols)
-        projectors.append(proj.real if real_input else proj)
+        if gram is not None:
+            proj = proj @ gram
+        projectors.append(proj.real if real else proj)
     return SpectralDecomposition(
         eigenvalues=tuple(distinct),
         multiplicities=tuple(len(g) for g in groups),
@@ -199,9 +212,7 @@ def characteristic_polynomial(a) -> np.ndarray:
     for small cross-check problems only.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    n = _require_square(a)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[0] = 1.0
     m = np.array(a)

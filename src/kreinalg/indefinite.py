@@ -20,18 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import policy
 from .errors import (
     CompatibilityError,
     DegenerateFormError,
     FieldError,
     ShapeError,
-    SymmetryError,
 )
-from .eigen import SpectralDecomposition, jacobi_hermitian
+from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
+    SpectralDecomposition,
+    _hermitian_form_eigh,
+    _spectral_function,
+    jacobi_hermitian,
+)
 from .matrices import (
     COMPLEX,
     REAL,
-    as_matrix,
+    _require_square,
     field_of,
     frobenius,
     hermitian_conjugate,
@@ -46,11 +51,6 @@ from .unitary import (
 )
 
 __all__ = [
-    "HFORM_HERMITIAN_TOL",
-    "DEGENERACY_TOL",
-    "COMPATIBILITY_TOL",
-    "DIRAC_SELFADJOINT_TOL",
-    "PSEUDO_UNITARY_TOL",
     "HForm",
     "MetricStructure",
     "HOrthonormalBasis",
@@ -58,7 +58,6 @@ __all__ = [
     "metric_structure_from",
     "compatible_structure_from_hform",
     "minkowski_structure",
-    "signature",
     "canonical_projectors",
     "h_orthonormal_basis",
     "hform_value",
@@ -73,12 +72,6 @@ __all__ = [
     "is_pseudo_orthogonal",
 ]
 
-HFORM_HERMITIAN_TOL = 1e-10
-DEGENERACY_TOL = 1e-10
-COMPATIBILITY_TOL = 1e-9
-DIRAC_SELFADJOINT_TOL = 1e-9
-PSEUDO_UNITARY_TOL = 1e-9
-
 
 class HForm:
     """A non-degenerate Hermitian form, carried by its Gram matrix K.
@@ -89,16 +82,8 @@ class HForm:
     """
 
     def __init__(self, space: VectorSpace, matrix) -> None:
-        k = as_matrix(matrix, space.field)
-        if k.shape != (space.dim, space.dim):
-            raise ShapeError(f"form matrix shape {k.shape} does not match dim {space.dim}")
-        k_norm = frobenius(k)
-        if frobenius(hermitian_conjugate(k) - k) > HFORM_HERMITIAN_TOL * max(k_norm, 1e-300):
-            raise SymmetryError("H-form matrix is not Hermitian within tolerance")
-        k = (k + hermitian_conjugate(k)) / 2.0
-        diag, vectors, _ = jacobi_hermitian(k)
-        eigenvalues = diag.real
-        if np.min(np.abs(eigenvalues)) <= DEGENERACY_TOL * k_norm:
+        k, eigenvalues, vectors = _hermitian_form_eigh(space.operator(matrix), "H-form matrix")
+        if not policy.clears_form_floor(np.abs(eigenvalues), k):
             raise DegenerateFormError(
                 f"H-form is numerically degenerate "
                 f"(min |eigenvalue| = {np.min(np.abs(eigenvalues)):.3e})"
@@ -159,8 +144,9 @@ def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) 
     ip = InnerProduct(space, gram)
     hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
-    residual = frobenius(h @ h - np.eye(space.dim))
-    if residual > COMPATIBILITY_TOL:
+    # h is G-selfadjoint, so h# = h and compatibility is the isometry rule.
+    if not policy.isometric(h, h):
+        residual = frobenius(h @ h - np.eye(space.dim))
         raise CompatibilityError(
             f"metric operator does not square to the identity (residual {residual:.3e})"
         )
@@ -179,13 +165,10 @@ def compatible_structure_from_hform(hform_matrix, space: VectorSpace | None = No
     hf = HForm(space, hform_matrix)
     u = hf._eigenvectors
     lam = hf._eigenvalues
-    gram = u @ np.diag(np.abs(lam)) @ hermitian_conjugate(u)
-    h = u @ np.diag(np.sign(lam)) @ hermitian_conjugate(u)
-    gram = (gram + hermitian_conjugate(gram)) / 2.0
-    if space.field == REAL:
-        gram = gram.real
-        h = h.real
-    ip = InnerProduct(space, gram)
+    real = space.field == REAL
+    h = _spectral_function(u, np.sign(lam), real)
+    # InnerProduct symmetrizes away the roundoff asymmetry of this product.
+    ip = InnerProduct(space, _spectral_function(u, np.abs(lam), real))
     return MetricStructure(ip=ip, hform=hf, h=h, signature=_signature_of(hf))
 
 
@@ -195,11 +178,6 @@ def minkowski_structure(n_plus: int, n_minus: int, field: str = REAL) -> MetricS
     if field == COMPLEX:
         eta = eta.astype(np.complex128)
     return metric_structure_from(np.eye(n_plus + n_minus, dtype=eta.dtype), eta)
-
-
-def signature(ms: MetricStructure) -> tuple:
-    """(n_plus, n_minus): the eigenvalue sign counts of the metric operator."""
-    return ms.signature
 
 
 def canonical_projectors(ms: MetricStructure):
@@ -233,60 +211,39 @@ def h_orthonormal_basis(ms: MetricStructure) -> HOrthonormalBasis:
     return HOrthonormalBasis(basis=Basis(ms.space, columns), eta_diag=eta)
 
 
-def _as_ket(x, ms: MetricStructure) -> np.ndarray:
-    x = as_matrix(x, ms.space.field)
-    if x.shape != (ms.space.dim, 1):
-        raise ShapeError(f"expected a ket of shape ({ms.space.dim}, 1), got {x.shape}")
-    return x
-
-
 def hform_value(x, y, ms: MetricStructure):
     """H(x, y) = x^+ K y; antilinear in the first argument."""
-    x = _as_ket(x, ms)
-    y = _as_ket(y, ms)
+    x = ms.space.ket(x)
+    y = ms.space.ket(y)
     value = (hermitian_conjugate(x) @ ms.hform.matrix @ y)[0, 0]
     return complex(value) if ms.space.field == COMPLEX else float(value)
 
 
 def dirac_adjoint_vector(x, ms: MetricStructure) -> np.ndarray:
     """The covector x^+ K, pairing with y to give H(x, y)."""
-    x = _as_ket(x, ms)
-    return hermitian_conjugate(x) @ ms.hform.matrix
+    return hermitian_conjugate(ms.space.ket(x)) @ ms.hform.matrix
 
 
 def dirac_adjoint_covector(y_bra, ms: MetricStructure) -> np.ndarray:
     """Inverse of the vector Dirac adjoint: the ket K^{-1} y^+."""
-    y = as_matrix(y_bra, ms.space.field)
-    if y.shape != (1, ms.space.dim):
-        raise ShapeError(f"expected a bra of shape (1, {ms.space.dim}), got {y.shape}")
-    return ms.hform.inverse @ hermitian_conjugate(y)
-
-
-def _as_operator(f, ms: MetricStructure) -> np.ndarray:
-    f = as_matrix(f, ms.space.field)
-    n = ms.space.dim
-    if f.shape != (n, n):
-        raise ShapeError(f"operator must be {n}x{n}, got {f.shape}")
-    return f
+    return ms.hform.inverse @ hermitian_conjugate(ms.space.bra(y_bra))
 
 
 def dirac_adjoint_operator(f, ms: MetricStructure) -> np.ndarray:
     """h adjoint(f) h, satisfying H(x, f y) = H(hconj(f) x, y)."""
-    f = _as_operator(f, ms)
     return ms.h @ adjoint(f, ms.ip) @ ms.h
 
 
-def is_dirac_selfadjoint(f, ms: MetricStructure, tol: float = DIRAC_SELFADJOINT_TOL) -> bool:
-    f = _as_operator(f, ms)
-    residual = frobenius(dirac_adjoint_operator(f, ms) - f)
-    return residual <= tol * max(1.0, frobenius(f))
+def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
+    """True when the Dirac adjoint of f is f, i.e. H(f x, y) = H(x, f y)."""
+    f = ms.space.operator(f)
+    return policy.selfadjoint(f, dirac_adjoint_operator(f, ms))
 
 
-def is_pseudo_unitary(f, ms: MetricStructure, tol: float = PSEUDO_UNITARY_TOL) -> bool:
+def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
     """True when the Dirac adjoint inverts f, i.e. f preserves the H-form."""
-    f = _as_operator(f, ms)
-    residual = dirac_adjoint_operator(f, ms) @ f - np.eye(ms.space.dim)
-    return frobenius(residual) <= tol
+    f = ms.space.operator(f)
+    return policy.isometric(dirac_adjoint_operator(f, ms), f)
 
 
 @dataclass(frozen=True)
@@ -316,9 +273,9 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     Dirac-selfadjoint; its spectral projectors composed back with ``h``
     reconstruct f.
     """
-    f = _as_operator(f, ms)
+    f = ms.space.operator(f)
     if not is_dirac_selfadjoint(f, ms):
-        raise SymmetryError("operator is not Dirac-selfadjoint within tolerance")
+        raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
     partner = f @ ms.h
     dec = spectral_representation(partner, ms.ip)
     return DiracSpectralDecomposition(
@@ -348,18 +305,16 @@ def raise_lower_index(t: Tensor, slot: int, ms: MetricStructure) -> Tensor:
     return Tensor(t.space, tuple(variance), scaled)
 
 
-def is_orthogonal(f, tol: float = PSEUDO_UNITARY_TOL) -> bool:
+def is_orthogonal(f) -> bool:
     """Real specialization: f^T f = identity."""
     f = np.asarray(f)
     if field_of(f) != REAL:
         raise FieldError("orthogonality is a real-field predicate")
-    n = f.shape[0]
-    if f.ndim != 2 or f.shape != (n, n):
-        raise ShapeError(f"expected a square matrix, got shape {f.shape}")
-    return frobenius(f.T @ f - np.eye(n)) <= tol
+    _require_square(f)
+    return policy.isometric(f.T, f)
 
 
-def is_pseudo_orthogonal(f, ms: MetricStructure, tol: float = PSEUDO_UNITARY_TOL) -> bool:
+def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
     """Real specialization of pseudo-unitarity: f^T K f = K.
 
     Reuses the complex code path; conjugation is the identity on the
@@ -368,4 +323,4 @@ def is_pseudo_orthogonal(f, ms: MetricStructure, tol: float = PSEUDO_UNITARY_TOL
     f = np.asarray(f)
     if field_of(f) != REAL or ms.space.field != REAL:
         raise FieldError("pseudo-orthogonality is a real-field predicate")
-    return is_pseudo_unitary(f, ms, tol=tol)
+    return is_pseudo_unitary(f, ms)

@@ -17,12 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import policy
 from .errors import FieldError, ShapeError
 
 __all__ = [
     "REAL",
     "COMPLEX",
-    "CLASSIFY_TOL",
     "field_of",
     "as_matrix",
     "identity",
@@ -41,8 +41,10 @@ __all__ = [
 REAL = "real"
 COMPLEX = "complex"
 
-# Relative Frobenius tolerance for the classification predicates.
-CLASSIFY_TOL = 1e-9
+
+def _dtype(field: str):
+    """``complex128`` for the complex field, ``float64`` for the real one."""
+    return np.complex128 if field == COMPLEX else np.float64
 
 
 def field_of(a: np.ndarray) -> str:
@@ -63,15 +65,19 @@ def as_matrix(a, field: str | None = None) -> np.ndarray:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if field is None:
         field = field_of(arr)
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    return np.array(arr, dtype=dtype)
+    return np.array(arr, dtype=_dtype(field))
 
 
-def _require_same_field(a: np.ndarray, b: np.ndarray) -> str:
+def _matrix_pair(a, b, what: str) -> tuple:
+    """Both operands as 2-D arrays over one field."""
+    a = np.asarray(a)
+    b = np.asarray(b)
     fa, fb = field_of(a), field_of(b)
     if fa != fb:
         raise FieldError(f"mixed fields: {fa} vs {fb}")
-    return fa
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"{what} operands must be 2-D matrices")
+    return a, b
 
 
 def _require_square(a: np.ndarray) -> int:
@@ -82,8 +88,7 @@ def _require_square(a: np.ndarray) -> int:
 
 def identity(n: int, field: str = REAL) -> np.ndarray:
     """The n-by-n identity over the requested field."""
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    return np.eye(n, dtype=dtype)
+    return np.eye(n, dtype=_dtype(field))
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -93,11 +98,7 @@ def frobenius(a: np.ndarray) -> float:
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product ``a @ b`` with explicit shape and field checks."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _require_same_field(a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D matrices")
+    a, b = _matrix_pair(a, b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     return a @ b
@@ -157,11 +158,7 @@ def kronecker_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scalar multiplication and the result is bit-identical to flattening
     the corresponding tensor product.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _require_same_field(a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("kronecker_product operands must be 2-D matrices")
+    a, b = _matrix_pair(a, b, "kronecker_product")
     m1, n1 = a.shape
     m2, n2 = b.shape
     outer = np.multiply.outer(a.ravel(), b.ravel())
@@ -173,28 +170,26 @@ def kronecker_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def classify(a: np.ndarray, tol: float = CLASSIFY_TOL) -> set:
-    """Structural predicates of a square matrix, evaluated to tolerance.
+def classify(a: np.ndarray) -> set:
+    """Structural predicates of a square matrix, decided by :mod:`kreinalg.policy`.
 
     Returns the subset of {"hermitian", "unitary", "symmetric",
-    "orthogonal", "singular"} that holds.  Symmetry predicates are
-    relative to the matrix norm; the unitarity and singularity residuals
-    are absolute.
+    "orthogonal", "singular"} that holds.  The symmetry predicates are the
+    self-adjointness rule, the unitarity ones the isometry rule, and
+    "singular" means numerical rank below n.
     """
     a = np.asarray(a)
-    n = _require_square(a)
-    eye = np.eye(n)
-    scale = max(1.0, frobenius(a))
+    _require_square(a)
     out = set()
-    if frobenius(hermitian_conjugate(a) - a) <= tol * scale:
+    if policy.selfadjoint(a, hermitian_conjugate(a)):
         out.add("hermitian")
-    if frobenius(a.T - a) <= tol * scale:
+    if policy.selfadjoint(a, a.T):
         out.add("symmetric")
-    if frobenius(hermitian_conjugate(a) @ a - eye) <= tol:
+    if policy.isometric(hermitian_conjugate(a), a):
         out.add("unitary")
-    if frobenius(a.T @ a - eye) <= tol:
+    if policy.isometric(a.T, a):
         out.add("orthogonal")
-    if abs(determinant(a)) <= tol:
+    if policy.is_singular(a):
         out.add("singular")
     return out
 
@@ -203,7 +198,7 @@ def natural_ket(n: int, i: int, field: str = REAL) -> np.ndarray:
     """The i-th natural basis column (1-based), shape (n, 1)."""
     if not 1 <= i <= n:
         raise ShapeError(f"ket index {i} out of range 1..{n}")
-    v = np.zeros((n, 1), dtype=np.complex128 if field == COMPLEX else np.float64)
+    v = np.zeros((n, 1), dtype=_dtype(field))
     v[i - 1, 0] = 1.0
     return v
 

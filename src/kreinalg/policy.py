@@ -1,0 +1,99 @@
+"""The numerical policy: every tolerance and the rules that apply it.
+
+Each object of the theory is defined by one identity (G = G^+, h h = 1,
+f## = f, F# F = 1), and deciding whether such an identity holds in
+floating point is the one judgement the package makes.  So every tolerance
+lives here, named by the decision it governs, and the other modules ask
+these rules instead of comparing residuals themselves.  Norms are
+Frobenius norms.  Every rule is NaN-safe: it accepts only when
+``residual <= bound`` holds with a finite bound, so NaN, infinity or an
+overflow always rejects.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import SymmetryError
+
+__all__ = [
+    "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
+    "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
+    "selfadjoint", "isometric", "require_hermitian", "asymmetry_error",
+    "clears_form_floor", "singular_rank", "is_singular",
+]
+
+# Self-adjointness and isometry, relative to the operators involved.
+TOL = 1e-9
+# Non-degenerate (definite) form K: every |eigenvalue| (eigenvalue) > FORM_TOL ||K||.
+FORM_TOL = 1e-10
+# A singular value s counts as zero when s <= RANK_TOL * s_max.
+RANK_TOL = 1e-10
+# Eigenvalues closer than CLUSTER_TOL * max(1, ||eigenvalues||) share an eigenspace.
+CLUSTER_TOL = 1e-8
+# Gram-Schmidt gives up when a projected vector's norm drops below this.
+BREAKDOWN_TOL = 1e-12
+# Jacobi stops once the off-diagonal mass is <= JACOBI_TOL ||A||.
+JACOBI_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 100
+
+
+def _holds(residual, scale) -> bool:
+    return bool(residual <= TOL * scale < math.inf)
+
+
+def selfadjoint(f, f_sharp) -> bool:
+    """f# = f: ``||f# - f|| <= TOL ||f||``, for any adjoint # applied to f."""
+    return _holds(np.linalg.norm(f_sharp - f), np.linalg.norm(f))
+
+
+def isometric(f_sharp, f) -> bool:
+    """f# f = 1: ``||f# f - 1|| <= TOL ||f#|| ||f||``.
+
+    Relative to the factors, because the pseudo-unitary groups are not
+    compact: an exact Lorentz boost at large rapidity has huge entries
+    and a residual of the same relative size as a rotation's.
+    """
+    residual = np.linalg.norm(f_sharp @ f - np.eye(f.shape[1]))
+    return _holds(residual, np.linalg.norm(f_sharp) * np.linalg.norm(f))
+
+
+def require_hermitian(a: np.ndarray, what: str) -> None:
+    """Raise SymmetryError unless ``a`` is Hermitian by :func:`selfadjoint`."""
+    if not selfadjoint(a, np.conj(a).T):
+        raise asymmetry_error(a, what, "Hermitian")
+
+
+def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
+    """The error for an ``f`` that failed :func:`selfadjoint`.
+
+    The rule rejects every non-finite input, so the message names the
+    non-finite entries when there are any.
+    """
+    bad = np.argwhere(~np.isfinite(f))
+    if not bad.size:
+        return SymmetryError(f"{what} is not {kind} within tolerance")
+    first = tuple(int(i) for i in bad[0])
+    return SymmetryError(f"{what} has {len(bad)} non-finite entries, the first at {first}")
+
+
+def clears_form_floor(values, k) -> bool:
+    """Every value (an eigenvalue of the form ``k``) exceeds ``FORM_TOL ||k||``."""
+    return bool(np.min(values) > FORM_TOL * np.linalg.norm(k))
+
+
+def singular_rank(s) -> int:
+    """Numerical rank from singular values ``s``, largest first."""
+    return int(np.sum(s > RANK_TOL * s[0])) if len(s) else 0
+
+
+def is_singular(a: np.ndarray) -> bool:
+    """Numerical rank below n, free of scale and dimension.
+
+    A zero or non-finite matrix counts as singular.
+    """
+    if not np.all(np.isfinite(a)):
+        return True
+    return singular_rank(np.linalg.svd(a, compute_uv=False)) < a.shape[0]

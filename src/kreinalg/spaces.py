@@ -14,11 +14,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import policy
 from .errors import ShapeError, SingularBasisError, SpaceError
-from .matrices import COMPLEX, REAL, as_matrix, field_of, frobenius
+from .matrices import COMPLEX, REAL, as_matrix, field_of
 
 __all__ = [
-    "RANK_PIVOT_TOL",
     "VectorSpace",
     "Basis",
     "VectorInBasis",
@@ -37,9 +37,6 @@ __all__ = [
     "canonical_form_bases",
 ]
 
-# Pivot magnitude below which a row-echelon pivot counts as zero.
-RANK_PIVOT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class VectorSpace:
@@ -55,12 +52,23 @@ class VectorSpace:
         if self.field not in (REAL, COMPLEX):
             raise SpaceError(f"unknown field {self.field!r}")
 
+    def ket(self, x) -> np.ndarray:
+        """``x`` as a fresh ``(dim, 1)`` column over this space's field."""
+        return self._coerce(x, (self.dim, 1), "a ket")
 
-def _singularity_threshold(b: np.ndarray) -> float:
-    # Scale-aware: 1e-12 * ||B||_F^n, so rescaling B rescales the threshold
-    # the same way the determinant rescales.
-    n = b.shape[0]
-    return 1e-12 * frobenius(b) ** n
+    def bra(self, y) -> np.ndarray:
+        """``y`` as a fresh ``(1, dim)`` row over this space's field."""
+        return self._coerce(y, (1, self.dim), "a bra")
+
+    def operator(self, f) -> np.ndarray:
+        """``f`` as a fresh ``(dim, dim)`` matrix over this space's field."""
+        return self._coerce(f, (self.dim, self.dim), "an operator")
+
+    def _coerce(self, a, shape: tuple, what: str) -> np.ndarray:
+        m = as_matrix(a, self.field)
+        if m.shape != shape:
+            raise ShapeError(f"expected {what} of shape {shape} on {self.label}, got {m.shape}")
+        return m
 
 
 class Basis:
@@ -71,16 +79,9 @@ class Basis:
     """
 
     def __init__(self, space: VectorSpace, matrix) -> None:
-        b = as_matrix(matrix, space.field)
-        if b.shape != (space.dim, space.dim):
-            raise ShapeError(
-                f"basis matrix shape {b.shape} does not match dim {space.dim}"
-            )
-        det = np.linalg.det(b)
-        if abs(det) <= _singularity_threshold(b):
-            raise SingularBasisError(
-                f"basis matrix is numerically singular (|det| = {abs(det):.3e})"
-            )
+        b = space.operator(matrix)
+        if policy.is_singular(b):
+            raise SingularBasisError("basis matrix is numerically singular")
         self.space = space
         self.matrix = b
         self.inverse = np.linalg.inv(b)
@@ -156,23 +157,24 @@ def dual_basis(basis: Basis) -> np.ndarray:
 
 def rep_vector(x_natural, basis: Basis) -> VectorInBasis:
     """Components of a natural-frame ket in the given basis."""
-    x = as_matrix(x_natural, basis.space.field)
-    if x.shape != (basis.space.dim, 1):
-        raise ShapeError(f"expected a ket of shape ({basis.space.dim}, 1), got {x.shape}")
-    return VectorInBasis(basis, basis.inverse @ x)
+    return VectorInBasis(basis, basis.inverse @ basis.space.ket(x_natural))
 
 
 def rep_covector(y_natural, basis: Basis) -> CovectorInBasis:
     """Components of a natural-frame bra in the dual of the given basis."""
-    y = as_matrix(y_natural, basis.space.field)
-    if y.shape != (1, basis.space.dim):
-        raise ShapeError(f"expected a bra of shape (1, {basis.space.dim}), got {y.shape}")
-    return CovectorInBasis(basis, y @ basis.matrix)
+    return CovectorInBasis(basis, basis.space.bra(y_natural) @ basis.matrix)
 
 
 def _require_same_space(a: Basis, b: Basis) -> None:
     if a.space != b.space:
         raise SpaceError(f"bases live on different spaces: {a.space} vs {b.space}")
+
+
+def _map_matrix(f_natural, domain: VectorSpace, codomain: VectorSpace) -> np.ndarray:
+    f = as_matrix(f_natural)
+    if f.shape != (codomain.dim, domain.dim):
+        raise ShapeError(f"map must have shape {(codomain.dim, domain.dim)}, got {f.shape}")
+    return f
 
 
 def change_of_basis(old: Basis, new: Basis) -> np.ndarray:
@@ -183,10 +185,7 @@ def change_of_basis(old: Basis, new: Basis) -> np.ndarray:
 
 def represent_map(f_natural, domain_basis: Basis, codomain_basis: Basis) -> LinearMapRep:
     """Representation matrix of a natural-frame map in the given bases."""
-    f = as_matrix(f_natural)
-    expected = (codomain_basis.space.dim, domain_basis.space.dim)
-    if f.shape != expected:
-        raise ShapeError(f"map must have shape {expected}, got {f.shape}")
+    f = _map_matrix(f_natural, domain_basis.space, codomain_basis.space)
     matrix = codomain_basis.inverse @ f @ domain_basis.matrix
     return LinearMapRep(domain_basis, codomain_basis, matrix)
 
@@ -209,16 +208,22 @@ def operator_determinant(rep: LinearMapRep):
     return complex(d) if field_of(rep.matrix) == COMPLEX else float(d)
 
 
-def rank(a, pivot_tol: float = RANK_PIVOT_TOL) -> int:
-    """Rank by row echelon reduction with partial pivoting."""
+def rank(a) -> int:
+    """Rank by row echelon reduction with partial pivoting.
+
+    A pivot counts as zero under the numerical-rank rule of
+    :mod:`kreinalg.policy`, with the largest entry standing in for the
+    largest singular value.
+    """
     m = as_matrix(a, COMPLEX)
     rows, cols = m.shape
+    floor = policy.RANK_TOL * np.max(np.abs(m), initial=0.0)
     r = 0
     for col in range(cols):
         if r == rows:
             break
         pivot_row = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[pivot_row, col]) <= pivot_tol:
+        if abs(m[pivot_row, col]) <= floor:
             continue
         if pivot_row != r:
             m[[r, pivot_row]] = m[[pivot_row, r]]
@@ -227,16 +232,14 @@ def rank(a, pivot_tol: float = RANK_PIVOT_TOL) -> int:
     return r
 
 
-def kernel_dimension(a, tol: float = RANK_PIVOT_TOL) -> int:
+def kernel_dimension(a) -> int:
     """Kernel dimension counted from the singular-value profile.
 
     Deliberately a different route than :func:`rank` so the rank-nullity
     identity is a genuine cross-check, not a tautology.
     """
     a = np.asarray(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    scale = s[0] if s.size and s[0] > 1.0 else 1.0
-    return int(a.shape[1] - np.sum(s > tol * scale))
+    return a.shape[1] - policy.singular_rank(np.linalg.svd(a, compute_uv=False))
 
 
 def canonical_form_bases(
@@ -247,14 +250,9 @@ def canonical_form_bases(
     Returns ``(domain_basis, codomain_basis, r)`` built from the singular
     value decomposition; ``r`` is the numerical rank.
     """
-    f = as_matrix(f_natural)
-    if f.shape != (codomain_space.dim, domain_space.dim):
-        raise ShapeError(
-            f"map must have shape ({codomain_space.dim}, {domain_space.dim})"
-        )
+    f = _map_matrix(f_natural, domain_space, codomain_space)
     u, s, vh = np.linalg.svd(f)
-    scale = s[0] if s.size and s[0] > 1.0 else 1.0
-    r = int(np.sum(s > RANK_PIVOT_TOL * scale))
+    r = policy.singular_rank(s)
     stretch = np.ones(domain_space.dim)
     stretch[:r] = 1.0 / s[:r]
     domain_b = vh.conj().T @ np.diag(stretch)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import policy
 from .errors import ShapeError, SingularBasisError, SpaceError, VarianceError
-from .matrices import COMPLEX, frobenius
+from .matrices import _dtype
 from .spaces import VectorSpace
 
 __all__ = [
@@ -68,37 +69,24 @@ class Tensor:
         return self.variance[k - 1]
 
 
-def _dtype_for(space: VectorSpace):
-    return np.complex128 if space.field == COMPLEX else np.float64
-
-
 def scalar_tensor(space: VectorSpace, value) -> Tensor:
     """Rank-0 tensor holding a single scalar."""
-    return Tensor(space, (), np.asarray(value, dtype=_dtype_for(space)))
+    return Tensor(space, (), np.asarray(value, dtype=_dtype(space.field)))
 
 
 def tensor_from_ket(space: VectorSpace, ket) -> Tensor:
     """Rank-(1,0) tensor from an (n, 1) column."""
-    v = np.asarray(ket, dtype=_dtype_for(space)).reshape(-1)
-    if v.shape != (space.dim,):
-        raise ShapeError(f"ket length {v.shape} does not match dim {space.dim}")
-    return Tensor(space, (UP,), v.copy())
+    return Tensor(space, (UP,), space.ket(ket).reshape(-1))
 
 
 def tensor_from_bra(space: VectorSpace, bra) -> Tensor:
     """Rank-(0,1) tensor from a (1, n) row."""
-    v = np.asarray(bra, dtype=_dtype_for(space)).reshape(-1)
-    if v.shape != (space.dim,):
-        raise ShapeError(f"bra length {v.shape} does not match dim {space.dim}")
-    return Tensor(space, (DOWN,), v.copy())
+    return Tensor(space, (DOWN,), space.bra(bra).reshape(-1))
 
 
 def tensor_from_operator(space: VectorSpace, matrix) -> Tensor:
     """Rank-(1,1) tensor from a square operator matrix."""
-    m = np.asarray(matrix, dtype=_dtype_for(space))
-    if m.shape != (space.dim, space.dim):
-        raise ShapeError(f"operator shape {m.shape} does not match dim {space.dim}")
-    return Tensor(space, (UP, DOWN), m.copy())
+    return Tensor(space, (UP, DOWN), space.operator(matrix))
 
 
 def tensor_product(t1: Tensor, t2: Tensor) -> Tensor:
@@ -148,7 +136,7 @@ def transform_tensor(t: Tensor, m) -> Tensor:
     n = t.space.dim
     if m.shape != (n, n):
         raise ShapeError(f"transformation matrix must be {n}x{n}, got {m.shape}")
-    if abs(np.linalg.det(m)) <= 1e-12 * max(frobenius(m), 1.0) ** n:
+    if policy.is_singular(m):
         raise SingularBasisError("transformation matrix is numerically singular")
     m_inv = np.linalg.inv(m)
     components = t.components

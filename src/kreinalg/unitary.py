@@ -4,30 +4,29 @@ An inner product is carried by its Gram matrix ``G`` in the natural
 frame: ``(x, y) = x^+ G y``, antilinear in the first argument.  The
 Hermitian square root of ``G`` (cached at construction) turns every
 G-selfadjoint eigenproblem into an ordinary Hermitian one, which the
-Jacobi solver handles; eigenvectors come back G-orthonormal and the
-spectral projectors are G-selfadjoint.
+eigensolver seam handles; eigenvectors come back G-orthonormal and the
+spectral projectors are G-selfadjoint.  Every tolerance is a rule of
+:mod:`kreinalg.policy`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFormError, DependentSetError, ShapeError, SymmetryError
-from .eigen import (
-    CLUSTER_TOL_FACTOR,
+from . import policy
+from .errors import DegenerateFormError, DependentSetError, ShapeError
+from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
-    cluster_eigenvalues,
+    _eigh,
+    _hermitian_form_eigh,
+    _spectral_decomposition,
+    _spectral_function,
     jacobi_hermitian,
 )
-from .matrices import COMPLEX, REAL, as_matrix, frobenius, hermitian_conjugate
+from .matrices import COMPLEX, REAL, hermitian_conjugate
 from .spaces import Basis, VectorSpace
 
 __all__ = [
-    "GRAM_HERMITIAN_TOL",
-    "POSITIVE_DEFINITE_TOL",
-    "GRAM_SCHMIDT_BREAKDOWN",
-    "SELFADJOINT_TOL",
-    "UNITARY_TOL",
     "InnerProduct",
     "standard_inner_product",
     "inner_product",
@@ -38,14 +37,9 @@ __all__ = [
     "adjoint",
     "g_selfadjoint_eigen",
     "spectral_representation",
+    "is_selfadjoint",
     "is_unitary_wrt",
 ]
-
-GRAM_HERMITIAN_TOL = 1e-10
-POSITIVE_DEFINITE_TOL = 1e-10
-GRAM_SCHMIDT_BREAKDOWN = 1e-12
-SELFADJOINT_TOL = 1e-9
-UNITARY_TOL = 1e-9
 
 
 class InnerProduct:
@@ -57,16 +51,8 @@ class InnerProduct:
     """
 
     def __init__(self, space: VectorSpace, gram) -> None:
-        g = as_matrix(gram, space.field)
-        if g.shape != (space.dim, space.dim):
-            raise ShapeError(f"Gram matrix shape {g.shape} does not match dim {space.dim}")
-        g_norm = frobenius(g)
-        if frobenius(hermitian_conjugate(g) - g) > GRAM_HERMITIAN_TOL * max(g_norm, 1e-300):
-            raise SymmetryError("Gram matrix is not Hermitian within tolerance")
-        g = (g + hermitian_conjugate(g)) / 2.0
-        diag, vectors, _ = jacobi_hermitian(g)
-        eigenvalues = diag.real
-        if np.min(eigenvalues) <= POSITIVE_DEFINITE_TOL * g_norm:
+        g, eigenvalues, vectors = _hermitian_form_eigh(space.operator(gram), "Gram matrix")
+        if not policy.clears_form_floor(eigenvalues, g):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
                 f"(min eigenvalue {np.min(eigenvalues):.3e})"
@@ -74,13 +60,9 @@ class InnerProduct:
         self.space = space
         self.gram = g
         self.gram_inv = np.linalg.inv(g)
-        sqrt = vectors @ np.diag(np.sqrt(eigenvalues)) @ hermitian_conjugate(vectors)
-        sqrt_inv = vectors @ np.diag(1.0 / np.sqrt(eigenvalues)) @ hermitian_conjugate(vectors)
-        if space.field == REAL:
-            sqrt = sqrt.real
-            sqrt_inv = sqrt_inv.real
-        self.sqrt = sqrt
-        self.sqrt_inv = sqrt_inv
+        real = space.field == REAL
+        self.sqrt = _spectral_function(vectors, np.sqrt(eigenvalues), real)
+        self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(eigenvalues), real)
 
     def __repr__(self) -> str:
         return f"InnerProduct(space={self.space!r})"
@@ -91,17 +73,10 @@ def standard_inner_product(space: VectorSpace) -> InnerProduct:
     return InnerProduct(space, np.eye(space.dim))
 
 
-def _as_ket(x, ip: InnerProduct) -> np.ndarray:
-    x = as_matrix(x, ip.space.field)
-    if x.shape != (ip.space.dim, 1):
-        raise ShapeError(f"expected a ket of shape ({ip.space.dim}, 1), got {x.shape}")
-    return x
-
-
 def inner_product(x, y, ip: InnerProduct):
     """(x, y) = x^+ G y; antilinear in x, linear in y."""
-    x = _as_ket(x, ip)
-    y = _as_ket(y, ip)
+    x = ip.space.ket(x)
+    y = ip.space.ket(y)
     value = (hermitian_conjugate(x) @ ip.gram @ y)[0, 0]
     return complex(value) if ip.space.field == COMPLEX else float(value)
 
@@ -114,16 +89,12 @@ def norm(x, ip: InnerProduct) -> float:
 
 def riesz_map(x, ip: InnerProduct) -> np.ndarray:
     """The covector x^+ G, pairing with y to give (x, y)."""
-    x = _as_ket(x, ip)
-    return hermitian_conjugate(x) @ ip.gram
+    return hermitian_conjugate(ip.space.ket(x)) @ ip.gram
 
 
 def riesz_inverse(y_bra, ip: InnerProduct) -> np.ndarray:
     """The ket G^{-1} y^+ mapped back from a covector row."""
-    y = as_matrix(y_bra, ip.space.field)
-    if y.shape != (1, ip.space.dim):
-        raise ShapeError(f"expected a bra of shape (1, {ip.space.dim}), got {y.shape}")
-    return ip.gram_inv @ hermitian_conjugate(y)
+    return ip.gram_inv @ hermitian_conjugate(ip.space.bra(y_bra))
 
 
 def orthonormalize(vectors, ip: InnerProduct) -> Basis:
@@ -134,7 +105,7 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
     when a vector collapses below the breakdown threshold.
     """
     dim = ip.space.dim
-    cols = [_as_ket(v, ip) for v in vectors]
+    cols = [ip.space.ket(v) for v in vectors]
     if len(cols) != dim:
         raise ShapeError(f"need exactly {dim} vectors, got {len(cols)}")
     basis_cols: list[np.ndarray] = []
@@ -144,7 +115,7 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
             for e in basis_cols:
                 v = v - e * inner_product(e, v, ip)
         length = norm(v, ip)
-        if length < GRAM_SCHMIDT_BREAKDOWN:
+        if not length >= policy.BREAKDOWN_TOL:
             raise DependentSetError(
                 "vector became numerically zero after projection; input set is dependent"
             )
@@ -154,10 +125,7 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
 
 def adjoint(f, ip: InnerProduct) -> np.ndarray:
     """G^{-1} f^+ G, the operator with (adjoint(f) x, y) = (x, f y)."""
-    f = as_matrix(f, ip.space.field)
-    if f.shape != (ip.space.dim, ip.space.dim):
-        raise ShapeError(f"operator must be {ip.space.dim}x{ip.space.dim}, got {f.shape}")
-    return ip.gram_inv @ hermitian_conjugate(f) @ ip.gram
+    return ip.gram_inv @ hermitian_conjugate(ip.space.operator(f)) @ ip.gram
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):
@@ -165,13 +133,10 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
 
     The input must already be selfadjoint with respect to ``ip``; the
     similarity transform by the Gram square root hands the problem to the
-    Hermitian Jacobi solver.
+    Hermitian eigensolver.
     """
-    f = as_matrix(f, ip.space.field)
-    work = ip.sqrt @ f @ ip.sqrt_inv
-    work = (work + hermitian_conjugate(work)) / 2.0
-    diag, u, _ = jacobi_hermitian(work)
-    w = diag.real
+    work = ip.sqrt @ ip.space.operator(f) @ ip.sqrt_inv
+    w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
     order = np.argsort(-w)
     w = w[order]
     columns = ip.sqrt_inv @ u[:, order]
@@ -180,35 +145,26 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
     return w, columns
 
 
-def spectral_representation(f, ip: InnerProduct, selfadjoint_tol: float = SELFADJOINT_TOL) -> SpectralDecomposition:
+def is_selfadjoint(f, ip: InnerProduct) -> bool:
+    """True when adjoint(f) equals f, i.e. (f x, y) = (x, f y)."""
+    f = ip.space.operator(f)
+    return policy.selfadjoint(f, adjoint(f, ip))
+
+
+def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
     """Spectral decomposition of a G-selfadjoint operator.
 
     The projectors are G-selfadjoint, idempotent, mutually annihilating,
     and complete, and distinct eigenspaces are G-orthogonal.
     """
-    f = as_matrix(f, ip.space.field)
-    scale = max(1.0, frobenius(f))
-    if frobenius(adjoint(f, ip) - f) > selfadjoint_tol * scale:
-        raise SymmetryError("operator is not selfadjoint w.r.t. the inner product")
+    f = ip.space.operator(f)
+    if not is_selfadjoint(f, ip):
+        raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
     w, columns = g_selfadjoint_eigen(f, ip)
-    cluster_tol = CLUSTER_TOL_FACTOR * max(1.0, float(np.linalg.norm(w)))
-    distinct, groups = cluster_eigenvalues(w, cluster_tol)
-    projectors = []
-    for group in groups:
-        cols = columns[:, group]
-        proj = cols @ hermitian_conjugate(cols) @ ip.gram
-        projectors.append(proj.real if ip.space.field == REAL else proj)
-    return SpectralDecomposition(
-        eigenvalues=tuple(distinct),
-        multiplicities=tuple(len(g) for g in groups),
-        projectors=tuple(projectors),
-    )
+    return _spectral_decomposition(w, columns, ip.space.field == REAL, ip.gram)
 
 
-def is_unitary_wrt(f, ip: InnerProduct, tol: float = UNITARY_TOL) -> bool:
+def is_unitary_wrt(f, ip: InnerProduct) -> bool:
     """True when adjoint(f) f equals the identity, i.e. f preserves (.,.)."""
-    f = as_matrix(f, ip.space.field)
-    if f.shape != (ip.space.dim, ip.space.dim):
-        raise ShapeError(f"operator must be {ip.space.dim}x{ip.space.dim}, got {f.shape}")
-    residual = adjoint(f, ip) @ f - np.eye(ip.space.dim)
-    return frobenius(residual) <= tol
+    f = ip.space.operator(f)
+    return policy.isometric(adjoint(f, ip), f)

@@ -364,7 +364,7 @@ def test_criterion_8_group_membership():
         inverse = np.linalg.inv(product)
         conj_inv = dirac_adjoint_operator(inverse, ms)
         worst_closure = max(worst_closure, float(np.linalg.norm(conj_inv @ inverse - eye)))
-        assert is_pseudo_unitary(product, ms, tol=1e-8)
+        assert is_pseudo_unitary(product, ms)
 
         if n_minus == 0:
             if field == "complex":

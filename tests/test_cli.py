@@ -310,10 +310,11 @@ class TestOperationRegistry:
         "kron_flatten", "kron_unflatten",
         # unitary
         "inner_product", "norm", "riesz_map", "orthonormalize", "adjoint",
-        "eigen_hermitian", "spectral_representation", "is_unitary_wrt",
+        "eigen_hermitian", "spectral_representation", "is_selfadjoint",
+        "is_unitary_wrt",
         # indefinite
         "metric_structure_from", "compatible_structure_from_hform",
-        "signature", "canonical_projectors", "h_orthonormal_basis",
+        "canonical_projectors", "h_orthonormal_basis",
         "dirac_adjoint_vector", "dirac_adjoint_covector",
         "dirac_adjoint_operator", "is_dirac_selfadjoint",
         "is_pseudo_unitary", "dirac_spectral", "raise_lower_index",

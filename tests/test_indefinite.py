@@ -26,7 +26,6 @@ from kreinalg import (
     metric_structure_from,
     minkowski_structure,
     raise_lower_index,
-    signature,
 )
 from kreinalg.generators import (
     lorentz_boost,
@@ -106,14 +105,14 @@ class TestCompatibleFromHForm:
 
 class TestSignature:
     def test_identity(self):
-        assert signature(metric_structure_from(np.eye(3), np.eye(3))) == (3, 0)
+        assert metric_structure_from(np.eye(3), np.eye(3)).signature == (3, 0)
 
     def test_canonical_diagonal(self):
         ms = metric_structure_from(np.eye(5), np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
-        assert signature(ms) == (2, 3)
+        assert ms.signature == (2, 3)
 
     def test_swap(self):
-        assert signature(_swap_structure()) == (1, 1)
+        assert _swap_structure().signature == (1, 1)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_sylvester_invariance(self, n):

@@ -1,0 +1,199 @@
+"""The numerical policy: scale-free decisions, non-finite input, and the guard
+that keeps every tolerance in :mod:`kreinalg.policy`."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kreinalg import (
+    Basis,
+    HForm,
+    InnerProduct,
+    ShapeError,
+    SingularBasisError,
+    SymmetryError,
+    VectorSpace,
+    eigen_hermitian,
+    is_orthogonal,
+    is_pseudo_orthogonal,
+    is_pseudo_unitary,
+    minkowski_structure,
+    natural_basis,
+    spectral_representation,
+    standard_inner_product,
+    tensor_from_ket,
+    transform_tensor,
+)
+from kreinalg.generators import lorentz_boost, random_hermitian, random_unitary
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kreinalg"
+
+
+def _basis_matrix(rng, n, kind):
+    return np.eye(n) if kind == "identity" else random_unitary(rng, n, "real")
+
+
+class TestSingularIsRankBelowN:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        exponent=st.integers(-150, 150),
+        kind=st.sampled_from(["identity", "orthogonal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_well_conditioned_bases_accepted_at_any_scale(self, n, exponent, kind, seed):
+        m = 10.0**exponent * _basis_matrix(np.random.default_rng(seed), n, kind)
+        space = VectorSpace(n)
+        Basis(space, m)
+        t = tensor_from_ket(space, np.ones((n, 1)))
+        np.testing.assert_allclose(transform_tensor(t, m).components, m @ np.ones(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        exponent=st.integers(-150, 150),
+        kind=st.sampled_from(["identity", "orthogonal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_deficient_bases_rejected_at_any_scale(self, n, exponent, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = _basis_matrix(rng, n, kind)
+        j = int(rng.integers(1, n))
+        m[:, j] = m[:, 0] * 0.5
+        m = 10.0**exponent * m
+        space = VectorSpace(n)
+        with pytest.raises(SingularBasisError):
+            Basis(space, m)
+        with pytest.raises(SingularBasisError):
+            transform_tensor(tensor_from_ket(space, np.ones((n, 1))), m)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_zero_and_non_finite_are_singular(self, fill):
+        with pytest.raises(SingularBasisError):
+            Basis(VectorSpace(2), np.full((2, 2), fill))
+
+    def test_natural_basis_beyond_dimension_18(self):
+        assert natural_basis(VectorSpace(19)).matrix.shape == (19, 19)
+
+
+def _entry_points(n, field):
+    space = VectorSpace(n, field)
+    return {
+        "eigen_hermitian": eigen_hermitian,
+        "InnerProduct": lambda a: InnerProduct(space, a),
+        "HForm": lambda a: HForm(space, a),
+        "spectral_representation": lambda a: spectral_representation(
+            a, standard_inner_product(space)
+        ),
+    }
+
+
+class TestNonFiniteInputRejected:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        field=st.sampled_from(["real", "complex"]),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        mirrored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_every_hermitian_checked_entry_point(self, n, field, bad, mirrored, seed, data):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, n, field) + n * np.eye(n)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        a[i, j] = bad
+        if mirrored:
+            a[j, i] = bad
+        for name, entry in _entry_points(n, field).items():
+            with pytest.raises(SymmetryError, match="non-finite entries") as info:
+                entry(a)
+            assert f"({i}, {j})" in str(info.value) or f"({j}, {i})" in str(info.value), name
+
+
+class TestSelfAdjointness:
+    def test_is_selfadjoint_wrt_a_gram_matrix(self):
+        from kreinalg import is_selfadjoint
+
+        ip = InnerProduct(VectorSpace(2), np.diag([1.0, 4.0]))
+        f = np.array([[1.0, 4.0], [1.0, 2.0]])  # G f is symmetric
+        assert is_selfadjoint(f, ip)
+        assert not is_selfadjoint(f.T, ip)
+        assert not is_selfadjoint(np.full((2, 2), np.nan), ip)
+        assert is_selfadjoint(np.zeros((2, 2)), ip)
+
+
+class TestRelativeIsometry:
+    @settings(max_examples=60, deadline=None)
+    @given(rapidity=st.floats(0.0, 50.0), dim=st.sampled_from([2, 4]))
+    def test_boosts_are_pseudo_orthogonal_at_any_rapidity(self, rapidity, dim):
+        boost = lorentz_boost(rapidity, dim=dim)
+        assert is_pseudo_orthogonal(boost, minkowski_structure(1, dim - 1))
+        if rapidity >= 1e-3:
+            assert not is_orthogonal(boost)
+
+    def test_non_members_still_rejected(self):
+        ms = minkowski_structure(1, 3)
+        shear = np.eye(4)
+        shear[0, 1] = 1e-6
+        for f in (2.0 * np.eye(4), shear):
+            assert not is_pseudo_orthogonal(f, ms)
+            assert not is_pseudo_unitary(f, ms)
+            assert not is_orthogonal(f)
+
+    def test_is_orthogonal_scalar_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            is_orthogonal(np.float64(1.0))
+
+
+def _production_modules():
+    return sorted(p for p in SRC.glob("*.py") if p.name != "policy.py")
+
+
+def _registry_node(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "REGISTRY" for t in node.targets
+        ):
+            return node
+    return None
+
+
+class TestPolicyGuard:
+    def test_tolerance_literals_live_in_policy(self):
+        offenders = []
+        for path in _production_modules():
+            tree = ast.parse(path.read_text())
+            registry = _registry_node(tree) if path.name == "lemmas.py" else None
+            allowed = {id(n) for n in ast.walk(registry)} if registry else set()
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, float)
+                    and 0.0 < node.value <= 1e-6
+                    and id(node) not in allowed
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
+        assert not offenders
+
+    def test_jacobi_called_only_from_the_seam(self):
+        sites = []
+        for path in _production_modules():
+            if path.name == "lemmas.py":  # the lemma suite keeps Jacobi as an oracle
+                continue
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer
+                if isinstance(fn, ast.FunctionDef):
+                    owner.update((id(node), fn.name) for node in ast.walk(fn))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "jacobi_hermitian" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    sites.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+        assert sites == ["eigen.py:_eigh"]
