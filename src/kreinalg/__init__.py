@@ -8,8 +8,9 @@ The package is layered bottom-up:
 * :mod:`kreinalg.spaces` - bases, dual bases, and matrix representations;
 * :mod:`kreinalg.tensors` - variance-tagged tensors, contractions, and
   the flattening isomorphism onto Kronecker form;
-* :mod:`kreinalg.eigen` / :mod:`kreinalg.unitary` - the Jacobi
-  eigensolver, inner products, Riesz maps, adjoints, and spectral
+* :mod:`kreinalg.eigen` / :mod:`kreinalg.unitary` - the Hermitian
+  eigensolver (LAPACK ``eigh`` behind one seam, cyclic Jacobi kept as the
+  reference oracle), inner products, Riesz maps, adjoints, and spectral
   decompositions;
 * :mod:`kreinalg.indefinite` - H-forms, metric operators, signatures,
   Dirac conjugation, and pseudo-unitary membership;

@@ -1,18 +1,24 @@
 """Hermitian eigensolver and spectral decompositions.
 
-The solver is a cyclic Jacobi iteration on the full complex Hermitian
-matrix: each rotation is a 2-by-2 unitary chosen to zero one off-diagonal
-pair, and a sweep visits every pair once.  Convergence is declared when
-the off-diagonal Frobenius mass drops below ``policy.JACOBI_TOL`` times
-the matrix norm.  Real symmetric input stays exactly real throughout,
-because every rotation then has a phase factor of +-1.
-
 Every production eigensolve goes through the private seam :func:`_eigh`,
-so the solver behind the package is chosen in one place.
+so the solver behind the package is chosen in one place.  It is LAPACK's
+Hermitian solver (``np.linalg.eigh``), with one deterministic phase gauge
+on the eigenvector columns, so gauge-dependent outputs such as canonical
+bases come out the same on every call.
 
-A characteristic-polynomial root finder (Faddeev-LeVerrier coefficients
-plus companion-matrix roots) is kept as an independent cross-check path
-for small matrices; it never feeds the production decomposition.
+Two independent solvers are kept as reference oracles; neither feeds a
+production decomposition:
+
+* :func:`jacobi_hermitian`, a cyclic Jacobi iteration on the full complex
+  Hermitian matrix: each rotation is a 2-by-2 unitary chosen to zero one
+  off-diagonal pair, and a sweep visits every pair once.  Convergence is
+  declared when the off-diagonal Frobenius mass drops below
+  ``policy.JACOBI_TOL`` times the matrix norm.  Real symmetric input
+  stays exactly real throughout, because every rotation then has a phase
+  factor of +-1.
+* :func:`charpoly_eigenvalues`, a characteristic-polynomial root finder
+  (Faddeev-LeVerrier coefficients plus companion-matrix roots) for small
+  matrices.
 """
 
 from __future__ import annotations
@@ -35,11 +41,11 @@ __all__ = [
 ]
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+    return frobenius(a - np.diag(np.diag(a)))
 
 
 def jacobi_hermitian(a):
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations (reference oracle).
 
     Returns ``(diag, vectors, sweeps)`` where ``diag`` is the converged
     complex diagonal (imaginary parts are roundoff-level), the columns of
@@ -104,13 +110,20 @@ def jacobi_hermitian(a):
 
 
 def _eigh(a):
-    """The eigensolver seam: real eigenvalues and orthonormal eigenvectors.
+    """The eigensolver seam: ascending real eigenvalues and orthonormal eigenvectors.
 
-    ``jacobi_hermitian`` is looked up at call time, so a wrapper bound to
-    that module global sees every production solve.
+    LAPACK ``eigh`` reads the lower triangle of a finite Hermitian ``a``.
+    Each eigenvector column is fixed up to a unit phase, so the seam picks
+    one: the column's largest-magnitude entry (the first one on ties)
+    becomes real and positive.
     """
-    diag, vectors, _ = jacobi_hermitian(a)
-    return diag.real, vectors
+    w, vectors = np.linalg.eigh(a)
+    cols = np.arange(vectors.shape[1])
+    rows = np.argmax(np.abs(vectors), axis=0)
+    pivots = vectors[rows, cols]
+    vectors = vectors / (pivots / np.abs(pivots))
+    vectors[rows, cols] = np.abs(pivots)
+    return w, vectors
 
 
 def _hermitian_form_eigh(a: np.ndarray, what: str):
@@ -174,12 +187,12 @@ def eigen_hermitian(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
     The input must be finite and Hermitian under the self-adjointness rule
-    of :mod:`kreinalg.policy`, otherwise SymmetryError is raised.
+    of :mod:`kreinalg.policy`, otherwise SymmetryError is raised; its
+    Hermitian part is decomposed.
     """
     a = np.asarray(a)
     _require_square(a)
-    policy.require_hermitian(a, "matrix")
-    w, vectors = _eigh(a)
+    _, w, vectors = _hermitian_form_eigh(a, "matrix")
     return _spectral_decomposition(w, vectors, field_of(a) == REAL)
 
 
@@ -189,7 +202,7 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     The columns of ``vectors`` are G-orthonormal; G is the identity when
     ``gram`` is omitted.
     """
-    tol = policy.CLUSTER_TOL * max(1.0, float(np.linalg.norm(w)))
+    tol = policy.CLUSTER_TOL * frobenius(w)
     distinct, groups = cluster_eigenvalues(w, tol)
     projectors = []
     for group in groups:
@@ -226,7 +239,7 @@ def characteristic_polynomial(a) -> np.ndarray:
 def charpoly_eigenvalues(a) -> np.ndarray:
     """Roots of the characteristic polynomial, sorted by descending real part.
 
-    Independent of the Jacobi path: coefficients come from the trace
+    Independent of both eigensolvers: coefficients come from the trace
     recursion and roots from the companion matrix.
     """
     roots = np.roots(characteristic_polynomial(a))

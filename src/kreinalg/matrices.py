@@ -92,8 +92,8 @@ def identity(n: int, field: str = REAL) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, free of overflow and underflow (:func:`kreinalg.policy.norm`)."""
+    return policy.norm(a)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

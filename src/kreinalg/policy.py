@@ -5,7 +5,9 @@ f## = f, F# F = 1), and deciding whether such an identity holds in
 floating point is the one judgement the package makes.  So every tolerance
 lives here, named by the decision it governs, and the other modules ask
 these rules instead of comparing residuals themselves.  Norms are
-Frobenius norms.  Every rule is NaN-safe: it accepts only when
+Frobenius norms computed by :func:`norm`, which neither overflows nor
+underflows, so every rule gives the same answer for ``c A`` as for ``A``
+at any scale ``c``.  Every rule is NaN-safe: it accepts only when
 ``residual <= bound`` holds with a finite bound, so NaN, infinity or an
 overflow always rejects.
 """
@@ -21,7 +23,7 @@ from .errors import SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "selfadjoint", "isometric", "require_hermitian", "asymmetry_error",
+    "norm", "selfadjoint", "isometric", "require_hermitian", "asymmetry_error",
     "clears_form_floor", "singular_rank", "is_singular",
 ]
 
@@ -31,13 +33,31 @@ TOL = 1e-9
 FORM_TOL = 1e-10
 # A singular value s counts as zero when s <= RANK_TOL * s_max.
 RANK_TOL = 1e-10
-# Eigenvalues closer than CLUSTER_TOL * max(1, ||eigenvalues||) share an eigenspace.
+# Eigenvalues closer than CLUSTER_TOL * ||eigenvalues|| share an eigenspace.
 CLUSTER_TOL = 1e-8
 # Gram-Schmidt gives up when a projected vector's norm drops below this.
 BREAKDOWN_TOL = 1e-12
-# Jacobi stops once the off-diagonal mass is <= JACOBI_TOL ||A||.
+# The Jacobi reference solver stops once the off-diagonal mass is <= JACOBI_TOL ||A||.
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+
+
+def norm(a) -> float:
+    """Frobenius norm, scaled: ``s ||a / s||`` with ``s`` near ``max |a_ij|``.
+
+    ``s`` is ``max |a_ij|`` rounded down to a power of two, so scaling is
+    exact and the result equals the plain ``np.linalg.norm(a)`` wherever
+    that neither overflows nor underflows.  Zero gives 0; a NaN or
+    infinite entry gives a non-finite result.
+    """
+    a = np.asarray(a)
+    if not a.size:
+        return 0.0
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0 or not math.isfinite(peak):
+        return peak
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    return scale * float(np.linalg.norm(a / scale))
 
 
 def _holds(residual, scale) -> bool:
@@ -46,7 +66,7 @@ def _holds(residual, scale) -> bool:
 
 def selfadjoint(f, f_sharp) -> bool:
     """f# = f: ``||f# - f|| <= TOL ||f||``, for any adjoint # applied to f."""
-    return _holds(np.linalg.norm(f_sharp - f), np.linalg.norm(f))
+    return _holds(norm(f_sharp - f), norm(f))
 
 
 def isometric(f_sharp, f) -> bool:
@@ -56,8 +76,8 @@ def isometric(f_sharp, f) -> bool:
     compact: an exact Lorentz boost at large rapidity has huge entries
     and a residual of the same relative size as a rotation's.
     """
-    residual = np.linalg.norm(f_sharp @ f - np.eye(f.shape[1]))
-    return _holds(residual, np.linalg.norm(f_sharp) * np.linalg.norm(f))
+    residual = norm(f_sharp @ f - np.eye(f.shape[1]))
+    return _holds(residual, norm(f_sharp) * norm(f))
 
 
 def require_hermitian(a: np.ndarray, what: str) -> None:
@@ -81,7 +101,7 @@ def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
 
 def clears_form_floor(values, k) -> bool:
     """Every value (an eigenvalue of the form ``k``) exceeds ``FORM_TOL ||k||``."""
-    return bool(np.min(values) > FORM_TOL * np.linalg.norm(k))
+    return bool(np.min(values) > FORM_TOL * norm(k))
 
 
 def singular_rank(s) -> int:

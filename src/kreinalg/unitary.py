@@ -133,9 +133,12 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
 
     The input must already be selfadjoint with respect to ``ip``; the
     similarity transform by the Gram square root hands the problem to the
-    Hermitian eigensolver.
+    Hermitian eigensolver.  Non-finite input raises SymmetryError.
     """
-    work = ip.sqrt @ ip.space.operator(f) @ ip.sqrt_inv
+    f = ip.space.operator(f)
+    if not np.all(np.isfinite(f)):
+        raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
+    work = ip.sqrt @ f @ ip.sqrt_inv
     w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
     order = np.argsort(-w)
     w = w[order]

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg import (
     ShapeError,
     SymmetryError,
+    VectorSpace,
     charpoly_eigenvalues,
     eigen_hermitian,
     jacobi_hermitian,
     kernel_dimension,
+    standard_inner_product,
 )
 from kreinalg.eigen import characteristic_polynomial, cluster_eigenvalues
 from kreinalg.generators import random_hermitian, random_unitary
+from kreinalg.policy import JACOBI_TOL
+from kreinalg.unitary import g_selfadjoint_eigen
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestJacobi:
@@ -120,6 +127,15 @@ class TestEigenHermitian:
         np.testing.assert_allclose(total, np.eye(6), atol=1e-12)
         np.testing.assert_allclose(dec.reconstruct(), a, atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_decomposes_the_hermitian_part(self, field):
+        a = random_hermitian(np.random.default_rng(66), 4, field)
+        a[0, 1] += 1e-10  # Hermitian within tolerance, not exactly
+        dec, dec_adjoint = eigen_hermitian(a), eigen_hermitian(np.conj(a).T)
+        assert dec.eigenvalues == dec_adjoint.eigenvalues
+        hermitian_part = eigen_hermitian((a + np.conj(a).T) / 2)
+        assert dec.eigenvalues == hermitian_part.eigenvalues
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(SymmetryError):
             eigen_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -135,3 +151,86 @@ class TestClustering:
     def test_descending_order(self):
         distinct, _ = cluster_eigenvalues([0.5, -3.0, 2.0], tol=1e-9)
         assert distinct == sorted(distinct, reverse=True)
+
+
+def _jacobi_descending(a):
+    diag, vectors, _ = jacobi_hermitian(a)
+    order = np.argsort(-diag.real)
+    return diag.real[order], vectors[:, order]
+
+
+class TestAgainstJacobi:
+    """The production solver against the Jacobi reference on simple spectra.
+
+    Both are backward stable, so eigenvalues agree to a small multiple of
+    eps ||A||.  Jacobi's eigenvectors carry its stop rule, an off-diagonal
+    remainder up to JACOBI_TOL ||A||, into the reconstruction and (divided
+    by the smallest eigenvalue gap) into the projectors.
+    """
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+    def test_eigenvalues_projectors_and_reconstruction(self, field, n):
+        a = random_hermitian(np.random.default_rng(7000 + n), n, field)
+        scale = np.linalg.norm(a)
+        dec = eigen_hermitian(a)
+        values, vectors = _jacobi_descending(a)
+        assert dec.multiplicities == (1,) * n
+
+        assert np.max(np.abs(np.array(dec.eigenvalues) - values)) <= 64 * EPS * scale
+
+        remainder = (JACOBI_TOL + 64 * EPS) * scale
+        gap = np.min(-np.diff(values)) if n > 1 else np.inf
+        for i, p in enumerate(dec.projectors):
+            reference = np.outer(vectors[:, i], np.conj(vectors[:, i]))
+            assert np.linalg.norm(p - reference) <= remainder / gap
+        reference = (vectors * values) @ np.conj(vectors).T
+        assert np.linalg.norm(dec.reconstruct() - reference) <= remainder
+
+
+class TestPhaseGauge:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_largest_entry_of_each_column_is_real_positive(self, field, n):
+        f = random_hermitian(np.random.default_rng(7100 + n), n, field)
+        w, columns = g_selfadjoint_eigen(f, standard_inner_product(VectorSpace(n, field)))
+        assert np.all(-np.diff(w) > 1e-6)  # simple spectrum: columns unique up to phase
+        for column in columns.T:
+            pivot = column[np.argmax(np.abs(column))]
+            assert pivot.imag == 0.0 and pivot.real > 0.0
+
+
+class TestScaleCovariance:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        field=st.sampled_from(["real", "complex"]),
+        exponent=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eigenvalues_scale_with_the_matrix(self, n, field, exponent, seed):
+        c = 10.0**exponent
+        a = random_hermitian(np.random.default_rng(seed), n, field)
+        dec = eigen_hermitian(a)
+        scaled = eigen_hermitian(c * a)
+        assert scaled.multiplicities == dec.multiplicities
+        # c * a is rounded entrywise, which moves the eigenvalues by eps ||c a||.
+        bound = 64 * EPS * np.linalg.norm(dec.eigenvalues)
+        np.testing.assert_array_less(
+            np.abs(np.array(scaled.eigenvalues) / c - dec.eigenvalues), bound
+        )
+
+    @pytest.mark.parametrize("exponent", [-300, -200, -100, 0, 100, 200, 300])
+    def test_two_by_two_example(self, exponent):
+        c = 10.0**exponent
+        dec = eigen_hermitian(c * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert dec.multiplicities == (1, 1)
+        assert dec.eigenvalues == pytest.approx((3 * c, -c), rel=4 * EPS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.integers(-300, 300), field=st.sampled_from(["real", "complex"]))
+    def test_non_hermitian_rejected_at_any_scale(self, exponent, field):
+        dtype = np.complex128 if field == "complex" else np.float64
+        a = 10.0**exponent * np.array([[1.0, 2.0], [0.0, 1.0]], dtype=dtype)
+        with pytest.raises(SymmetryError, match="not Hermitian"):
+            eigen_hermitian(a)

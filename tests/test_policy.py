@@ -27,7 +27,9 @@ from kreinalg import (
     tensor_from_ket,
     transform_tensor,
 )
-from kreinalg.generators import lorentz_boost, random_hermitian, random_unitary
+from kreinalg.generators import lorentz_boost, random_hermitian, random_matrix, random_unitary
+from kreinalg.matrices import frobenius
+from kreinalg.unitary import g_selfadjoint_eigen
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kreinalg"
 
@@ -88,6 +90,7 @@ def _entry_points(n, field):
         "spectral_representation": lambda a: spectral_representation(
             a, standard_inner_product(space)
         ),
+        "g_selfadjoint_eigen": lambda a: g_selfadjoint_eigen(a, standard_inner_product(space)),
     }
 
 
@@ -113,6 +116,35 @@ class TestNonFiniteInputRejected:
             with pytest.raises(SymmetryError, match="non-finite entries") as info:
                 entry(a)
             assert f"({i}, {j})" in str(info.value) or f"({j}, {i})" in str(info.value), name
+
+
+class TestScaledNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        field=st.sampled_from(["real", "complex"]),
+        exponent=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frobenius_scales_without_overflow_or_underflow(self, rows, cols, field, exponent, seed):
+        a = random_matrix(np.random.default_rng(seed), rows, cols, field)
+        c = 10.0**exponent
+        # c * a is rounded entrywise (relative eps), and so is the scaled norm.
+        assert frobenius(c * a) == pytest.approx(c * np.linalg.norm(a), rel=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_equals_numpy_inside_its_range(self, field):
+        rng = np.random.default_rng(5)
+        for exponent in range(-100, 101, 10):
+            a = 10.0**exponent * random_matrix(rng, 5, 3, field)
+            assert frobenius(a) == np.linalg.norm(a)
+            assert frobenius(a.T) == np.linalg.norm(a.T)
+
+    def test_zero_and_non_finite(self):
+        assert frobenius(np.zeros((2, 2))) == 0.0
+        assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
+        assert frobenius(np.array([[1.0, -np.inf]])) == np.inf
 
 
 class TestSelfAdjointness:
@@ -163,6 +195,23 @@ def _registry_node(tree):
     return None
 
 
+def _call_sites(names):
+    """``module:function`` of every call, in a production module, to a function in ``names``."""
+    sites = []
+    for path in _production_modules():
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and not names.isdisjoint(
+                (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ):
+                sites.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+    return sorted(sites)
+
+
 class TestPolicyGuard:
     def test_tolerance_literals_live_in_policy(self):
         offenders = []
@@ -180,20 +229,9 @@ class TestPolicyGuard:
                     offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
         assert not offenders
 
-    def test_jacobi_called_only_from_the_seam(self):
-        sites = []
-        for path in _production_modules():
-            if path.name == "lemmas.py":  # the lemma suite keeps Jacobi as an oracle
-                continue
-            tree = ast.parse(path.read_text())
-            owner = {}
-            for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer
-                if isinstance(fn, ast.FunctionDef):
-                    owner.update((id(node), fn.name) for node in ast.walk(fn))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call) and "jacobi_hermitian" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None),
-                ):
-                    sites.append(f"{path.name}:{owner.get(id(node), '<module>')}")
-        assert sites == ["eigen.py:_eigh"]
+    def test_eigensolver_call_sites(self):
+        lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})
+        assert lapack == ["eigen.py:_eigh"]
+        # The lemma suite keeps Jacobi as an independent oracle; nothing else calls it.
+        jacobi = _call_sites({"jacobi_hermitian"})
+        assert jacobi and all(site.startswith("lemmas.py:") for site in jacobi)
