@@ -24,6 +24,7 @@ production decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,19 +145,24 @@ def cluster_eigenvalues(values, tol: float):
     """Group nearly equal real eigenvalues, descending.
 
     Returns ``(distinct, groups)``: the representative (mean) eigenvalue
-    of each cluster and the index groups into the original array.
+    of each cluster and the index groups into the original array.  In
+    descending order, a value joins the previous one's cluster when the
+    two are at most ``tol`` apart, so near-ties chain.
     """
     values = np.asarray(values, dtype=np.float64)
+    if not values.size:
+        return [], []
     order = np.argsort(values)[::-1]
-    distinct: list[float] = []
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and values[groups[-1][-1]] - values[idx] <= tol:
-            groups[-1].append(int(idx))
-            distinct[-1] = float(np.mean(values[groups[-1]]))
-        else:
-            groups.append([int(idx)])
-            distinct.append(float(values[idx]))
+    ordered = values[order]
+    # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
+    cuts = (np.flatnonzero(~(ordered[:-1] - ordered[1:] <= tol)) + 1).tolist()
+    bounds = list(zip([0] + cuts, cuts + [values.size]))
+    indices, sorted_values = order.tolist(), ordered.tolist()
+    groups = [indices[start:end] for start, end in bounds]
+    distinct = [
+        sorted_values[start] if end - start == 1 else float(np.mean(ordered[start:end]))
+        for start, end in bounds
+    ]
     return distinct, groups
 
 
@@ -200,20 +206,25 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     """Group eigenpairs into eigenspaces with projectors ``V V^+ G``.
 
     The columns of ``vectors`` are G-orthonormal; G is the identity when
-    ``gram`` is omitted.
+    ``gram`` is omitted.  Assembly costs O(n^3) for any spectrum: the
+    columns are put in cluster order once and ``rows = V^+ G`` is formed
+    once, so each projector is one product of contiguous slices,
+    ``V[:, s:e] @ rows[s:e]``.
     """
     tol = policy.CLUSTER_TOL * frobenius(w)
     distinct, groups = cluster_eigenvalues(w, tol)
+    cols = vectors[:, np.concatenate(groups)]
+    rows = hermitian_conjugate(cols)
+    if gram is not None:
+        rows = rows @ gram
+    multiplicities = tuple(len(g) for g in groups)
     projectors = []
-    for group in groups:
-        cols = vectors[:, group]
-        proj = cols @ hermitian_conjugate(cols)
-        if gram is not None:
-            proj = proj @ gram
+    for m, end in zip(multiplicities, accumulate(multiplicities)):
+        proj = cols[:, end - m : end] @ rows[end - m : end]
         projectors.append(proj.real if real else proj)
     return SpectralDecomposition(
         eigenvalues=tuple(distinct),
-        multiplicities=tuple(len(g) for g in groups),
+        multiplicities=multiplicities,
         projectors=tuple(projectors),
     )
 

@@ -235,9 +235,11 @@ def dirac_adjoint_operator(f, ms: MetricStructure) -> np.ndarray:
 
 
 def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
-    """True when the Dirac adjoint of f is f, i.e. H(f x, y) = H(x, f y)."""
-    f = ms.space.operator(f)
-    return policy.selfadjoint(f, dirac_adjoint_operator(f, ms))
+    """True when the Dirac adjoint of f is f, i.e. H(f x, y) = H(x, f y).
+
+    Non-finite f is never Dirac-selfadjoint.
+    """
+    return policy.selfadjoint(ms.space.operator(f), lambda m: dirac_adjoint_operator(m, ms))
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:

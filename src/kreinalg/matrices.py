@@ -181,9 +181,9 @@ def classify(a: np.ndarray) -> set:
     a = np.asarray(a)
     _require_square(a)
     out = set()
-    if policy.selfadjoint(a, hermitian_conjugate(a)):
+    if policy.selfadjoint(a, hermitian_conjugate):
         out.add("hermitian")
-    if policy.selfadjoint(a, a.T):
+    if policy.selfadjoint(a, np.transpose):
         out.add("symmetric")
     if policy.isometric(hermitian_conjugate(a), a):
         out.add("unitary")

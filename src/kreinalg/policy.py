@@ -41,22 +41,34 @@ BREAKDOWN_TOL = 1e-12
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
 
+# Not a tolerance: a finite plain norm at least this large summed squares
+# far above the underflow threshold, so scaling would give the same bits.
+_PLAIN_NORM_FLOOR = 2.0**-400
+
 
 def norm(a) -> float:
     """Frobenius norm, scaled: ``s ||a / s||`` with ``s`` near ``max |a_ij|``.
 
-    ``s`` is ``max |a_ij|`` rounded down to a power of two, so scaling is
-    exact and the result equals the plain ``np.linalg.norm(a)`` wherever
-    that neither overflows nor underflows.  Zero gives 0; a NaN or
-    infinite entry gives a non-finite result.
+    ``s`` is ``max |a_ij|`` rounded down to a power of two, and at least
+    the smallest normal number, so scaling is exact and the result equals
+    the plain ``np.linalg.norm(a)`` wherever that neither overflows nor
+    underflows.  So the plain norm is returned as it is when it lies in
+    ``[_PLAIN_NORM_FLOOR, inf)``, and only the rest is scaled.  Zero gives
+    0; a NaN or infinite entry gives a non-finite result.
     """
     a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(a))
+    if _PLAIN_NORM_FLOOR <= plain < math.inf:
+        return plain
     if not a.size:
         return 0.0
     peak = float(np.max(np.abs(a)))
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    # Never subnormal: dividing a complex array takes 1 / scale, which
+    # would overflow.
+    scale = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, -1022))
     return scale * float(np.linalg.norm(a / scale))
 
 
@@ -64,9 +76,14 @@ def _holds(residual, scale) -> bool:
     return bool(residual <= TOL * scale < math.inf)
 
 
-def selfadjoint(f, f_sharp) -> bool:
-    """f# = f: ``||f# - f|| <= TOL ||f||``, for any adjoint # applied to f."""
-    return _holds(norm(f_sharp - f), norm(f))
+def selfadjoint(f, sharp) -> bool:
+    """f# = f: ``||f# - f|| <= TOL ||f||``, for the adjoint ``f# = sharp(f)``.
+
+    Non-finite ``f`` is rejected before ``sharp`` or any arithmetic runs.
+    """
+    if not np.all(np.isfinite(f)):
+        return False
+    return _holds(norm(sharp(f) - f), norm(f))
 
 
 def isometric(f_sharp, f) -> bool:
@@ -82,7 +99,7 @@ def isometric(f_sharp, f) -> bool:
 
 def require_hermitian(a: np.ndarray, what: str) -> None:
     """Raise SymmetryError unless ``a`` is Hermitian by :func:`selfadjoint`."""
-    if not selfadjoint(a, np.conj(a).T):
+    if not selfadjoint(a, lambda m: np.conj(m).T):
         raise asymmetry_error(a, what, "Hermitian")
 
 

@@ -149,9 +149,11 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:
-    """True when adjoint(f) equals f, i.e. (f x, y) = (x, f y)."""
-    f = ip.space.operator(f)
-    return policy.selfadjoint(f, adjoint(f, ip))
+    """True when adjoint(f) equals f, i.e. (f x, y) = (x, f y).
+
+    Non-finite f is never selfadjoint.
+    """
+    return policy.selfadjoint(ip.space.operator(f), lambda m: adjoint(m, ip))
 
 
 def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kreinalg import (
+    InnerProduct,
     ShapeError,
     SymmetryError,
     VectorSpace,
@@ -12,9 +13,16 @@ from kreinalg import (
     kernel_dimension,
     standard_inner_product,
 )
-from kreinalg.eigen import characteristic_polynomial, cluster_eigenvalues
-from kreinalg.generators import random_hermitian, random_unitary
-from kreinalg.policy import JACOBI_TOL
+from kreinalg.eigen import _spectral_decomposition, characteristic_polynomial, cluster_eigenvalues
+from kreinalg.generators import (
+    random_g_selfadjoint,
+    random_hermitian,
+    random_positive_definite,
+    random_unitary,
+    separated_eigenvalues,
+)
+from kreinalg.matrices import frobenius, hermitian_conjugate
+from kreinalg.policy import CLUSTER_TOL, JACOBI_TOL
 from kreinalg.unitary import g_selfadjoint_eigen
 
 EPS = np.finfo(np.float64).eps
@@ -151,6 +159,100 @@ class TestClustering:
     def test_descending_order(self):
         distinct, _ = cluster_eigenvalues([0.5, -3.0, 2.0], tol=1e-9)
         assert distinct == sorted(distinct, reverse=True)
+
+    def test_chained_near_ties_form_one_cluster(self):
+        a, b, c, d = 1.0 + 1.2e-9, 1.0 + 0.6e-9, 1.0, 1.0 - 1.2e-9
+        assert a - b <= 1e-9 and b - c <= 1e-9 and a - c > 1e-9 and c - d > 1e-9
+        values = [c, -2.0, a, d, b]
+        _, groups = cluster_eigenvalues(values, tol=1e-9)
+        assert groups == [[2, 4, 0], [3], [1]]
+        assert _bits(cluster_eigenvalues(values, 1e-9)) == _bits(_cluster_loop(values, 1e-9))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0, -1.0, 3.0, 3.0, -1.0], [0.25], [], [2.0, 2.0]],
+        ids=["exact-repeats", "single", "empty", "one-repeat"],
+    )
+    def test_matches_the_loop(self, values):
+        assert _bits(cluster_eigenvalues(values, 1e-9)) == _bits(_cluster_loop(values, 1e-9))
+
+    def test_matches_the_loop_on_random_spectra(self):
+        rng = np.random.default_rng(7300)
+        for _ in range(200):
+            n = int(rng.integers(1, 65))
+            exact = rng.permutation(separated_eigenvalues(rng, n, multiplicities=True))
+            # Relative noise far below CLUSTER_TOL: near-ties whose means are not exact.
+            noisy = exact * (1.0 + 1e-12 * rng.standard_normal(n))
+            for values in (exact, noisy):
+                tol = CLUSTER_TOL * frobenius(values)
+                assert _bits(cluster_eigenvalues(values, tol)) == _bits(_cluster_loop(values, tol))
+
+
+def _cluster_loop(values, tol):
+    """The one-value-at-a-time clustering, kept as the reference."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values)[::-1]
+    distinct: list[float] = []
+    groups: list[list[int]] = []
+    for idx in order:
+        if groups and values[groups[-1][-1]] - values[idx] <= tol:
+            groups[-1].append(int(idx))
+            distinct[-1] = float(np.mean(values[groups[-1]]))
+        else:
+            groups.append([int(idx)])
+            distinct.append(float(values[idx]))
+    return distinct, groups
+
+
+def _bits(clustering):
+    distinct, groups = clustering
+    assert all(type(i) is int for g in groups for i in g)
+    return [float(v).hex() for v in distinct], groups
+
+
+def _projectors_per_cluster(w, vectors, real, gram):
+    """``(V_g V_g^+) G`` for each cluster g, one full product each: the reference assembly."""
+    _, groups = cluster_eigenvalues(w, CLUSTER_TOL * frobenius(w))
+    projectors = []
+    for group in groups:
+        cols = vectors[:, group]
+        proj = cols @ hermitian_conjugate(cols)
+        if gram is not None:
+            proj = proj @ gram
+        projectors.append(proj.real if real else proj)
+    return groups, projectors
+
+
+class TestProjectorAssembly:
+    @pytest.mark.parametrize("with_gram", [False, True], ids=["identity", "gram"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+    def test_matches_per_cluster_products(self, n, field, with_gram):
+        rng = np.random.default_rng(7400 + n)
+        space = VectorSpace(n, field)
+        if with_gram:
+            ip = InnerProduct(space, random_positive_definite(rng, n, field))
+        else:
+            ip = standard_inner_product(space)
+        f = random_g_selfadjoint(rng, ip, separated_eigenvalues(rng, n, multiplicities=True))
+        w, vectors = g_selfadjoint_eigen(f, ip)
+        gram = ip.gram if with_gram else None
+        real = field == "real"
+        dec = _spectral_decomposition(w, vectors, real, gram)
+        groups, reference = _projectors_per_cluster(w, vectors, real, gram)
+        assert dec.multiplicities == tuple(len(g) for g in groups)
+        assert n == 1 or len(groups) < n  # the spectrum has repeats from n = 2 up
+        for group, p, q in zip(groups, dec.projectors, reference):
+            assert p.dtype == q.dtype
+            if gram is None:
+                assert np.array_equal(p, q)
+                continue
+            # Either association of V_g V_g^+ G is within (g_m + g_n + g_m g_n) |V_g| |V_g^+| |G|
+            # of the exact product, for m the cluster size, n the inner dimension of the G
+            # product and g_k = (k + 2) eps, which covers complex arithmetic.
+            g_m, g_n = (len(group) + 2) * EPS, (n + 2) * EPS
+            magnitude = frobenius(vectors[:, group]) ** 2 * frobenius(gram)
+            assert frobenius(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
 
 
 def _jacobi_descending(a):

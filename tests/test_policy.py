@@ -2,6 +2,8 @@
 that keeps every tolerance in :mod:`kreinalg.policy`."""
 
 import ast
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,11 @@ from kreinalg import (
     SymmetryError,
     VectorSpace,
     eigen_hermitian,
+    is_dirac_selfadjoint,
     is_orthogonal,
     is_pseudo_orthogonal,
     is_pseudo_unitary,
+    is_selfadjoint,
     minkowski_structure,
     natural_basis,
     spectral_representation,
@@ -143,20 +147,67 @@ class TestScaledNorm:
 
     def test_zero_and_non_finite(self):
         assert frobenius(np.zeros((2, 2))) == 0.0
+        assert frobenius(np.zeros((0, 3))) == 0.0
         assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
         assert frobenius(np.array([[1.0, -np.inf]])) == np.inf
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (8, 8)])
+    def test_bit_identical_to_the_scaled_formula_at_every_exponent(self, field, shape):
+        rng = np.random.default_rng(13)
+        for exponent in range(-320, 309):
+            a = 10.0**exponent * random_matrix(rng, *shape, field)
+            for m in (a, a.T):
+                assert frobenius(m).hex() == _scaled_norm(m).hex(), exponent
+
+    def test_subnormal_complex(self):
+        a = np.array([[3e-320 + 4e-320j]])  # 6072 and 8096 ulps of 0: |a| is exactly 10120
+        assert frobenius(a) == abs(a[0, 0]) == 10120 * 2.0**-1074
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("c", [1e300, 1e-300, 1e-320])
+    def test_no_warning_at_the_extremes(self, field, c):
+        a = c * random_matrix(np.random.default_rng(14), 8, 8, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < frobenius(a) < math.inf
+
+
+def _scaled_norm(a):
+    """``s ||a / s||`` for every input, no plain-norm shortcut: the reference.
+
+    The real and imaginary parts are divided as reals, which is exact for
+    any power of two ``s``, subnormal ones included.
+    """
+    a = np.asarray(a)
+    if not a.size:
+        return 0.0
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0 or not math.isfinite(peak):
+        return peak
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    scaled = a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
+    return scale * float(np.linalg.norm(scaled))
 
 
 class TestSelfAdjointness:
     def test_is_selfadjoint_wrt_a_gram_matrix(self):
-        from kreinalg import is_selfadjoint
-
         ip = InnerProduct(VectorSpace(2), np.diag([1.0, 4.0]))
         f = np.array([[1.0, 4.0], [1.0, 2.0]])  # G f is symmetric
         assert is_selfadjoint(f, ip)
         assert not is_selfadjoint(f.T, ip)
         assert not is_selfadjoint(np.full((2, 2), np.nan), ip)
         assert is_selfadjoint(np.zeros((2, 2)), ip)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_any_arithmetic(self, bad):
+        f = np.eye(2)
+        f[0, 1] = bad
+        ip = InnerProduct(VectorSpace(2), np.diag([1.0, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_selfadjoint(f, ip)
+            assert not is_dirac_selfadjoint(f, minkowski_structure(1, 1))
 
 
 class TestRelativeIsometry:
