@@ -30,7 +30,7 @@ import numpy as np
 
 from . import policy
 from .errors import ConvergenceError
-from .matrices import REAL, _require_square, field_of, frobenius, hermitian_conjugate
+from .matrices import REAL, _require_square, field_of, hermitian_conjugate
 
 __all__ = [
     "SpectralDecomposition",
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
-    return frobenius(a - np.diag(np.diag(a)))
+    return policy.norm(a - np.diag(np.diag(a)))
 
 
 def jacobi_hermitian(a):
@@ -60,7 +60,7 @@ def jacobi_hermitian(a):
     vectors = np.eye(n, dtype=np.complex128)
     if n == 1:
         return np.diag(work).copy(), vectors, 0
-    threshold = policy.JACOBI_TOL * frobenius(work)
+    threshold = policy.JACOBI_TOL * policy.norm(work)
     max_sweeps = policy.JACOBI_MAX_SWEEPS
     # Rotations on entries this small cannot move the off-diagonal mass
     # past the convergence threshold; skip them.
@@ -137,7 +137,7 @@ def _hermitian_form_eigh(a: np.ndarray, what: str):
 
 def _spectral_function(vectors, values, real: bool) -> np.ndarray:
     """``V diag(values) V^+`` for orthonormal eigenvectors V of a Hermitian matrix."""
-    out = vectors @ np.diag(values) @ hermitian_conjugate(vectors)
+    out = (vectors * values) @ hermitian_conjugate(vectors)
     return out.real if real else out
 
 
@@ -211,7 +211,7 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     once, so each projector is one product of contiguous slices,
     ``V[:, s:e] @ rows[s:e]``.
     """
-    tol = policy.CLUSTER_TOL * frobenius(w)
+    tol = policy.CLUSTER_TOL * policy.norm(w)
     distinct, groups = cluster_eigenvalues(w, tol)
     cols = vectors[:, np.concatenate(groups)]
     rows = hermitian_conjugate(cols)

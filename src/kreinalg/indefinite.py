@@ -17,6 +17,7 @@ Hermitian one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,15 +39,14 @@ from .matrices import (
     REAL,
     _require_square,
     field_of,
-    frobenius,
     hermitian_conjugate,
 )
 from .spaces import Basis, VectorSpace
 from .tensors import DOWN, UP, Tensor
 from .unitary import (
     InnerProduct,
+    _g_selfadjoint_eigh,
     adjoint,
-    g_selfadjoint_eigen,
     spectral_representation,
 )
 
@@ -77,8 +77,10 @@ class HForm:
     """A non-degenerate Hermitian form, carried by its Gram matrix K.
 
     Construction validates Hermiticity and non-degeneracy and caches the
-    eigendecomposition (used by the compatible-structure synthesis and
-    the signature) together with the inverse.
+    eigendecomposition ``K = U diag(lambda) U^+``, from which the
+    compatible structure, its canonical frame and the signature follow.
+    The inverse ``K^{-1}`` (LU) is computed on first use: only the Dirac
+    adjoint of a covector reads it.
     """
 
     def __init__(self, space: VectorSpace, matrix) -> None:
@@ -90,22 +92,41 @@ class HForm:
             )
         self.space = space
         self.matrix = k
-        self.inverse = np.linalg.inv(k)
         self._eigenvalues = eigenvalues
         self._eigenvectors = vectors
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """``K^{-1}`` (LU), computed on first use."""
+        return np.linalg.inv(self.matrix)
 
     def __repr__(self) -> str:
         return f"HForm(space={self.space!r})"
 
 
 @dataclass(frozen=True)
+class HOrthonormalBasis:
+    """Basis whose columns bring the H-form to the diagonal of +-1 entries."""
+
+    basis: Basis
+    eta_diag: tuple  # +1 entries first
+
+
+@dataclass(frozen=True)
 class MetricStructure:
-    """A compatible pair (inner product, H-form) with its metric operator."""
+    """A compatible pair (inner product, H-form) with its metric operator.
+
+    ``frame`` is the canonical (h-orthonormal) frame ``B``, +1 block
+    first: ``B^+ K B = diag(eta)`` and ``B^+ G B = 1``.  It is built with
+    the structure, from the factorizations the construction already runs,
+    and carries its inverse in closed form.
+    """
 
     ip: InnerProduct
     hform: HForm
     h: np.ndarray
     signature: tuple  # (n_plus, n_minus)
+    frame: HOrthonormalBasis
 
     @property
     def space(self) -> VectorSpace:
@@ -130,11 +151,43 @@ def _signature_of(hform: HForm) -> tuple:
     return n_plus, hform.space.dim - n_plus
 
 
+def _eta_diag(signature: tuple) -> tuple:
+    n_plus, n_minus = signature
+    return (1,) * n_plus + (-1,) * n_minus
+
+
+def _pair_frame(ip: InnerProduct, h: np.ndarray, signature: tuple) -> HOrthonormalBasis:
+    """``B = G^{-1/2} u`` and ``B^{-1} = u^+ G^{1/2}``, u the eigenvectors of ``G^{1/2} h G^{-1/2}``."""
+    w, u = _g_selfadjoint_eigh(h, ip)
+    n_plus = int(np.sum(w > 0))
+    if (n_plus, len(w) - n_plus) != signature:
+        raise DegenerateFormError(
+            "metric eigenvalues did not split into the recorded signature"
+        )
+    b = ip.sqrt_inv @ u
+    b_inv = hermitian_conjugate(u) @ ip.sqrt
+    if ip.space.field == REAL:
+        b, b_inv = b.real, b_inv.real
+    return HOrthonormalBasis(Basis._with_inverse(ip.space, b, b_inv), _eta_diag(signature))
+
+
+def _hform_frame(hf: HForm, signature: tuple) -> HOrthonormalBasis:
+    """``B = U |Lambda|^{-1/2}`` and ``B^{-1} = |Lambda|^{1/2} U^+``, positive eigenvalues first."""
+    order = np.argsort(hf._eigenvalues < 0, kind="stable")
+    u = hf._eigenvectors[:, order]
+    scale = np.sqrt(np.abs(hf._eigenvalues[order]))
+    b_inv = hermitian_conjugate(u) * scale[:, np.newaxis]
+    return HOrthonormalBasis(Basis._with_inverse(hf.space, u / scale, b_inv), _eta_diag(signature))
+
+
 def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) -> MetricStructure:
     """Build a structure from an explicit (G, K) pair.
 
     The pair must be compatible: h = G^{-1} K has to square to the
-    identity, otherwise CompatibilityError is raised.
+    identity, otherwise CompatibilityError is raised.  The canonical
+    frame comes from one more solve, of the Hermitian ``G^{1/2} h
+    G^{-1/2}``; DegenerateFormError is raised if its eigenvalue signs do
+    not match the signature of K.
     """
     gram = np.asarray(gram)
     hform_matrix = np.asarray(hform_matrix)
@@ -145,31 +198,37 @@ def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) 
     hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
     # h is G-selfadjoint, so h# = h and compatibility is the isometry rule.
-    if not policy.isometric(h, h):
-        residual = frobenius(h @ h - np.eye(space.dim))
+    if not policy.isometric(h, lambda m: m):
+        residual = policy.norm(h @ h - np.eye(space.dim))
         raise CompatibilityError(
             f"metric operator does not square to the identity (residual {residual:.3e})"
         )
-    return MetricStructure(ip=ip, hform=hf, h=h, signature=_signature_of(hf))
+    signature = _signature_of(hf)
+    return MetricStructure(
+        ip=ip, hform=hf, h=h, signature=signature, frame=_pair_frame(ip, h, signature)
+    )
 
 
 def compatible_structure_from_hform(hform_matrix, space: VectorSpace | None = None) -> MetricStructure:
     """Synthesize the compatible inner product of a bare H-form.
 
-    Eigendecomposing K and replacing its eigenvalues by their absolute
-    values yields a positive-definite G; the leftover sign pattern is the
-    metric operator.
+    Everything comes from the one eigendecomposition ``K = U Lambda U^+``:
+    the positive-definite ``G = U |Lambda| U^+`` (with its square roots),
+    the metric operator ``h = U sign(Lambda) U^+`` and the canonical frame
+    ``B = U |Lambda|^{-1/2}``.  Only ``G^{-1}`` is a separate (LU)
+    factorization.
     """
     hform_matrix = np.asarray(hform_matrix)
     space = _space_for(hform_matrix, space, "V")
     hf = HForm(space, hform_matrix)
     u = hf._eigenvectors
     lam = hf._eigenvalues
-    real = space.field == REAL
-    h = _spectral_function(u, np.sign(lam), real)
-    # InnerProduct symmetrizes away the roundoff asymmetry of this product.
-    ip = InnerProduct(space, _spectral_function(u, np.abs(lam), real))
-    return MetricStructure(ip=ip, hform=hf, h=h, signature=_signature_of(hf))
+    h = _spectral_function(u, np.sign(lam), space.field == REAL)
+    ip = InnerProduct._from_eigh(space, np.abs(lam), u)
+    signature = _signature_of(hf)
+    return MetricStructure(
+        ip=ip, hform=hf, h=h, signature=signature, frame=_hform_frame(hf, signature)
+    )
 
 
 def minkowski_structure(n_plus: int, n_minus: int, field: str = REAL) -> MetricStructure:
@@ -186,29 +245,15 @@ def canonical_projectors(ms: MetricStructure):
     return (eye + ms.h) / 2.0, (eye - ms.h) / 2.0
 
 
-@dataclass(frozen=True)
-class HOrthonormalBasis:
-    """Basis whose columns bring the H-form to the diagonal of +-1 entries."""
-
-    basis: Basis
-    eta_diag: tuple  # +1 entries first
-
-
 def h_orthonormal_basis(ms: MetricStructure) -> HOrthonormalBasis:
     """A basis diagonalizing both the metric operator and the H-form.
 
-    The columns are the G-orthonormal eigenvectors of ``h``, +1 block
-    first, so ``B^+ K B`` is the canonical diagonal and the projector
-    representations in this basis are exact 0/1 matrices.
+    The structure's canonical frame, built with it: the columns are
+    G-orthonormal eigenvectors of ``h``, +1 block first, so ``B^+ K B``
+    is the canonical diagonal and the projector representations in this
+    basis are exact 0/1 matrices.  No solve runs here.
     """
-    w, columns = g_selfadjoint_eigen(ms.h, ms.ip)
-    eta = tuple(1 if value > 0 else -1 for value in w)
-    n_plus = sum(1 for e in eta if e == 1)
-    if (n_plus, len(eta) - n_plus) != ms.signature:
-        raise DegenerateFormError(
-            "metric eigenvalues did not split into the recorded signature"
-        )
-    return HOrthonormalBasis(basis=Basis(ms.space, columns), eta_diag=eta)
+    return ms.frame
 
 
 def hform_value(x, y, ms: MetricStructure):
@@ -243,9 +288,11 @@ def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
-    """True when the Dirac adjoint inverts f, i.e. f preserves the H-form."""
-    f = ms.space.operator(f)
-    return policy.isometric(dirac_adjoint_operator(f, ms), f)
+    """True when the Dirac adjoint inverts f, i.e. f preserves the H-form.
+
+    Non-finite f is never pseudo-unitary.
+    """
+    return policy.isometric(ms.space.operator(f), lambda m: dirac_adjoint_operator(m, ms))
 
 
 @dataclass(frozen=True)
@@ -308,12 +355,12 @@ def raise_lower_index(t: Tensor, slot: int, ms: MetricStructure) -> Tensor:
 
 
 def is_orthogonal(f) -> bool:
-    """Real specialization: f^T f = identity."""
+    """Real specialization: f^T f = identity; non-finite f is never orthogonal."""
     f = np.asarray(f)
     if field_of(f) != REAL:
         raise FieldError("orthogonality is a real-field predicate")
     _require_square(f)
-    return policy.isometric(f.T, f)
+    return policy.isometric(f, np.transpose)
 
 
 def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators as gen
+from . import policy
 from .errors import KreinAlgError
 from .eigen import charpoly_eigenvalues, eigen_hermitian, jacobi_hermitian
 from .indefinite import (
@@ -39,7 +40,6 @@ from .matrices import (
     REAL,
     determinant,
     determinant_permutation_sum,
-    frobenius,
     hermitian_conjugate,
     kronecker_product,
     matmul,
@@ -200,7 +200,7 @@ def _check_kron_mixed_product(rng, n):
         d = gen.random_matrix(rng, n, m, field)
         lhs = kronecker_product(a, b) @ kronecker_product(c, d)
         rhs = kronecker_product(a @ c, b @ d)
-        worst = max(worst, frobenius(lhs - rhs) / max(1.0, frobenius(rhs)))
+        worst = max(worst, policy.norm(lhs - rhs) / max(1.0, policy.norm(rhs)))
     return worst
 
 
@@ -220,7 +220,7 @@ def _check_dual_basis(rng, n):
     worst = 0.0
     for field in _FIELDS:
         basis = gen.random_basis(rng, VectorSpace(n, field, "V"))
-        worst = max(worst, frobenius(matmul(dual_basis(basis), basis.matrix) - np.eye(n)))
+        worst = max(worst, policy.norm(matmul(dual_basis(basis), basis.matrix) - np.eye(n)))
     return worst
 
 
@@ -246,7 +246,7 @@ def _check_composition_functorial(rng, n):
         g = gen.random_matrix(rng, n, n, field)
         lhs = represent_map(matmul(f, g), basis, basis).matrix
         rhs = matmul(represent_map(f, basis, basis).matrix, represent_map(g, basis, basis).matrix)
-        worst = max(worst, frobenius(lhs - rhs) / max(1.0, frobenius(rhs)))
+        worst = max(worst, policy.norm(lhs - rhs) / max(1.0, policy.norm(rhs)))
     return worst
 
 
@@ -258,7 +258,7 @@ def _check_inverse_functorial(rng, n):
         f = gen.random_invertible(rng, n, field)
         lhs = represent_map(np.linalg.inv(f), basis, basis).matrix
         rhs = np.linalg.inv(represent_map(f, basis, basis).matrix)
-        worst = max(worst, frobenius(lhs - rhs) / max(1.0, frobenius(rhs)))
+        worst = max(worst, policy.norm(lhs - rhs) / max(1.0, policy.norm(rhs)))
     return worst
 
 
@@ -395,7 +395,7 @@ def _check_orthonormal_transition(rng, n):
         b1 = orthonormalize(vs1, ip)
         b2 = orthonormalize(vs2, ip)
         m = change_of_basis(b1, b2)
-        worst = max(worst, frobenius(hermitian_conjugate(m) @ m - np.eye(n)))
+        worst = max(worst, policy.norm(hermitian_conjugate(m) @ m - np.eye(n)))
     return worst
 
 
@@ -429,8 +429,8 @@ def _check_projector_system(rng, n):
             total = total + p
             for j, q in enumerate(dec.projectors):
                 expected = p if i == j else 0.0
-                worst = max(worst, frobenius(p @ q - expected))
-        worst = max(worst, frobenius(total - np.eye(n)))
+                worst = max(worst, policy.norm(p @ q - expected))
+        worst = max(worst, policy.norm(total - np.eye(n)))
     return worst
 
 
@@ -440,7 +440,7 @@ def _check_spectral_reconstruction(rng, n):
         ip = _random_ip(rng, n, field)
         f = gen.random_g_selfadjoint(rng, ip)
         dec = spectral_representation(f, ip)
-        worst = max(worst, frobenius(f - dec.reconstruct()) / max(1.0, frobenius(f)))
+        worst = max(worst, policy.norm(f - dec.reconstruct()) / max(1.0, policy.norm(f)))
     return worst
 
 
@@ -461,7 +461,7 @@ def _check_spectral_basis_independence(rng, n):
             worst = max(worst, abs(value - moved_value) / max(1.0, abs(value)))
         b_inv = np.linalg.inv(b)
         for p, q in zip(dec.projectors, moved.projectors):
-            worst = max(worst, frobenius(q - b_inv @ p @ b) / max(1.0, frobenius(p)))
+            worst = max(worst, policy.norm(q - b_inv @ p @ b) / max(1.0, policy.norm(p)))
     return worst
 
 
@@ -496,7 +496,7 @@ def _check_metric_selfadjoint(rng, n):
     worst = 0.0
     for field in _FIELDS:
         ms = _random_structure(rng, n, field)
-        worst = max(worst, frobenius(adjoint(ms.h, ms.ip) - ms.h) / max(1.0, frobenius(ms.h)))
+        worst = max(worst, policy.norm(adjoint(ms.h, ms.ip) - ms.h) / max(1.0, policy.norm(ms.h)))
     return worst
 
 
@@ -504,7 +504,7 @@ def _check_compatibility(rng, n):
     worst = 0.0
     for field in _FIELDS:
         ms = _random_structure(rng, n, field)
-        worst = max(worst, frobenius(ms.h @ ms.h - np.eye(n)))
+        worst = max(worst, policy.norm(ms.h @ ms.h - np.eye(n)))
     return worst
 
 
@@ -524,11 +524,11 @@ def _check_dirac_involution(rng, n):
         ms = _random_structure(rng, n, field)
         f = gen.random_matrix(rng, n, n, field)
         twice = dirac_adjoint_operator(dirac_adjoint_operator(f, ms), ms)
-        worst = max(worst, frobenius(twice - f) / max(1.0, frobenius(f)))
+        worst = max(worst, policy.norm(twice - f) / max(1.0, policy.norm(f)))
         alpha = complex(*rng.uniform(-1, 1, size=2)) if field == COMPLEX else float(rng.uniform(-1, 1))
         lhs = dirac_adjoint_operator(alpha * f, ms)
         rhs = np.conj(alpha) * dirac_adjoint_operator(f, ms)
-        worst = max(worst, frobenius(lhs - rhs) / max(1.0, frobenius(rhs)))
+        worst = max(worst, policy.norm(lhs - rhs) / max(1.0, policy.norm(rhs)))
     return worst
 
 
@@ -540,7 +540,7 @@ def _check_dirac_product_reversal(rng, n):
         g = gen.random_matrix(rng, n, n, field)
         lhs = dirac_adjoint_operator(f @ g, ms)
         rhs = dirac_adjoint_operator(g, ms) @ dirac_adjoint_operator(f, ms)
-        worst = max(worst, frobenius(lhs - rhs) / max(1.0, frobenius(rhs)))
+        worst = max(worst, policy.norm(lhs - rhs) / max(1.0, policy.norm(rhs)))
     return worst
 
 
@@ -570,7 +570,7 @@ def _check_preserves_h_orthonormality(rng, n):
         f = _pseudo_unitary_in_frame(rng, ms)
         moved = f @ hb.basis.matrix
         gram = hermitian_conjugate(moved) @ ms.hform.matrix @ moved
-        worst = max(worst, frobenius(gram - np.diag(np.asarray(hb.eta_diag, dtype=float))))
+        worst = max(worst, policy.norm(gram - np.diag(np.asarray(hb.eta_diag, dtype=float))))
     return worst
 
 
@@ -591,7 +591,7 @@ def _check_hbasis_canonical(rng, n):
         ms = _random_structure(rng, n, field)
         hb = h_orthonormal_basis(ms)
         gram = hermitian_conjugate(hb.basis.matrix) @ ms.hform.matrix @ hb.basis.matrix
-        worst = max(worst, frobenius(gram - np.diag(np.asarray(hb.eta_diag, dtype=float))))
+        worst = max(worst, policy.norm(gram - np.diag(np.asarray(hb.eta_diag, dtype=float))))
     return worst
 
 
@@ -648,7 +648,7 @@ def _check_dirac_canonical_matrix(rng, n):
         rep_f = hb.basis.inverse @ f @ hb.basis.matrix
         rep_conj = hb.basis.inverse @ dirac_adjoint_operator(f, ms) @ hb.basis.matrix
         expected = eta.astype(rep_f.dtype) @ hermitian_conjugate(rep_f) @ eta.astype(rep_f.dtype)
-        worst = max(worst, frobenius(rep_conj - expected) / max(1.0, frobenius(rep_f)))
+        worst = max(worst, policy.norm(rep_conj - expected) / max(1.0, policy.norm(rep_f)))
     return worst
 
 
@@ -658,7 +658,7 @@ def _check_dirac_spectral_reconstruction(rng, n):
         ms = _random_structure(rng, n, field)
         f = gen.random_dirac_selfadjoint(rng, ms)
         dec = dirac_spectral(f, ms)
-        worst = max(worst, frobenius(f - dec.reconstruct()) / max(1.0, frobenius(f)))
+        worst = max(worst, policy.norm(f - dec.reconstruct()) / max(1.0, policy.norm(f)))
     return worst
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "field_of",
     "as_matrix",
     "identity",
-    "frobenius",
     "matmul",
     "hermitian_conjugate",
     "determinant",
@@ -89,11 +88,6 @@ def _require_square(a: np.ndarray) -> int:
 def identity(n: int, field: str = REAL) -> np.ndarray:
     """The n-by-n identity over the requested field."""
     return np.eye(n, dtype=_dtype(field))
-
-
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm, free of overflow and underflow (:func:`kreinalg.policy.norm`)."""
-    return policy.norm(a)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,9 +179,9 @@ def classify(a: np.ndarray) -> set:
         out.add("hermitian")
     if policy.selfadjoint(a, np.transpose):
         out.add("symmetric")
-    if policy.isometric(hermitian_conjugate(a), a):
+    if policy.isometric(a, hermitian_conjugate):
         out.add("unitary")
-    if policy.isometric(a.T, a):
+    if policy.isometric(a, np.transpose):
         out.add("orthogonal")
     if policy.is_singular(a):
         out.add("singular")

@@ -86,13 +86,17 @@ def selfadjoint(f, sharp) -> bool:
     return _holds(norm(sharp(f) - f), norm(f))
 
 
-def isometric(f_sharp, f) -> bool:
-    """f# f = 1: ``||f# f - 1|| <= TOL ||f#|| ||f||``.
+def isometric(f, sharp) -> bool:
+    """f# f = 1: ``||f# f - 1|| <= TOL ||f#|| ||f||``, for ``f# = sharp(f)``.
 
     Relative to the factors, because the pseudo-unitary groups are not
     compact: an exact Lorentz boost at large rapidity has huge entries
-    and a residual of the same relative size as a rotation's.
+    and a residual of the same relative size as a rotation's.  Non-finite
+    ``f`` is rejected before ``sharp`` or any arithmetic runs.
     """
+    if not np.all(np.isfinite(f)):
+        return False
+    f_sharp = sharp(f)
     residual = norm(f_sharp @ f - np.eye(f.shape[1]))
     return _holds(residual, norm(f_sharp) * norm(f))
 

@@ -86,6 +86,23 @@ class Basis:
         self.matrix = b
         self.inverse = np.linalg.inv(b)
 
+    @classmethod
+    def _with_inverse(cls, space: VectorSpace, matrix: np.ndarray, inverse: np.ndarray) -> Basis:
+        """A basis whose inverse is known in closed form: no rank check, no LU.
+
+        Used for the canonical frames of :mod:`kreinalg.indefinite`.  Those
+        have ``B^+ G B = 1`` for a Gram matrix ``G`` that cleared the form
+        floor, so ``cond(B)^2 = cond(G) < 1 / FORM_TOL = 1e10`` and
+        ``s_min / s_max > 1e-5``: far above ``RANK_TOL``, so the rank check
+        could not fail.  ``matrix`` and ``inverse`` must already be over
+        the space's field.
+        """
+        basis = cls.__new__(cls)
+        basis.space = space
+        basis.matrix = matrix
+        basis.inverse = inverse
+        return basis
+
     def __repr__(self) -> str:
         return f"Basis(space={self.space!r}, matrix=\n{self.matrix!r})"
 

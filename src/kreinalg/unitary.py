@@ -45,24 +45,44 @@ __all__ = [
 class InnerProduct:
     """A positive-definite Hermitian Gram matrix on a space.
 
-    Construction validates Hermiticity and positive definiteness and
-    caches the inverse and the Hermitian square-root factors used by the
-    adjoint and spectral machinery.
+    Construction validates Hermiticity and positive definiteness, runs one
+    eigendecomposition ``G = U diag(w) U^+``, and caches the inverse and
+    the Hermitian square-root factors ``U diag(w^{+-1/2}) U^+`` used by the
+    adjoint and spectral machinery.  A Gram matrix built from eigenpairs
+    that are already known (the ``|K|`` of a bare H-form) skips the
+    solve: see :meth:`_from_eigh`.  The inverse is always the LU inverse
+    of ``G``, which is more accurate than ``U diag(1/w) U^+``.
     """
 
     def __init__(self, space: VectorSpace, gram) -> None:
         g, eigenvalues, vectors = _hermitian_form_eigh(space.operator(gram), "Gram matrix")
-        if not policy.clears_form_floor(eigenvalues, g):
+        self._cache(space, g, eigenvalues, vectors)
+
+    @classmethod
+    def _from_eigh(cls, space: VectorSpace, w, vectors) -> InnerProduct:
+        """The inner product ``G = U diag(w) U^+`` of known orthonormal eigenpairs.
+
+        ``G`` is symmetrized as the constructor would, so it has the same
+        bits as ``InnerProduct(space, U diag(w) U^+)``; the square roots
+        come from ``(U, w)`` without a second solve.
+        """
+        g = _spectral_function(vectors, w, space.field == REAL)
+        ip = cls.__new__(cls)
+        ip._cache(space, (g + hermitian_conjugate(g)) / 2.0, w, vectors)
+        return ip
+
+    def _cache(self, space: VectorSpace, g: np.ndarray, w, vectors) -> None:
+        if not policy.clears_form_floor(w, g):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
-                f"(min eigenvalue {np.min(eigenvalues):.3e})"
+                f"(min eigenvalue {np.min(w):.3e})"
             )
         self.space = space
         self.gram = g
         self.gram_inv = np.linalg.inv(g)
         real = space.field == REAL
-        self.sqrt = _spectral_function(vectors, np.sqrt(eigenvalues), real)
-        self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(eigenvalues), real)
+        self.sqrt = _spectral_function(vectors, np.sqrt(w), real)
+        self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(w), real)
 
     def __repr__(self) -> str:
         return f"InnerProduct(space={self.space!r})"
@@ -128,6 +148,18 @@ def adjoint(f, ip: InnerProduct) -> np.ndarray:
     return ip.gram_inv @ hermitian_conjugate(ip.space.operator(f)) @ ip.gram
 
 
+def _g_selfadjoint_eigh(f: np.ndarray, ip: InnerProduct):
+    """Descending eigenvalues and orthonormal eigenvectors of ``G^{1/2} f G^{-1/2}``.
+
+    For a G-selfadjoint ``f`` that matrix is Hermitian up to roundoff, so
+    its Hermitian part goes to the eigensolver seam.
+    """
+    work = ip.sqrt @ f @ ip.sqrt_inv
+    w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
+    order = np.argsort(-w)
+    return w[order], u[:, order]
+
+
 def g_selfadjoint_eigen(f, ip: InnerProduct):
     """Eigenvalues (descending) and G-orthonormal eigenvector columns.
 
@@ -138,11 +170,8 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
     f = ip.space.operator(f)
     if not np.all(np.isfinite(f)):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    work = ip.sqrt @ f @ ip.sqrt_inv
-    w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
-    order = np.argsort(-w)
-    w = w[order]
-    columns = ip.sqrt_inv @ u[:, order]
+    w, u = _g_selfadjoint_eigh(f, ip)
+    columns = ip.sqrt_inv @ u
     if ip.space.field == REAL:
         columns = columns.real
     return w, columns
@@ -170,6 +199,8 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:
-    """True when adjoint(f) f equals the identity, i.e. f preserves (.,.)."""
-    f = ip.space.operator(f)
-    return policy.isometric(adjoint(f, ip), f)
+    """True when adjoint(f) f equals the identity, i.e. f preserves (.,.).
+
+    Non-finite f is never unitary.
+    """
+    return policy.isometric(ip.space.operator(f), lambda m: adjoint(m, ip))

@@ -11,6 +11,7 @@ from kreinalg import (
     eigen_hermitian,
     jacobi_hermitian,
     kernel_dimension,
+    policy,
     standard_inner_product,
 )
 from kreinalg.eigen import _spectral_decomposition, characteristic_polynomial, cluster_eigenvalues
@@ -21,7 +22,7 @@ from kreinalg.generators import (
     random_unitary,
     separated_eigenvalues,
 )
-from kreinalg.matrices import frobenius, hermitian_conjugate
+from kreinalg.matrices import hermitian_conjugate
 from kreinalg.policy import CLUSTER_TOL, JACOBI_TOL
 from kreinalg.unitary import g_selfadjoint_eigen
 
@@ -184,7 +185,7 @@ class TestClustering:
             # Relative noise far below CLUSTER_TOL: near-ties whose means are not exact.
             noisy = exact * (1.0 + 1e-12 * rng.standard_normal(n))
             for values in (exact, noisy):
-                tol = CLUSTER_TOL * frobenius(values)
+                tol = CLUSTER_TOL * policy.norm(values)
                 assert _bits(cluster_eigenvalues(values, tol)) == _bits(_cluster_loop(values, tol))
 
 
@@ -212,7 +213,7 @@ def _bits(clustering):
 
 def _projectors_per_cluster(w, vectors, real, gram):
     """``(V_g V_g^+) G`` for each cluster g, one full product each: the reference assembly."""
-    _, groups = cluster_eigenvalues(w, CLUSTER_TOL * frobenius(w))
+    _, groups = cluster_eigenvalues(w, CLUSTER_TOL * policy.norm(w))
     projectors = []
     for group in groups:
         cols = vectors[:, group]
@@ -251,8 +252,8 @@ class TestProjectorAssembly:
             # of the exact product, for m the cluster size, n the inner dimension of the G
             # product and g_k = (k + 2) eps, which covers complex arithmetic.
             g_m, g_n = (len(group) + 2) * EPS, (n + 2) * EPS
-            magnitude = frobenius(vectors[:, group]) ** 2 * frobenius(gram)
-            assert frobenius(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
+            magnitude = policy.norm(vectors[:, group]) ** 2 * policy.norm(gram)
+            assert policy.norm(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
 
 
 def _jacobi_descending(a):

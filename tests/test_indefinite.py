@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from kreinalg import (
     CompatibilityError,
     DegenerateFormError,
     FieldError,
+    InnerProduct,
     SymmetryError,
     Tensor,
     adjoint,
@@ -25,6 +28,7 @@ from kreinalg import (
     is_pseudo_unitary,
     metric_structure_from,
     minkowski_structure,
+    policy,
     raise_lower_index,
 )
 from kreinalg.generators import (
@@ -34,6 +38,7 @@ from kreinalg.generators import (
     random_ket,
     random_nondegenerate_hform,
     random_pseudo_unitary,
+    random_unitary,
 )
 
 
@@ -403,3 +408,133 @@ class TestDefiniteDegeneration:
         np.testing.assert_allclose(hermitian.eigenvalues, plain.eigenvalues, atol=1e-12)
         for a, b in zip(dirac.projectors, plain.projectors):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _gamma(k):
+    """The standard bound on the relative error of a length-k inner product."""
+    return k * EPS / (1.0 - k * EPS)
+
+
+def _conditioned_structure(rng, kind, n, field):
+    """A structure of either kind whose inner product has cond(G) up to 1e3.
+
+    The hform kind starts from K = U diag(+-m) U^+, the pair kind from
+    G = R^2 with R = U diag(sqrt m) U^+ and K = R J R for a unitary
+    involution J; the magnitudes m are log-uniform in [1e-3, 1].
+    """
+    n_plus = int(rng.integers(0, n + 1))
+    signs = np.concatenate([np.ones(n_plus), -np.ones(n - n_plus)])
+    mags = 10.0 ** -rng.uniform(0.0, 3.0, size=n)
+    u = random_unitary(rng, n, field)
+    if kind == "hform":
+        k = (u * (signs * mags)) @ hermitian_conjugate(u)
+        return compatible_structure_from_hform((k + hermitian_conjugate(k)) / 2.0)
+    root = (u * np.sqrt(mags)) @ hermitian_conjugate(u)
+    v = random_unitary(rng, n, field)
+    k = root @ (v * signs) @ hermitian_conjugate(v) @ root
+    return metric_structure_from(root @ root, (k + hermitian_conjugate(k)) / 2.0)
+
+
+FRAME_CASES = [
+    (kind, field, n)
+    for kind in ("hform", "pair")
+    for field in ("real", "complex")
+    for n in (1, 2, 8, 32, 64)
+]
+
+
+class TestCanonicalFrame:
+    @pytest.mark.parametrize("kind,field,n", FRAME_CASES)
+    def test_frame_is_canonical_within_matmul_bounds(self, kind, field, n):
+        rng = np.random.default_rng(FRAME_CASES.index((kind, field, n)))
+        ms = _conditioned_structure(rng, kind, n, field)
+        frame = ms.frame
+        b, b_inv = frame.basis.matrix, frame.basis.inverse
+        eta = np.diag(np.asarray(frame.eta_diag, dtype=float))
+        # Bounds fixed by first-order error analysis, not by observation.
+        # B^+ M B - target (M = K or G) collects two products of length n
+        # plus the eigensolver's backward error and loss of orthogonality,
+        # O(n eps) each: together at most 4 gamma_n |B^+||M||B|, and
+        # ||B||_F^2 ||M||_F <= n^1.5 cond(G) because |K| = G.  B^-1 B - 1
+        # collects the same relative to ||B^-1||_F ||B||_F <= n sqrt(cond(G)).
+        cond = np.linalg.cond(ms.ip.gram)
+        congruence_bound = 4 * _gamma(n) * n**1.5 * cond
+        inverse_bound = 4 * _gamma(n) * n * np.sqrt(cond)
+        assert policy.norm(hermitian_conjugate(b) @ ms.hform.matrix @ b - eta) <= congruence_bound
+        assert policy.norm(hermitian_conjugate(b) @ ms.ip.gram @ b - np.eye(n)) <= congruence_bound
+        assert policy.norm(b_inv @ b - np.eye(n)) <= inverse_bound
+        n_plus, n_minus = ms.signature
+        assert frame.eta_diag == (1,) * n_plus + (-1,) * n_minus
+        dtype = np.float64 if field == "real" else np.complex128
+        assert b.dtype == dtype and b_inv.dtype == dtype
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    def test_h_orthonormal_basis_returns_the_frame_without_solving(self, kind, monkeypatch):
+        ms = _conditioned_structure(np.random.default_rng(7), kind, 8, "complex")
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("kreinalg")]:
+            solver = getattr(module, "_eigh", None)
+            if solver is not None:
+                monkeypatch.setattr(
+                    module, "_eigh", lambda a, solver=solver: calls.append(a) or solver(a)
+                )
+        assert h_orthonormal_basis(ms) is ms.frame
+        assert calls == []
+
+    def test_frame_of_the_minkowski_structure_is_the_identity(self):
+        frame = minkowski_structure(1, 3).frame
+        np.testing.assert_array_equal(frame.basis.matrix, np.eye(4))
+        np.testing.assert_array_equal(frame.basis.inverse, np.eye(4))
+        assert frame.eta_diag == (1, -1, -1, -1)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_synthesized_gram_has_the_bits_of_the_constructed_one(self, field):
+        ms = _conditioned_structure(np.random.default_rng(13), "hform", 8, field)
+        u, lam = ms.hform._eigenvectors, ms.hform._eigenvalues
+        g = (u * np.abs(lam)) @ hermitian_conjugate(u)
+        constructed = InnerProduct(ms.space, g.real if field == "real" else g)
+        np.testing.assert_array_equal(ms.ip.gram, constructed.gram)
+        np.testing.assert_array_equal(ms.ip.gram_inv, constructed.gram_inv)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_hform_inverse_is_the_lu_inverse_on_first_use(self, field):
+        ms = _conditioned_structure(np.random.default_rng(11), "hform", 8, field)
+        assert "inverse" not in vars(ms.hform)
+        inverse = ms.hform.inverse
+        assert inverse is ms.hform.inverse
+        np.testing.assert_array_equal(inverse, np.linalg.inv(ms.hform.matrix))
+
+
+class TestFactorizationCounts:
+    """LAPACK factorizations per construction, pinned: a structure factorizes once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = dict.fromkeys(("eigh", "inv", "svd"), 0)
+        for name in tally:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                tally[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return tally
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_each_construction_and_the_frame(self, counts, field, n):
+        rng = np.random.default_rng(n)
+        k = random_nondegenerate_hform(rng, n, field)
+        ms = compatible_structure_from_hform(k)
+        assert counts == {"eigh": 1, "inv": 1, "svd": 0}
+        counts.update(eigh=0, inv=0)
+        pair = metric_structure_from(ms.ip.gram, ms.hform.matrix)
+        assert counts == {"eigh": 3, "inv": 1, "svd": 0}
+        counts.update(eigh=0, inv=0)
+        for structure in (ms, pair):
+            h_orthonormal_basis(structure)
+        assert counts == {"eigh": 0, "inv": 0, "svd": 0}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import kreinalg.lemmas as lemmas
@@ -66,9 +68,7 @@ class TestNegativeControl:
             ms = original(rng, n, field)
             bad_h = ms.h.copy()
             bad_h[0, 0] += 0.5
-            return lemmas.MetricStructure(
-                ip=ms.ip, hform=ms.hform, h=bad_h, signature=ms.signature
-            )
+            return dataclasses.replace(ms, h=bad_h)
 
         monkeypatch.setattr(lemmas, "_random_structure", tampered)
         reports = {r.lemma_id: r for r in run_lemma_suite(42, dims=(3,), instances=1)}

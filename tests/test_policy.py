@@ -18,21 +18,24 @@ from kreinalg import (
     SingularBasisError,
     SymmetryError,
     VectorSpace,
+    classify,
     eigen_hermitian,
     is_dirac_selfadjoint,
     is_orthogonal,
     is_pseudo_orthogonal,
     is_pseudo_unitary,
     is_selfadjoint,
+    is_unitary_wrt,
+    metric_structure_from,
     minkowski_structure,
     natural_basis,
+    policy,
     spectral_representation,
     standard_inner_product,
     tensor_from_ket,
     transform_tensor,
 )
 from kreinalg.generators import lorentz_boost, random_hermitian, random_matrix, random_unitary
-from kreinalg.matrices import frobenius
 from kreinalg.unitary import g_selfadjoint_eigen
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kreinalg"
@@ -135,21 +138,21 @@ class TestScaledNorm:
         a = random_matrix(np.random.default_rng(seed), rows, cols, field)
         c = 10.0**exponent
         # c * a is rounded entrywise (relative eps), and so is the scaled norm.
-        assert frobenius(c * a) == pytest.approx(c * np.linalg.norm(a), rel=8 * np.finfo(float).eps)
+        assert policy.norm(c * a) == pytest.approx(c * np.linalg.norm(a), rel=8 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_equals_numpy_inside_its_range(self, field):
         rng = np.random.default_rng(5)
         for exponent in range(-100, 101, 10):
             a = 10.0**exponent * random_matrix(rng, 5, 3, field)
-            assert frobenius(a) == np.linalg.norm(a)
-            assert frobenius(a.T) == np.linalg.norm(a.T)
+            assert policy.norm(a) == np.linalg.norm(a)
+            assert policy.norm(a.T) == np.linalg.norm(a.T)
 
     def test_zero_and_non_finite(self):
-        assert frobenius(np.zeros((2, 2))) == 0.0
-        assert frobenius(np.zeros((0, 3))) == 0.0
-        assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
-        assert frobenius(np.array([[1.0, -np.inf]])) == np.inf
+        assert policy.norm(np.zeros((2, 2))) == 0.0
+        assert policy.norm(np.zeros((0, 3))) == 0.0
+        assert np.isnan(policy.norm(np.array([[np.nan, 1.0]])))
+        assert policy.norm(np.array([[1.0, -np.inf]])) == np.inf
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (8, 8)])
@@ -158,11 +161,11 @@ class TestScaledNorm:
         for exponent in range(-320, 309):
             a = 10.0**exponent * random_matrix(rng, *shape, field)
             for m in (a, a.T):
-                assert frobenius(m).hex() == _scaled_norm(m).hex(), exponent
+                assert policy.norm(m).hex() == _scaled_norm(m).hex(), exponent
 
     def test_subnormal_complex(self):
         a = np.array([[3e-320 + 4e-320j]])  # 6072 and 8096 ulps of 0: |a| is exactly 10120
-        assert frobenius(a) == abs(a[0, 0]) == 10120 * 2.0**-1074
+        assert policy.norm(a) == abs(a[0, 0]) == 10120 * 2.0**-1074
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("c", [1e300, 1e-300, 1e-320])
@@ -170,7 +173,7 @@ class TestScaledNorm:
         a = c * random_matrix(np.random.default_rng(14), 8, 8, field)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert 0.0 < frobenius(a) < math.inf
+            assert 0.0 < policy.norm(a) < math.inf
 
 
 def _scaled_norm(a):
@@ -227,6 +230,33 @@ class TestRelativeIsometry:
             assert not is_pseudo_orthogonal(f, ms)
             assert not is_pseudo_unitary(f, ms)
             assert not is_orthogonal(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        field=st.sampled_from(["real", "complex"]),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_non_finite_rejected_before_any_arithmetic(self, n, field, bad, seed, data):
+        f = random_unitary(np.random.default_rng(seed), n, field)
+        f[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = bad
+        space = VectorSpace(n, field)
+        ms = minkowski_structure(1, n - 1, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_unitary_wrt(f, standard_inner_product(space))
+            assert not is_pseudo_unitary(f, ms)
+            assert not {"unitary", "orthogonal"} & classify(f)
+            if field == "real":
+                assert not is_orthogonal(f)
+                assert not is_pseudo_orthogonal(f, ms)
+            with pytest.raises(SymmetryError, match="non-finite entries"):
+                metric_structure_from(np.eye(n, dtype=f.dtype), f)
+
+    def test_classify_answers_non_finite_input(self):
+        assert classify(np.array([[1.0, np.inf], [0.0, 1.0]])) == {"singular"}
 
     def test_is_orthogonal_scalar_is_shape_error(self):
         with pytest.raises(ShapeError):
