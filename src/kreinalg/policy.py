@@ -35,7 +35,8 @@ FORM_TOL = 1e-10
 RANK_TOL = 1e-10
 # Eigenvalues closer than CLUSTER_TOL * ||eigenvalues|| share an eigenspace.
 CLUSTER_TOL = 1e-8
-# Gram-Schmidt gives up when a projected vector's norm drops below this.
+# Gram-Schmidt gives up when a projected vector's norm drops to
+# BREAKDOWN_TOL times the norm of the vector it came from.
 BREAKDOWN_TOL = 1e-12
 # The Jacobi reference solver stops once the off-diagonal mass is <= JACOBI_TOL ||A||.
 JACOBI_TOL = 1e-13
@@ -91,14 +92,22 @@ def isometric(f, sharp) -> bool:
 
     Relative to the factors, because the pseudo-unitary groups are not
     compact: an exact Lorentz boost at large rapidity has huge entries
-    and a residual of the same relative size as a rotation's.  Non-finite
-    ``f`` is rejected before ``sharp`` or any arithmetic runs.
+    and a residual of the same relative size as a rotation's.  The test
+    runs on ``g = f / s``, with ``s`` a power of two near ``max |f_ij|``
+    (at least ``2**-511``, so ``s**-2`` stays finite), as
+    ``||g# g - s**-2 1|| <= TOL ||g#|| ||g||``:
+    ``sharp`` is linear, so that is the same test scaled exactly by
+    ``s**-2``, and ``g# g`` cannot overflow even for a boost at rapidity
+    700.  Non-finite ``f`` is rejected before ``sharp`` or any arithmetic
+    runs.
     """
     if not np.all(np.isfinite(f)):
         return False
-    f_sharp = sharp(f)
-    residual = norm(f_sharp @ f - np.eye(f.shape[1]))
-    return _holds(residual, norm(f_sharp) * norm(f))
+    exponent = max(math.frexp(float(np.max(np.abs(f), initial=0.0)))[1] - 1, -511)
+    g = f / math.ldexp(1.0, exponent)
+    g_sharp = sharp(g)
+    residual = norm(g_sharp @ g - math.ldexp(1.0, -2 * exponent) * np.eye(f.shape[1]))
+    return _holds(residual, norm(g_sharp) * norm(g))
 
 
 def require_hermitian(a: np.ndarray, what: str) -> None:

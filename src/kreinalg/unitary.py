@@ -122,7 +122,8 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
 
     Modified Gram-Schmidt, column at a time, with one reorthogonalization
     pass against the already accepted columns.  Raises DependentSetError
-    when a vector collapses below the breakdown threshold.
+    when a vector's projection keeps no more than ``BREAKDOWN_TOL`` of its
+    length, so the decision does not depend on the input's scale.
     """
     dim = ip.space.dim
     cols = [ip.space.ket(v) for v in vectors]
@@ -135,7 +136,7 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
             for e in basis_cols:
                 v = v - e * inner_product(e, v, ip)
         length = norm(v, ip)
-        if not length >= policy.BREAKDOWN_TOL:
+        if not length > policy.BREAKDOWN_TOL * norm(col, ip):
             raise DependentSetError(
                 "vector became numerically zero after projection; input set is dependent"
             )

@@ -47,6 +47,8 @@ GOLDEN_CASES = {
     ],
     "check_hermitian.txt": ["check", "--kind", "hermitian", "--in", inpath("pauli_y.json")],
     "verify.txt": ["verify", "--seed", "7", "--dims", "2", "--instances", "1"],
+    # The default suite (dims 1-6, 5 instances), as `kreinalg verify` runs it.
+    "verify_default.txt": ["verify", "--seed", "42"],
 }
 
 
@@ -64,12 +66,13 @@ REPORT_EXACT_KEYS = ("lemma_id", "instances", "tolerance", "status", "seed")
 def golden_differences(name: str, out: str) -> list:
     """How ``out`` departs from the golden file ``name``; empty if it matches.
 
-    Every case is compared byte for byte except ``verify.txt``.  There the
-    mathematically unique fields and the exact (tolerance 0) residuals must
-    match exactly, and every other residual within VERIFY_RESIDUAL_DRIFT.
+    Every case is compared byte for byte except the ``verify*`` cases.
+    There the mathematically unique fields and the exact (tolerance 0)
+    residuals must match exactly, and every other residual within
+    VERIFY_RESIDUAL_DRIFT.
     """
     expected = (GOLDEN / "expected" / name).read_text()
-    if name != "verify.txt":
+    if not name.startswith("verify"):
         return [] if out == expected else [f"{name}: output differs from golden bytes"]
     doc, pinned = json.loads(out), json.loads(expected)
     if out != json.dumps(doc, separators=(",", ":")) + "\n":

@@ -1,9 +1,16 @@
 import dataclasses
+import json
+import math
 
 import pytest
 
 import kreinalg.lemmas as lemmas
-from kreinalg.lemmas import REGISTRY, run_lemma_suite
+from kreinalg.cli import main
+from kreinalg.errors import SymmetryError
+from kreinalg.lemmas import REGISTRY, LemmaReport, run_lemma_suite
+from kreinalg.matrices import COMPLEX
+
+LARGEST_DOUBLE = 1.7976931348623157e308
 
 
 class TestRegistry:
@@ -81,3 +88,58 @@ class TestNegativeControl:
         c = lemmas._subseed(42, "matrix.det-product", 3, 1)
         assert len({a, b, c}) == 3
         assert a == lemmas._subseed(42, "matrix.det-product", 3, 0)
+
+
+def _replace_check(monkeypatch, lemma_id, complex_half):
+    """Keep ``lemma_id``'s real half; its complex half calls ``complex_half()``."""
+
+    def wrap(check):
+        def patched(rng, n, field):
+            return complex_half() if field == COMPLEX else check(rng, n, field)
+        return patched
+
+    monkeypatch.setattr(lemmas, "REGISTRY", tuple(
+        dataclasses.replace(lemma, check=wrap(lemma.check)) if lemma.lemma_id == lemma_id else lemma
+        for lemma in REGISTRY
+    ))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestNonFiniteResiduals:
+    def test_nan_in_the_complex_half_fails_the_lemma(self, monkeypatch):
+        _replace_check(monkeypatch, "metric.compatibility", lambda: math.nan)
+        reports = {r.lemma_id: r for r in run_lemma_suite(42, dims=(3,), instances=1)}
+        assert reports["metric.compatibility"].status == "fail"
+        assert math.isnan(reports["metric.compatibility"].max_error)
+        assert reports["metric.compatibility"].to_dict()["max_error"] == LARGEST_DOUBLE
+        assert reports["metric.signature-sum"].status == "pass"
+
+    def test_nan_inside_a_residual_sequence_fails_the_lemma(self, monkeypatch):
+        _replace_check(monkeypatch, "matrix.conjugation-rules", lambda: (0.0, math.nan, 0.0))
+        reports = {r.lemma_id: r for r in run_lemma_suite(42, dims=(2,), instances=1)}
+        assert reports["matrix.conjugation-rules"].status == "fail"
+
+    def test_domain_error_in_the_complex_half_scores_inf(self, monkeypatch):
+        def raises():
+            raise SymmetryError("complex half only")
+
+        _replace_check(monkeypatch, "metric.compatibility", raises)
+        reports = {r.lemma_id: r for r in run_lemma_suite(42, dims=(3,), instances=1)}
+        assert reports["metric.compatibility"].max_error == math.inf
+        assert reports["metric.compatibility"].status == "fail"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_report_serializes_non_finite_as_the_largest_double(self, value):
+        report = LemmaReport("x", 1, value, 0.0, "fail", 42)
+        assert report.to_dict()["max_error"] == LARGEST_DOUBLE
+
+    def test_verify_exits_1_with_finite_json(self, monkeypatch, capsys):
+        _replace_check(monkeypatch, "metric.compatibility", lambda: math.nan)
+        code = main(["verify", "--seed", "42", "--dims", "2", "--instances", "1"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 1 and doc["status"] == "fail"
+        report = next(r for r in doc["reports"] if r["lemma_id"] == "metric.compatibility")
+        assert report["status"] == "fail" and report["max_error"] == LARGEST_DOUBLE

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg import (
     DegenerateFormError,
@@ -168,6 +171,42 @@ class TestOrthonormalize:
         ip = standard_inner_product(SPACE2)
         with pytest.raises(DependentSetError):
             orthonormalize([np.array([[1.0], [1.0]]), np.array([[2.0], [2.0]])], ip)
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-100, 1e100])
+    def test_small_independent_set_accepted(self, c):
+        # An absolute breakdown threshold (1e-12) rejected this at c = 1e-13.
+        ip = standard_inner_product(SPACE2)
+        basis = orthonormalize([np.array([[c], [0.0]]), np.array([[c], [c]])], ip)
+        np.testing.assert_array_equal(basis.matrix, np.eye(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        field=st.sampled_from(["real", "complex"]),
+        k=st.integers(-400, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_gives_the_same_basis(self, n, field, k, seed):
+        rng = np.random.default_rng(seed)
+        ip = InnerProduct(VectorSpace(n, field, "V"), random_positive_definite(rng, n, field))
+        vectors = [random_ket(rng, n, field) for _ in range(n)]
+        scaled = orthonormalize([math.ldexp(1.0, k) * v for v in vectors], ip)
+        np.testing.assert_array_equal(scaled.matrix, orthonormalize(vectors, ip).matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        field=st.sampled_from(["real", "complex"]),
+        k=st.integers(-400, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dependent_set_rejected_at_any_scale(self, n, field, k, seed):
+        rng = np.random.default_rng(seed)
+        ip = InnerProduct(VectorSpace(n, field, "V"), random_positive_definite(rng, n, field))
+        vectors = [random_ket(rng, n, field) for _ in range(n - 1)]
+        vectors.append(vectors[0] - 2.0 * vectors[-1])
+        with pytest.raises(DependentSetError):
+            orthonormalize([math.ldexp(1.0, k) * v for v in vectors], ip)
 
 
 class TestAdjoint:
