@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,39 +33,54 @@ from .indefinite import (
 )
 from .io import dumps, matrix_document, parse_matrix_document, scalar_pair
 from .lemmas import DEFAULT_DIMS, run_lemma_suite
-from .matrices import classify, determinant, kronecker_product
+from .matrices import classify, determinant, field_of, kronecker_product
 from .spaces import Basis, LinearMapRep, VectorSpace, change_of_basis, conjugate_representation
-from .tensors import (
-    contract,
-    kron_flatten,
-    sort_slots,
-    tensor_from_bra,
-    tensor_from_ket,
-    tensor_from_operator,
-    tensor_product,
-)
-from .matrices import field_of
+from .tensors import contract, kron_flatten, sort_slots, tensor_product
+from .tensors import tensor_from_bra, tensor_from_ket, tensor_from_operator
 from .unitary import InnerProduct, adjoint, is_selfadjoint, is_unitary_wrt
 from .unitary import spectral_representation, standard_inner_product
 
-__all__ = ["main", "run_subcommand", "OPERATION_COVERAGE", "SUBCOMMANDS"]
+__all__ = ["main", "OPERATION_COVERAGE", "SUBCOMMANDS"]
 
-SUBCOMMANDS = (
-    "det",
-    "eig",
-    "spectral",
-    "adjoint",
-    "dirac-adjoint",
-    "signature",
-    "canonical-basis",
-    "projectors",
-    "tensor-product",
-    "contract",
-    "kron",
-    "change-basis",
-    "check",
-    "verify",
-)
+
+class _Command(NamedTuple):
+    """A subcommand's help text and flags.  Its handler ``_cmd_<name>`` is
+    called as ``(args, *documents)`` and looked up when the command runs,
+    so a rebinding of the module attribute (a span tracer's) takes effect."""
+
+    help: str
+    documents: tuple = (0,)  # the accepted numbers of --in documents
+    gram: bool = False
+    hform: str = ""  # "optional" or "required" when the command takes --hform
+
+
+_COMMANDS = {
+    "det": _Command("determinant of a square document", (1,)),
+    "eig": _Command("spectral decomposition of a Hermitian document", (1,)),
+    "spectral": _Command(
+        "spectral decomposition w.r.t. a Gram matrix (or Dirac-spectral with --hform)",
+        (1,), gram=True, hform="optional",
+    ),
+    "adjoint": _Command("adjoint w.r.t. a Gram matrix", (1,), gram=True),
+    "dirac-adjoint": _Command(
+        "Dirac adjoint of a ket, bra, or operator document", (1,), gram=True, hform="required"
+    ),
+    "signature": _Command("signature of an indefinite form", gram=True, hform="required"),
+    "canonical-basis": _Command(
+        "basis bringing the form to diag(+1.., -1..)", gram=True, hform="required"
+    ),
+    "projectors": _Command(
+        "projectors onto the positive/negative metric subspaces", gram=True, hform="required"
+    ),
+    "tensor-product": _Command("tensor product of two documents, slot-sorted and flattened", (2,)),
+    "contract": _Command("trace contraction of an operator document", (1,)),
+    "kron": _Command("Kronecker product of two documents", (2,)),
+    "change-basis": _Command("change-of-basis matrix (and optional operator conjugation)", (2, 3)),
+    "check": _Command("membership/structure predicates", (1,), gram=True, hform="optional"),
+    "verify": _Command("run the seeded lemma verification suite"),
+}
+
+SUBCOMMANDS = tuple(_COMMANDS)
 
 CHECK_KINDS = (
     "hermitian",
@@ -127,7 +143,7 @@ OPERATION_COVERAGE = {
 
 
 class _UsageError(Exception):
-    """Flag combination that argparse alone cannot reject."""
+    """A usage error that argparse alone cannot reject; exits 2 like one."""
 
 
 def _load(path: str) -> np.ndarray:
@@ -135,22 +151,16 @@ def _load(path: str) -> np.ndarray:
         return parse_matrix_document(handle.read())
 
 
-def _one_input(args) -> np.ndarray:
-    if len(args.infile) != 1:
-        raise _UsageError(f"{args.command} takes exactly one --in document")
-    return _load(args.infile[0])
-
-
 def _structure(args):
     k = _load(args.hform)
-    if getattr(args, "gram", None):
+    if args.gram:
         return metric_structure_from(_load(args.gram), k)
     return compatible_structure_from_hform(k)
 
 
 def _inner_product(args, matrix: np.ndarray) -> InnerProduct:
     n = matrix.shape[0]
-    if getattr(args, "gram", None):
+    if args.gram:
         g = _load(args.gram)
         return InnerProduct(VectorSpace(g.shape[0], field_of(g), "V"), g)
     return standard_inner_product(VectorSpace(n, field_of(matrix), "V"))
@@ -164,32 +174,28 @@ def _decomposition_result(dec) -> dict:
     }
 
 
-def _cmd_det(args) -> dict:
-    return {"det": scalar_pair(determinant(_one_input(args)))}
+def _cmd_det(args, matrix) -> dict:
+    return {"det": scalar_pair(determinant(matrix))}
 
 
-def _cmd_eig(args) -> dict:
-    return _decomposition_result(eigen_hermitian(_one_input(args)))
+def _cmd_eig(args, matrix) -> dict:
+    return _decomposition_result(eigen_hermitian(matrix))
 
 
-def _cmd_spectral(args) -> dict:
-    f = _one_input(args)
+def _cmd_spectral(args, f) -> dict:
     if args.hform:
-        ms = _structure(args)
-        dec = dirac_spectral(f, ms)
+        dec = dirac_spectral(f, _structure(args))
         out = _decomposition_result(dec)
         out["metric"] = matrix_document(dec.metric)
         return out
     return _decomposition_result(spectral_representation(f, _inner_product(args, f)))
 
 
-def _cmd_adjoint(args) -> dict:
-    f = _one_input(args)
+def _cmd_adjoint(args, f) -> dict:
     return {"matrix": matrix_document(adjoint(f, _inner_product(args, f)))}
 
 
-def _cmd_dirac_adjoint(args) -> dict:
-    x = _one_input(args)
+def _cmd_dirac_adjoint(args, x) -> dict:
     ms = _structure(args)
     if x.shape == (ms.space.dim, 1):
         return {"bra": matrix_document(dirac_adjoint_vector(x, ms))}
@@ -205,10 +211,7 @@ def _cmd_signature(args) -> dict:
 
 def _cmd_canonical_basis(args) -> dict:
     hb = h_orthonormal_basis(_structure(args))
-    return {
-        "basis": matrix_document(hb.basis.matrix),
-        "eta": [int(e) for e in hb.eta_diag],
-    }
+    return {"basis": matrix_document(hb.basis.matrix), "eta": [int(e) for e in hb.eta_diag]}
 
 
 def _cmd_projectors(args) -> dict:
@@ -237,11 +240,7 @@ def _tensor_dim(matrix: np.ndarray) -> int:
     raise ShapeError(f"a {matrix.shape} document is not a ket, bra, or square operator")
 
 
-def _cmd_tensor_product(args) -> dict:
-    if len(args.infile) != 2:
-        raise ShapeError("tensor-product needs exactly two --in documents")
-    a = _load(args.infile[0])
-    b = _load(args.infile[1])
+def _cmd_tensor_product(args, a, b) -> dict:
     dim = _tensor_dim(a)
     product = tensor_product(_as_tensor(a, dim), _as_tensor(b, dim))
     sorted_tensor, permutation = sort_slots(product)
@@ -252,45 +251,29 @@ def _cmd_tensor_product(args) -> dict:
     }
 
 
-def _cmd_contract(args) -> dict:
-    f = _one_input(args)
+def _cmd_contract(args, f) -> dict:
     t = _as_tensor(f, _tensor_dim(f))
     if t.rank != 2:
         raise ShapeError("contract expects a square operator document")
     return {"result": scalar_pair(contract(t, 1, 2).components[()])}
 
 
-def _cmd_kron(args) -> dict:
-    if len(args.infile) != 2:
-        raise ShapeError("kron needs exactly two --in documents")
-    return {
-        "matrix": matrix_document(
-            kronecker_product(_load(args.infile[0]), _load(args.infile[1]))
-        )
-    }
+def _cmd_kron(args, a, b) -> dict:
+    return {"matrix": matrix_document(kronecker_product(a, b))}
 
 
-def _cmd_change_basis(args) -> dict:
-    if len(args.infile) not in (2, 3):
-        raise ShapeError(
-            "change-basis needs two --in documents (old and new basis), "
-            "plus an optional operator document"
-        )
-    old_m = _load(args.infile[0])
-    new_m = _load(args.infile[1])
+def _cmd_change_basis(args, old_m, new_m, f=None) -> dict:
     space = VectorSpace(old_m.shape[0], field_of(old_m), "V")
     old = Basis(space, old_m)
     new = Basis(space, new_m)
     out = {"matrix": matrix_document(change_of_basis(old, new))}
-    if len(args.infile) == 3:
-        f = _load(args.infile[2])
+    if f is not None:
         rep = LinearMapRep(old, old, f)
         out["operator"] = matrix_document(conjugate_representation(rep, new).matrix)
     return out
 
 
-def _cmd_check(args) -> dict:
-    f = _one_input(args)
+def _cmd_check(args, f) -> dict:
     kind = args.kind
     if kind in ("dirac-selfadjoint", "pseudo-unitary", "pseudo-orthogonal") and not args.hform:
         raise _UsageError(f"check --kind {kind} requires --hform")
@@ -311,15 +294,15 @@ def _cmd_check(args) -> dict:
         return {"result": is_dirac_selfadjoint(f, ms)}
     if kind == "pseudo-unitary":
         return {"result": is_pseudo_unitary(f, ms)}
-    return {
-        "result": is_pseudo_orthogonal(f, ms),
-        "det": scalar_pair(determinant(f)),
-    }
+    return {"result": is_pseudo_orthogonal(f, ms), "det": scalar_pair(determinant(f))}
 
 
 def _cmd_verify(args) -> dict:
-    dims = tuple(args.dims) if args.dims else DEFAULT_DIMS
-    reports = run_lemma_suite(args.seed, dims=dims, instances=args.instances)
+    dims = DEFAULT_DIMS if args.dims is None else args.dims
+    try:
+        reports = run_lemma_suite(args.seed, dims=dims, instances=args.instances)
+    except ValueError as exc:  # the suite's own range checks on dims and instances
+        raise _UsageError(str(exc)) from None
     return {
         "seed": args.seed,
         "dims": list(dims),
@@ -329,14 +312,11 @@ def _cmd_verify(args) -> dict:
     }
 
 
-def _dims_list(text: str):
+def _dims_list(text: str) -> tuple:
     try:
-        dims = tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(",") if part)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dims list {text!r}")
-    if not dims or any(d < 1 or d > 12 for d in dims):
-        raise argparse.ArgumentTypeError("dims must be a comma list within 1..12")
-    return dims
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,114 +325,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear algebra over definite and indefinite inner products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, helptext, *, infiles=0, gram=False, hform=False, hform_required=False):
-        p = sub.add_parser(name, help=helptext)
-        if infiles:
-            p.add_argument(
-                "--in",
-                dest="infile",
-                action="append",
-                required=True,
-                metavar="DOC.json",
-                help="input matrix document (repeat for multi-input commands)",
-            )
-        if gram:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if max(command.documents):
+            p.add_argument("--in", dest="infile", action="append", default=[], metavar="DOC.json",
+                           help="input matrix document (repeat for multi-input commands)")
+        if command.gram:
             p.add_argument("--gram", metavar="G.json", help="Gram matrix of the inner product")
-        if hform:
-            p.add_argument(
-                "--hform",
-                metavar="K.json",
-                required=hform_required,
-                help="Gram matrix of the indefinite form",
-            )
+        if command.hform:
+            p.add_argument("--hform", metavar="K.json", required=command.hform == "required",
+                           help="Gram matrix of the indefinite form")
         p.add_argument("--out", metavar="PATH", help="write the JSON result to a file")
-        p.set_defaults(func=handler)
-        return p
-
-    add("det", _cmd_det, "determinant of a square document", infiles=1)
-    add("eig", _cmd_eig, "spectral decomposition of a Hermitian document", infiles=1)
-    add(
-        "spectral",
-        _cmd_spectral,
-        "spectral decomposition w.r.t. a Gram matrix (or Dirac-spectral with --hform)",
-        infiles=1,
-        gram=True,
-        hform=True,
-    )
-    add("adjoint", _cmd_adjoint, "adjoint w.r.t. a Gram matrix", infiles=1, gram=True)
-    add(
-        "dirac-adjoint",
-        _cmd_dirac_adjoint,
-        "Dirac adjoint of a ket, bra, or operator document",
-        infiles=1,
-        gram=True,
-        hform=True,
-        hform_required=True,
-    )
-    add("signature", _cmd_signature, "signature of an indefinite form", gram=True, hform=True, hform_required=True)
-    add(
-        "canonical-basis",
-        _cmd_canonical_basis,
-        "basis bringing the form to diag(+1.., -1..)",
-        gram=True,
-        hform=True,
-        hform_required=True,
-    )
-    add(
-        "projectors",
-        _cmd_projectors,
-        "projectors onto the positive/negative metric subspaces",
-        gram=True,
-        hform=True,
-        hform_required=True,
-    )
-    add(
-        "tensor-product",
-        _cmd_tensor_product,
-        "tensor product of two documents, slot-sorted and flattened",
-        infiles=1,
-    )
-    add("contract", _cmd_contract, "trace contraction of an operator document", infiles=1)
-    add("kron", _cmd_kron, "Kronecker product of two documents", infiles=1)
-    add(
-        "change-basis",
-        _cmd_change_basis,
-        "change-of-basis matrix (and optional operator conjugation)",
-        infiles=1,
-    )
-    check = add("check", _cmd_check, "membership/structure predicates", infiles=1, gram=True, hform=True)
-    check.add_argument("--kind", choices=CHECK_KINDS, required=True)
-
-    verify = sub.add_parser("verify", help="run the seeded lemma verification suite")
+    sub.choices["check"].add_argument("--kind", choices=CHECK_KINDS, required=True)
+    verify = sub.choices["verify"]
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--dims", type=_dims_list, default=None, metavar="1,2,3")
-    verify.add_argument("--instances", type=_positive_int, default=5)
-    verify.add_argument("--out", metavar="PATH")
-    verify.set_defaults(func=_cmd_verify)
-
+    verify.add_argument("--instances", type=int, default=5)
     return parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def run_subcommand(argv) -> int:
-    """Parse argv, run the handler, and emit JSON; returns the exit code."""
+def main(argv=None) -> int:
+    """Parse argv (``sys.argv[1:]`` when None), run the subcommand, and emit
+    JSON; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    paths = getattr(args, "infile", [])
+    counts = _COMMANDS[args.command].documents
     try:
-        result = args.func(args)
+        if len(paths) not in counts:
+            raise _UsageError(
+                f"{args.command} takes {' or '.join(map(str, counts))} --in document(s), "
+                f"got {len(paths)}"
+            )
+        documents = [_load(path) for path in paths]
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        result = handler(args, *documents)
+        text = dumps(result)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
@@ -462,20 +378,7 @@ def run_subcommand(argv) -> int:
     except OSError as exc:
         sys.stderr.write(dumps({"error": "IOError", "message": str(exc)}))
         return 1
-    text = dumps(result)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.command == "verify" and result["status"] != "pass":
-        return 1
-    return 0
-
-
-def main(argv=None) -> int:
-    code = run_subcommand(sys.argv[1:] if argv is None else argv)
-    return code
+    return 1 if result.get("status") == "fail" else 0
 
 
 if __name__ == "__main__":

@@ -296,12 +296,13 @@ def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
 
 
 @dataclass(frozen=True)
-class DiracSpectralDecomposition:
-    """Spectral data of a Dirac-selfadjoint operator: f = sum of l * p_l * h."""
+class DiracSpectralDecomposition(SpectralDecomposition):
+    """Spectral data of a Dirac-selfadjoint operator: f = sum of l * p_l * h.
 
-    eigenvalues: tuple
-    multiplicities: tuple
-    projectors: tuple
+    The eigenvalues and projectors are those of the G-selfadjoint
+    operator ``f h``; ``metric`` is ``h``.
+    """
+
     metric: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
@@ -309,10 +310,6 @@ class DiracSpectralDecomposition:
         for value, proj in zip(self.eigenvalues, self.projectors):
             out = out + value * (proj @ self.metric)
         return out
-
-    def as_spectral(self) -> SpectralDecomposition:
-        """The underlying decomposition of the G-selfadjoint operator f h."""
-        return SpectralDecomposition(self.eigenvalues, self.multiplicities, self.projectors)
 
 
 def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
@@ -328,10 +325,7 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     partner = f @ ms.h
     dec = spectral_representation(partner, ms.ip)
     return DiracSpectralDecomposition(
-        eigenvalues=dec.eigenvalues,
-        multiplicities=dec.multiplicities,
-        projectors=dec.projectors,
-        metric=ms.h.copy(),
+        dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()
     )
 
 

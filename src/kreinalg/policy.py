@@ -23,7 +23,7 @@ from .errors import SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "selfadjoint", "isometric", "require_hermitian", "asymmetry_error",
+    "norm", "scale_free_norm", "selfadjoint", "isometric", "require_hermitian", "asymmetry_error",
     "clears_form_floor", "singular_rank", "is_singular",
 ]
 
@@ -48,18 +48,27 @@ _PLAIN_NORM_FLOOR = 2.0**-400
 
 
 def norm(a) -> float:
-    """Frobenius norm, scaled: ``s ||a / s||`` with ``s`` near ``max |a_ij|``.
+    """Frobenius norm, free of scale: see :func:`scale_free_norm`.
 
-    ``s`` is ``max |a_ij|`` rounded down to a power of two, and at least
-    the smallest normal number, so scaling is exact and the result equals
-    the plain ``np.linalg.norm(a)`` wherever that neither overflows nor
-    underflows.  So the plain norm is returned as it is when it lies in
-    ``[_PLAIN_NORM_FLOOR, inf)``, and only the rest is scaled.  Zero gives
-    0; a NaN or infinite entry gives a non-finite result.
+    It equals the plain ``np.linalg.norm(a)`` wherever that neither
+    overflows nor underflows.
+    """
+    return scale_free_norm(a, lambda m: float(np.linalg.norm(m)))
+
+
+def scale_free_norm(a, measure) -> float:
+    """``measure(a)`` for a norm ``measure``, free of the scale of ``a``.
+
+    The plain value is returned as it is when it lies in
+    ``[_PLAIN_NORM_FLOOR, inf)``; anywhere else it is ``s measure(a / s)``,
+    with ``s`` the power of two of :func:`_scale_exponent` for
+    ``max |a_ij|``.  Scaling by ``s`` is exact, so both give the same bits
+    where the plain value is in range.  Zero gives 0; a NaN or infinite
+    entry gives a non-finite result.
     """
     a = np.asarray(a)
-    with np.errstate(over="ignore"):
-        plain = float(np.linalg.norm(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = measure(a)
     if _PLAIN_NORM_FLOOR <= plain < math.inf:
         return plain
     if not a.size:
@@ -67,10 +76,18 @@ def norm(a) -> float:
     peak = float(np.max(np.abs(a)))
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    # Never subnormal: dividing a complex array takes 1 / scale, which
-    # would overflow.
-    scale = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, -1022))
-    return scale * float(np.linalg.norm(a / scale))
+    scale = math.ldexp(1.0, _scale_exponent(peak))
+    return scale * measure(a / scale)
+
+
+def _scale_exponent(peak: float, floor: int = -1022) -> int:
+    """The exponent of the largest power of two <= ``peak``, at least ``floor``.
+
+    Dividing by that power brings ``peak`` into [1, 2).  The default floor
+    keeps the power normal: dividing a complex array takes its reciprocal,
+    which would overflow for a subnormal one.
+    """
+    return max(math.frexp(peak)[1] - 1, floor)
 
 
 def _holds(residual, scale) -> bool:
@@ -103,7 +120,7 @@ def isometric(f, sharp) -> bool:
     """
     if not np.all(np.isfinite(f)):
         return False
-    exponent = max(math.frexp(float(np.max(np.abs(f), initial=0.0)))[1] - 1, -511)
+    exponent = _scale_exponent(float(np.max(np.abs(f), initial=0.0)), -511)
     g = f / math.ldexp(1.0, exponent)
     g_sharp = sharp(g)
     residual = norm(g_sharp @ g - math.ldexp(1.0, -2 * exponent) * np.eye(f.shape[1]))

@@ -11,6 +11,8 @@ spectral projectors are G-selfadjoint.  Every tolerance is a rule of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import policy
@@ -102,9 +104,13 @@ def inner_product(x, y, ip: InnerProduct):
 
 
 def norm(x, ip: InnerProduct) -> float:
-    """sqrt((x, x)); the tiny negative that roundoff can produce is clamped."""
-    value = inner_product(x, x, ip)
-    return float(np.sqrt(max(np.real(value), 0.0)))
+    """sqrt((x, x)) at any scale of ``x``, by :func:`policy.scale_free_norm`.
+
+    The tiny negative that roundoff can produce in ``(x, x)`` is clamped.
+    """
+    return policy.scale_free_norm(
+        ip.space.ket(x), lambda v: math.sqrt(max(np.real(inner_product(v, v, ip)), 0.0))
+    )
 
 
 def riesz_map(x, ip: InnerProduct) -> np.ndarray:

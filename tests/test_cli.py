@@ -1,10 +1,13 @@
+import argparse
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import kreinalg
+from kreinalg import cli
 from kreinalg.cli import CHECK_KINDS, OPERATION_COVERAGE, SUBCOMMANDS, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -266,10 +269,55 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "det", "--in", inpath("a22.json"), "--in", inpath("eye2.json"))
         assert code == 2
 
+    def test_unwritable_out_is_io_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, "det", "--in", inpath("a22.json"), "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "IOError"
+
+    # The optional operator document of change-basis.
+    OPTIONAL_DOCUMENTS = {"change-basis": 1}
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_wrong_number_of_in_documents_is_usage_error(self, capsys, name):
+        argv = next(argv for argv in GOLDEN_CASES.values() if argv[0] == name)
+        most = argv.count("--in")
+        fewest = most - self.OPTIONAL_DOCUMENTS.get(name, 0)
+        flags = [a for i, a in enumerate(argv) if "--in" not in argv[i - 1 : i + 1]]  # no --in
+        for count in [most + 1] + ([fewest - 1] if fewest else []):
+            code, out, err = run(capsys, *flags, *["--in", inpath("a22.json")] * count)
+            assert code == 2, (count, err)
+            assert out == ""
+            assert re.search(r"^kreinalg( verify)?: error: ", err, re.M), err
+
     def test_degenerate_form_is_domain_error(self, capsys):
         code, _, err = run(capsys, "check", "--kind", "pseudo-unitary",
                            "--in", inpath("eye2.json"), "--hform", inpath("malformed.json"))
         assert code == 1
+
+
+class TestDispatch:
+    """Handlers are looked up when a command runs, so a rebinding of
+    ``_cmd_<name>`` (as a span tracer does) is the one that runs."""
+
+    def test_main_calls_the_current_handler(self, capsys, monkeypatch):
+        calls = []
+        original = cli._cmd_det
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_cmd_det", spy)
+        code, out, _ = run(capsys, "det", "--in", inpath("a22.json"))
+        assert code == 0 and len(calls) == 1
+        assert out == (GOLDEN / "expected" / "det.txt").read_text()
+
+    def test_subcommands_are_the_parser_choices(self):
+        actions = cli.build_parser()._subparsers._group_actions
+        choices = [a.choices for a in actions if isinstance(a, argparse._SubParsersAction)]
+        assert [tuple(c) for c in choices] == [SUBCOMMANDS]
 
 
 class TestCheckKinds:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestNorm:
         x, y = random_ket(rng, 3, "complex"), random_ket(rng, 3, "complex")
         assert norm(x + y, ip) <= norm(x, ip) + norm(y, ip) + 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        field=st.sampled_from(["real", "complex"]),
+        k=st.integers(-1000, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_is_exact(self, n, field, k, seed):
+        # Far outside the range where (x, x) neither overflows nor underflows.
+        rng, ip = _random_ip(seed, n, field)
+        x = random_ket(rng, n, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(math.ldexp(1.0, k) * x, ip) == math.ldexp(norm(x, ip), k)
+
     def test_cauchy_schwarz_bulk(self):
         rng = np.random.default_rng(76)
         for _ in range(200):
@@ -172,7 +188,7 @@ class TestOrthonormalize:
         with pytest.raises(DependentSetError):
             orthonormalize([np.array([[1.0], [1.0]]), np.array([[2.0], [2.0]])], ip)
 
-    @pytest.mark.parametrize("c", [1e-13, 1e-100, 1e100])
+    @pytest.mark.parametrize("c", [1e-13, 1e-100, 1e100, 1e-160, 1e160, 1e-300, 1e300])
     def test_small_independent_set_accepted(self, c):
         # An absolute breakdown threshold (1e-12) rejected this at c = 1e-13.
         ip = standard_inner_product(SPACE2)
@@ -192,6 +208,24 @@ class TestOrthonormalize:
         vectors = [random_ket(rng, n, field) for _ in range(n)]
         scaled = orthonormalize([math.ldexp(1.0, k) * v for v in vectors], ip)
         np.testing.assert_array_equal(scaled.matrix, orthonormalize(vectors, ip).matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        field=st.sampled_from(["real", "complex"]),
+        exponent=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_scale_gives_the_same_basis(self, n, field, exponent, seed):
+        rng, ip = _random_ip(seed, n, field)
+        v = random_invertible(rng, n, field)  # well conditioned: the scale is the only change
+        vectors = [v[:, [j]] for j in range(n)]
+        c = 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = orthonormalize([c * x for x in vectors], ip)
+        np.testing.assert_allclose(scaled.matrix, orthonormalize(vectors, ip).matrix,
+                                   rtol=0, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
