@@ -323,10 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kreinalg",
         description="Linear algebra over definite and indefinite inner products.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         if max(command.documents):
             p.add_argument("--in", dest="infile", action="append", default=[], metavar="DOC.json",
                            help="input matrix document (repeat for multi-input commands)")

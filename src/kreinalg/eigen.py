@@ -24,7 +24,7 @@ production decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import groupby
 
 import numpy as np
 
@@ -127,10 +127,15 @@ def _eigh(a):
     return w, vectors
 
 
+def _hermitian_form(a: np.ndarray, what: str) -> np.ndarray:
+    """Check (SymmetryError) and symmetrize a form."""
+    policy.require_hermitian(a, what)
+    return (a + hermitian_conjugate(a)) / 2.0
+
+
 def _hermitian_form_eigh(a: np.ndarray, what: str):
     """Check (SymmetryError), symmetrize and decompose a form: ``(a, w, vectors)``."""
-    policy.require_hermitian(a, what)
-    a = (a + hermitian_conjugate(a)) / 2.0
+    a = _hermitian_form(a, what)
     w, vectors = _eigh(a)
     return a, w, vectors
 
@@ -208,8 +213,13 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     The columns of ``vectors`` are G-orthonormal; G is the identity when
     ``gram`` is omitted.  Assembly costs O(n^3) for any spectrum: the
     columns are put in cluster order once and ``rows = V^+ G`` is formed
-    once, so each projector is one product of contiguous slices,
-    ``V[:, s:e] @ rows[s:e]``.
+    once, so each projector is the product ``V[:, s:e] @ rows[s:e]`` of
+    one cluster's contiguous slices.  A run of consecutive clusters of one
+    size m is one batched ``np.matmul`` of their stacked ``(c, n, m)`` and
+    ``(c, m, n)`` slices, written into one ``(k, n, n)`` block whose rows
+    are the projectors, descending; a simple spectrum is a single run.
+    Batched or not, each product has the bits of its own two-dimensional
+    ``matmul``.
     """
     tol = policy.CLUSTER_TOL * policy.norm(w)
     distinct, groups = cluster_eigenvalues(w, tol)
@@ -217,15 +227,20 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     rows = hermitian_conjugate(cols)
     if gram is not None:
         rows = rows @ gram
+    n = cols.shape[0]
     multiplicities = tuple(len(g) for g in groups)
-    projectors = []
-    for m, end in zip(multiplicities, accumulate(multiplicities)):
-        proj = cols[:, end - m : end] @ rows[end - m : end]
-        projectors.append(proj.real if real else proj)
+    block = np.empty((len(groups), n, n), dtype=rows.dtype)
+    first = start = 0
+    for m, run in groupby(multiplicities):
+        c = len(list(run))
+        end = start + c * m
+        stacked_cols = cols[:, start:end].reshape(n, c, m).transpose(1, 0, 2)
+        np.matmul(stacked_cols, rows[start:end].reshape(c, m, n), out=block[first : first + c])
+        first, start = first + c, end
     return SpectralDecomposition(
         eigenvalues=tuple(distinct),
         multiplicities=multiplicities,
-        projectors=tuple(projectors),
+        projectors=tuple(block.real if real else block),
     )
 
 

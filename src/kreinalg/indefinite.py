@@ -30,6 +30,7 @@ from .errors import (
 )
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
+    _hermitian_form,
     _hermitian_form_eigh,
     _spectral_function,
     jacobi_hermitian,
@@ -76,9 +77,12 @@ __all__ = [
 class HForm:
     """A non-degenerate Hermitian form, carried by its Gram matrix K.
 
-    Construction validates Hermiticity and non-degeneracy and caches the
-    eigendecomposition ``K = U diag(lambda) U^+``, from which the
-    compatible structure, its canonical frame and the signature follow.
+    Construction validates Hermiticity and non-degeneracy (every
+    ``|eigenvalue| > FORM_TOL ||K||``) and caches the eigendecomposition
+    ``K = U diag(lambda) U^+``, from which the compatible structure, its
+    canonical frame and the signature follow.  The form of an explicit
+    (G, K) pair is not factorized: :func:`metric_structure_from` takes
+    its signature and its non-degeneracy from the frame solve instead.
     The inverse ``K^{-1}`` (LU) is computed on first use: only the Dirac
     adjoint of a covector reads it.
     """
@@ -86,14 +90,22 @@ class HForm:
     def __init__(self, space: VectorSpace, matrix) -> None:
         k, eigenvalues, vectors = _hermitian_form_eigh(space.operator(matrix), "H-form matrix")
         if not policy.clears_form_floor(np.abs(eigenvalues), k):
-            raise DegenerateFormError(
-                f"H-form is numerically degenerate "
-                f"(min |eigenvalue| = {np.min(np.abs(eigenvalues)):.3e})"
-            )
+            raise _degenerate("min |eigenvalue|", np.abs(eigenvalues))
         self.space = space
         self.matrix = k
         self._eigenvalues = eigenvalues
         self._eigenvectors = vectors
+
+    @classmethod
+    def _of_pair(cls, space: VectorSpace, matrix) -> HForm:
+        """The Hermitian-checked, symmetrized form of a pair, not decomposed.
+
+        Its non-degeneracy is for the caller to establish.
+        """
+        hf = cls.__new__(cls)
+        hf.space = space
+        hf.matrix = _hermitian_form(space.operator(matrix), "H-form matrix")
+        return hf
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -146,9 +158,14 @@ def _space_for(matrix: np.ndarray, space: VectorSpace | None, label: str) -> Vec
     return VectorSpace(n, field_of(matrix), label)
 
 
-def _signature_of(hform: HForm) -> tuple:
-    n_plus = int(np.sum(hform._eigenvalues > 0))
-    return n_plus, hform.space.dim - n_plus
+def _degenerate(label: str, values) -> DegenerateFormError:
+    return DegenerateFormError(f"H-form is numerically degenerate ({label} = {np.min(values):.3e})")
+
+
+def _signature_of(values) -> tuple:
+    """(n_plus, n_minus): the signs of a form's eigenvalues, or of congruent ones."""
+    n_plus = int(np.sum(values > 0))
+    return n_plus, len(values) - n_plus
 
 
 def _eta_diag(signature: tuple) -> tuple:
@@ -156,14 +173,8 @@ def _eta_diag(signature: tuple) -> tuple:
     return (1,) * n_plus + (-1,) * n_minus
 
 
-def _pair_frame(ip: InnerProduct, h: np.ndarray, signature: tuple) -> HOrthonormalBasis:
+def _pair_frame(ip: InnerProduct, u: np.ndarray, signature: tuple) -> HOrthonormalBasis:
     """``B = G^{-1/2} u`` and ``B^{-1} = u^+ G^{1/2}``, u the eigenvectors of ``G^{1/2} h G^{-1/2}``."""
-    w, u = _g_selfadjoint_eigh(h, ip)
-    n_plus = int(np.sum(w > 0))
-    if (n_plus, len(w) - n_plus) != signature:
-        raise DegenerateFormError(
-            "metric eigenvalues did not split into the recorded signature"
-        )
     b = ip.sqrt_inv @ u
     b_inv = hermitian_conjugate(u) @ ip.sqrt
     if ip.space.field == REAL:
@@ -183,11 +194,17 @@ def _hform_frame(hf: HForm, signature: tuple) -> HOrthonormalBasis:
 def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) -> MetricStructure:
     """Build a structure from an explicit (G, K) pair.
 
-    The pair must be compatible: h = G^{-1} K has to square to the
-    identity, otherwise CompatibilityError is raised.  The canonical
-    frame comes from one more solve, of the Hermitian ``G^{1/2} h
-    G^{-1/2}``; DegenerateFormError is raised if its eigenvalue signs do
-    not match the signature of K.
+    K is checked Hermitian (SymmetryError) but not decomposed.  The one
+    solve after G's is of the Hermitian ``G^{1/2} h G^{-1/2} =
+    G^{-1/2} K G^{-1/2}``, with ``h = G^{-1} K``: its eigenvectors give the
+    canonical frame, and its eigenvalues ``w`` are congruent to K's, so by
+    Sylvester's law of inertia their signs are K's signature.  By
+    Ostrowski's theorem every ``|eigenvalue|`` of K is at least
+    ``lambda_min(G) min |w|``, so K counts as non-degenerate when that
+    bound exceeds ``FORM_TOL ||K||``, otherwise DegenerateFormError is
+    raised; this accepts no K that :class:`HForm`'s own floor rejects.
+    Only then must the pair be compatible: h has to square to the
+    identity, otherwise CompatibilityError is raised.
     """
     gram = np.asarray(gram)
     hform_matrix = np.asarray(hform_matrix)
@@ -195,17 +212,21 @@ def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) 
         raise FieldError("Gram matrix and H-form must share the scalar field")
     space = _space_for(gram, space, "V")
     ip = InnerProduct(space, gram)
-    hf = HForm(space, hform_matrix)
+    hf = HForm._of_pair(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
+    w, u = _g_selfadjoint_eigh(h, ip)
+    bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
+    if not policy.clears_form_floor(bounds, hf.matrix):
+        raise _degenerate("lambda_min(G) min |w|", bounds)
     # h is G-selfadjoint, so h# = h and compatibility is the isometry rule.
     if not policy.isometric(h, lambda m: m):
         residual = policy.norm(h @ h - np.eye(space.dim))
         raise CompatibilityError(
             f"metric operator does not square to the identity (residual {residual:.3e})"
         )
-    signature = _signature_of(hf)
+    signature = _signature_of(w)
     return MetricStructure(
-        ip=ip, hform=hf, h=h, signature=signature, frame=_pair_frame(ip, h, signature)
+        ip=ip, hform=hf, h=h, signature=signature, frame=_pair_frame(ip, u, signature)
     )
 
 
@@ -225,7 +246,7 @@ def compatible_structure_from_hform(hform_matrix, space: VectorSpace | None = No
     lam = hf._eigenvalues
     h = _spectral_function(u, np.sign(lam), space.field == REAL)
     ip = InnerProduct._from_eigh(space, np.abs(lam), u)
-    signature = _signature_of(hf)
+    signature = _signature_of(lam)
     return MetricStructure(
         ip=ip, hform=hf, h=h, signature=signature, frame=_hform_frame(hf, signature)
     )

@@ -29,7 +29,8 @@ __all__ = [
 
 # Self-adjointness and isometry, relative to the operators involved.
 TOL = 1e-9
-# Non-degenerate (definite) form K: every |eigenvalue| (eigenvalue) > FORM_TOL ||K||.
+# Non-degenerate (definite) form K: every |eigenvalue| (eigenvalue), or a lower
+# bound on it, > FORM_TOL ||K||.
 FORM_TOL = 1e-10
 # A singular value s counts as zero when s <= RANK_TOL * s_max.
 RANK_TOL = 1e-10
@@ -53,7 +54,24 @@ def norm(a) -> float:
     It equals the plain ``np.linalg.norm(a)`` wherever that neither
     overflows nor underflows.
     """
-    return scale_free_norm(a, lambda m: float(np.linalg.norm(m)))
+    return scale_free_norm(a, _frobenius)
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)``, numpy's own formula without its wrapper.
+
+    Non-float data is cast to float first; the entries are read in
+    memory order, and a complex array's squares are summed as
+    ``re.re + im.im``.  For float64 and complex128 data the bits are
+    numpy's.
+    """
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def scale_free_norm(a, measure) -> float:
@@ -147,7 +165,11 @@ def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
 
 
 def clears_form_floor(values, k) -> bool:
-    """Every value (an eigenvalue of the form ``k``) exceeds ``FORM_TOL ||k||``."""
+    """Every value exceeds ``FORM_TOL ||k||``.
+
+    The values are the eigenvalues of the form ``k`` (their moduli, for
+    an indefinite form), or lower bounds on those moduli.
+    """
     return bool(np.min(values) > FORM_TOL * norm(k))
 
 

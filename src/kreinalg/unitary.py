@@ -48,9 +48,10 @@ class InnerProduct:
     """A positive-definite Hermitian Gram matrix on a space.
 
     Construction validates Hermiticity and positive definiteness, runs one
-    eigendecomposition ``G = U diag(w) U^+``, and caches the inverse and
-    the Hermitian square-root factors ``U diag(w^{+-1/2}) U^+`` used by the
-    adjoint and spectral machinery.  A Gram matrix built from eigenpairs
+    eigendecomposition ``G = U diag(w) U^+``, and caches the inverse, the
+    smallest eigenvalue ``min_eigenvalue`` and the Hermitian square-root
+    factors ``U diag(w^{+-1/2}) U^+`` used by the adjoint and spectral
+    machinery.  A Gram matrix built from eigenpairs
     that are already known (the ``|K|`` of a bare H-form) skips the
     solve: see :meth:`_from_eigh`.  The inverse is always the LU inverse
     of ``G``, which is more accurate than ``U diag(1/w) U^+``.
@@ -82,6 +83,7 @@ class InnerProduct:
         self.space = space
         self.gram = g
         self.gram_inv = np.linalg.inv(g)
+        self.min_eigenvalue = float(np.min(w))
         real = space.field == REAL
         self.sqrt = _spectral_function(vectors, np.sqrt(w), real)
         self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(w), real)

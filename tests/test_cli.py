@@ -252,6 +252,20 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "det")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--in", "1", "--dims", "1"],  # not --instances
+            ["adjoint", "--gr", inpath("gram2.json"), "--in", inpath("a22.json")],  # not --gram
+        ],
+        ids=["verify-in", "adjoint-gr"],
+    )
+    def test_abbreviated_option_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert re.search(r"^kreinalg: error: unrecognized arguments: ", err, re.M), err
+
     def test_bad_dims_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--dims", "0,5")
         assert code == 2

@@ -235,25 +235,28 @@ class TestProjectorAssembly:
             ip = InnerProduct(space, random_positive_definite(rng, n, field))
         else:
             ip = standard_inner_product(space)
-        f = random_g_selfadjoint(rng, ip, separated_eigenvalues(rng, n, multiplicities=True))
-        w, vectors = g_selfadjoint_eigen(f, ip)
         gram = ip.gram if with_gram else None
         real = field == "real"
-        dec = _spectral_decomposition(w, vectors, real, gram)
-        groups, reference = _projectors_per_cluster(w, vectors, real, gram)
-        assert dec.multiplicities == tuple(len(g) for g in groups)
-        assert n == 1 or len(groups) < n  # the spectrum has repeats from n = 2 up
-        for group, p, q in zip(groups, dec.projectors, reference):
-            assert p.dtype == q.dtype
-            if gram is None:
-                assert np.array_equal(p, q)
-                continue
-            # Either association of V_g V_g^+ G is within (g_m + g_n + g_m g_n) |V_g| |V_g^+| |G|
-            # of the exact product, for m the cluster size, n the inner dimension of the G
-            # product and g_k = (k + 2) eps, which covers complex arithmetic.
-            g_m, g_n = (len(group) + 2) * EPS, (n + 2) * EPS
-            magnitude = policy.norm(vectors[:, group]) ** 2 * policy.norm(gram)
-            assert policy.norm(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
+        # With repeats from n = 2 up, and simple: one batched product of rank-1 slices.
+        for repeats in (True, False):
+            f = random_g_selfadjoint(rng, ip, separated_eigenvalues(rng, n, multiplicities=repeats))
+            w, vectors = g_selfadjoint_eigen(f, ip)
+            dec = _spectral_decomposition(w, vectors, real, gram)
+            groups, reference = _projectors_per_cluster(w, vectors, real, gram)
+            assert dec.multiplicities == tuple(len(g) for g in groups)
+            assert n == 1 or (len(groups) < n) == repeats
+            for group, p, q in zip(groups, dec.projectors, reference):
+                assert p.dtype == q.dtype
+                if gram is None:
+                    # Bytes, not values: a -0.0 for a 0.0 is a difference too.
+                    assert p.tobytes() == q.tobytes()
+                    continue
+                # Either association of V_g V_g^+ G is within (g_m + g_n + g_m g_n) |V_g| |V_g^+| |G|
+                # of the exact product, for m the cluster size, n the inner dimension of the G
+                # product and g_k = (k + 2) eps, which covers complex arithmetic.
+                g_m, g_n = (len(group) + 2) * EPS, (n + 2) * EPS
+                magnitude = policy.norm(vectors[:, group]) ** 2 * policy.norm(gram)
+                assert policy.norm(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
 
 
 def _jacobi_descending(a):

@@ -1,7 +1,9 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg import (
     UP,
@@ -508,6 +510,66 @@ class TestCanonicalFrame:
         np.testing.assert_array_equal(inverse, np.linalg.inv(ms.hform.matrix))
 
 
+def _pair_parts(seed, n, field, magnitudes):
+    """``G = R^2`` and ``K = R V diag(d) V^+ R``, d = signs times ``magnitudes``.
+
+    ``h = G^{-1} K`` is similar to ``V diag(d) V^+``, so the pair is
+    compatible exactly when every magnitude is 1, and K is singular
+    where a magnitude is 0.
+    """
+    rng = np.random.default_rng(seed)
+    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    u = random_unitary(rng, n, field)
+    root = (u * np.sqrt(10.0 ** -rng.uniform(0.0, 1.0, size=n))) @ hermitian_conjugate(u)
+    v = random_unitary(rng, n, field)
+    k = root @ (v * (signs * magnitudes)) @ hermitian_conjugate(v) @ root
+    return (root @ root, (k + hermitian_conjugate(k)) / 2.0)
+
+
+_PAIRS = dict(
+    n=st.integers(1, 8),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestPairWithoutFormSolve:
+    """The pair kind takes K's signature and floor from the frame solve, not from K's own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PAIRS)
+    def test_signature_is_the_count_of_positive_eigenvalues_of_k(self, n, field, seed):
+        g, k = _pair_parts(seed, n, field, np.ones(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = metric_structure_from(g, k)
+        n_plus = int(np.sum(np.linalg.eigvalsh(k) > 0))
+        assert ms.signature == (n_plus, n - n_plus)
+        assert ms.frame.eta_diag == (1,) * n_plus + (-1,) * (n - n_plus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PAIRS, zero=st.integers(0, 7))
+    def test_singular_k_is_degenerate_not_incompatible(self, n, field, seed, zero):
+        magnitudes = np.ones(n)
+        magnitudes[zero % n] = 0.0
+        g, k = _pair_parts(seed, n, field, magnitudes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFormError):
+                metric_structure_from(g, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PAIRS, stretch=st.floats(1.5, 3.0))
+    def test_incompatible_nondegenerate_pair_is_incompatible(self, n, field, seed, stretch):
+        magnitudes = np.ones(n)
+        magnitudes[seed % n] = stretch
+        g, k = _pair_parts(seed, n, field, magnitudes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CompatibilityError):
+                metric_structure_from(g, k)
+
+
 class TestFactorizationCounts:
     """LAPACK factorizations per construction, pinned: a structure factorizes once."""
 
@@ -533,7 +595,7 @@ class TestFactorizationCounts:
         assert counts == {"eigh": 1, "inv": 1, "svd": 0}
         counts.update(eigh=0, inv=0)
         pair = metric_structure_from(ms.ip.gram, ms.hform.matrix)
-        assert counts == {"eigh": 3, "inv": 1, "svd": 0}
+        assert counts == {"eigh": 2, "inv": 1, "svd": 0}  # G and the frame; K is not decomposed
         counts.update(eigh=0, inv=0)
         for structure in (ms, pair):
             h_orthonormal_basis(structure)

@@ -164,12 +164,31 @@ class TestScaledNorm:
             for m in (a, a.T):
                 assert policy.norm(m).hex() == _scaled_norm(m).hex(), exponent
 
+    def test_equals_numpy_on_every_layout_and_dtype(self):
+        rng = np.random.default_rng(15)
+        real = random_matrix(rng, 9, 12, "real")
+        cplx = random_matrix(rng, 9, 12, "complex")
+        arrays = {
+            "int": rng.integers(-9, 10, size=(5, 4)),
+            "bool": rng.random((5, 4)) < 0.5,
+            "fortran real": np.asfortranarray(real),
+            "fortran complex": np.asfortranarray(cplx),
+            "strided real": real[::2, ::3],
+            "strided complex": cplx[::2, ::3],
+            "real part": cplx.real,
+            "imaginary part": cplx.imag,
+            "strided real part": cplx[1::2, ::3].real,
+            "vector": real[:, 4],
+        }
+        for name, a in arrays.items():
+            assert policy.norm(a).hex() == float(np.linalg.norm(a)).hex(), name
+
     def test_subnormal_complex(self):
         a = np.array([[3e-320 + 4e-320j]])  # 6072 and 8096 ulps of 0: |a| is exactly 10120
         assert policy.norm(a) == abs(a[0, 0]) == 10120 * 2.0**-1074
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("c", [1e300, 1e-300, 1e-320])
+    @pytest.mark.parametrize("c", [1e300, 1e200, 1e-200, 1e-300, 1e-320])
     def test_no_warning_at_the_extremes(self, field, c):
         a = c * random_matrix(np.random.default_rng(14), 8, 8, field)
         with warnings.catch_warnings():
