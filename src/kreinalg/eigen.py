@@ -30,7 +30,7 @@ import numpy as np
 
 from . import policy
 from .errors import ConvergenceError
-from .matrices import REAL, _require_square, field_of, hermitian_conjugate
+from .matrices import _require_square, hermitian_conjugate
 
 __all__ = [
     "SpectralDecomposition",
@@ -140,23 +140,28 @@ def _hermitian_form_eigh(a: np.ndarray, what: str):
     return a, w, vectors
 
 
-def _spectral_function(vectors, values, real: bool) -> np.ndarray:
-    """``V diag(values) V^+`` for orthonormal eigenvectors V of a Hermitian matrix."""
-    out = (vectors * values) @ hermitian_conjugate(vectors)
-    return out.real if real else out
+def _spectral_function(vectors, values) -> np.ndarray:
+    """``V diag(values) V^+`` for orthonormal eigenvectors V of a Hermitian matrix.
+
+    Real eigenvalues keep the field of V, which is the field of the
+    decomposed matrix: ``eigh`` of real data has real eigenvectors.
+    """
+    return (vectors * values) @ hermitian_conjugate(vectors)
 
 
-def cluster_eigenvalues(values, tol: float):
+def cluster_eigenvalues(values):
     """Group nearly equal real eigenvalues, descending.
 
     Returns ``(distinct, groups)``: the representative (mean) eigenvalue
     of each cluster and the index groups into the original array.  In
     descending order, a value joins the previous one's cluster when the
-    two are at most ``tol`` apart, so near-ties chain.
+    two are at most ``CLUSTER_TOL * policy.norm(values)`` apart, so
+    near-ties chain.
     """
     values = np.asarray(values, dtype=np.float64)
     if not values.size:
         return [], []
+    tol = policy.CLUSTER_TOL * policy.norm(values)
     order = np.argsort(values)[::-1]
     ordered = values[order]
     # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
@@ -204,14 +209,16 @@ def eigen_hermitian(a) -> SpectralDecomposition:
     a = np.asarray(a)
     _require_square(a)
     _, w, vectors = _hermitian_form_eigh(a, "matrix")
-    return _spectral_decomposition(w, vectors, field_of(a) == REAL)
+    return _spectral_decomposition(w, vectors)
 
 
-def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomposition:
+def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     """Group eigenpairs into eigenspaces with projectors ``V V^+ G``.
 
     The columns of ``vectors`` are G-orthonormal; G is the identity when
-    ``gram`` is omitted.  Assembly costs O(n^3) for any spectrum: the
+    ``gram`` is omitted.  The projectors are over the field of ``vectors``
+    (and ``gram``): real eigenpairs of a real problem give real
+    projectors.  Assembly costs O(n^3) for any spectrum: the
     columns are put in cluster order once and ``rows = V^+ G`` is formed
     once, so each projector is the product ``V[:, s:e] @ rows[s:e]`` of
     one cluster's contiguous slices.  A run of consecutive clusters of one
@@ -221,8 +228,7 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     Batched or not, each product has the bits of its own two-dimensional
     ``matmul``.
     """
-    tol = policy.CLUSTER_TOL * policy.norm(w)
-    distinct, groups = cluster_eigenvalues(w, tol)
+    distinct, groups = cluster_eigenvalues(w)
     cols = vectors[:, np.concatenate(groups)]
     rows = hermitian_conjugate(cols)
     if gram is not None:
@@ -240,7 +246,7 @@ def _spectral_decomposition(w, vectors, real: bool, gram=None) -> SpectralDecomp
     return SpectralDecomposition(
         eigenvalues=tuple(distinct),
         multiplicities=multiplicities,
-        projectors=tuple(block.real if real else block),
+        projectors=tuple(block),
     )
 
 

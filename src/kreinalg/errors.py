@@ -30,7 +30,7 @@ class ShapeError(KreinAlgError):
 
 
 class FieldError(KreinAlgError):
-    """Operands live over different scalar fields (real vs complex)."""
+    """Operands live over different scalar fields, or complex data meets a real space."""
 
 
 class SpaceError(KreinAlgError):

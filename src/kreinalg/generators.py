@@ -142,10 +142,7 @@ def random_g_selfadjoint(
     if eigenvalues is None:
         eigenvalues = separated_eigenvalues(rng, n)
     w = ip.sqrt_inv @ random_unitary(rng, n, ip.space.field)
-    f = w @ np.diag(np.asarray(eigenvalues, dtype=float)).astype(w.dtype) @ np.linalg.inv(w)
-    if ip.space.field == REAL:
-        f = f.real
-    return f
+    return w @ np.diag(np.asarray(eigenvalues, dtype=float)).astype(w.dtype) @ np.linalg.inv(w)
 
 
 def random_dirac_selfadjoint(rng: np.random.Generator, ms) -> np.ndarray:

@@ -151,13 +151,6 @@ class MetricStructure:
         return np.concatenate([np.ones(n_plus), -np.ones(n_minus)])
 
 
-def _space_for(matrix: np.ndarray, space: VectorSpace | None, label: str) -> VectorSpace:
-    if space is not None:
-        return space
-    n = matrix.shape[0]
-    return VectorSpace(n, field_of(matrix), label)
-
-
 def _degenerate(label: str, values) -> DegenerateFormError:
     return DegenerateFormError(f"H-form is numerically degenerate ({label} = {np.min(values):.3e})")
 
@@ -175,10 +168,7 @@ def _eta_diag(signature: tuple) -> tuple:
 
 def _pair_frame(ip: InnerProduct, u: np.ndarray, signature: tuple) -> HOrthonormalBasis:
     """``B = G^{-1/2} u`` and ``B^{-1} = u^+ G^{1/2}``, u the eigenvectors of ``G^{1/2} h G^{-1/2}``."""
-    b = ip.sqrt_inv @ u
-    b_inv = hermitian_conjugate(u) @ ip.sqrt
-    if ip.space.field == REAL:
-        b, b_inv = b.real, b_inv.real
+    b, b_inv = ip.sqrt_inv @ u, hermitian_conjugate(u) @ ip.sqrt
     return HOrthonormalBasis(Basis._with_inverse(ip.space, b, b_inv), _eta_diag(signature))
 
 
@@ -191,11 +181,13 @@ def _hform_frame(hf: HForm, signature: tuple) -> HOrthonormalBasis:
     return HOrthonormalBasis(Basis._with_inverse(hf.space, u / scale, b_inv), _eta_diag(signature))
 
 
-def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) -> MetricStructure:
+def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     """Build a structure from an explicit (G, K) pair.
 
-    K is checked Hermitian (SymmetryError) but not decomposed.  The one
-    solve after G's is of the Hermitian ``G^{1/2} h G^{-1/2} =
+    G and K must share the scalar field, otherwise FieldError is raised;
+    the space is ``VectorSpace(n, field)`` for the n of G.  K is checked
+    Hermitian (SymmetryError) but not decomposed.  The one solve after
+    G's is of the Hermitian ``G^{1/2} h G^{-1/2} =
     G^{-1/2} K G^{-1/2}``, with ``h = G^{-1} K``: its eigenvectors give the
     canonical frame, and its eigenvalues ``w`` are congruent to K's, so by
     Sylvester's law of inertia their signs are K's signature.  By
@@ -210,7 +202,7 @@ def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) 
     hform_matrix = np.asarray(hform_matrix)
     if field_of(gram) != field_of(hform_matrix):
         raise FieldError("Gram matrix and H-form must share the scalar field")
-    space = _space_for(gram, space, "V")
+    space = VectorSpace(gram.shape[0], field_of(gram))
     ip = InnerProduct(space, gram)
     hf = HForm._of_pair(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
@@ -230,9 +222,10 @@ def metric_structure_from(gram, hform_matrix, space: VectorSpace | None = None) 
     )
 
 
-def compatible_structure_from_hform(hform_matrix, space: VectorSpace | None = None) -> MetricStructure:
+def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     """Synthesize the compatible inner product of a bare H-form.
 
+    The space is ``VectorSpace(n, field)`` for the n and the field of K.
     Everything comes from the one eigendecomposition ``K = U Lambda U^+``:
     the positive-definite ``G = U |Lambda| U^+`` (with its square roots),
     the metric operator ``h = U sign(Lambda) U^+`` and the canonical frame
@@ -240,11 +233,11 @@ def compatible_structure_from_hform(hform_matrix, space: VectorSpace | None = No
     factorization.
     """
     hform_matrix = np.asarray(hform_matrix)
-    space = _space_for(hform_matrix, space, "V")
+    space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
     hf = HForm(space, hform_matrix)
     u = hf._eigenvectors
     lam = hf._eigenvalues
-    h = _spectral_function(u, np.sign(lam), space.field == REAL)
+    h = _spectral_function(u, np.sign(lam))
     ip = InnerProduct._from_eigh(space, np.abs(lam), u)
     signature = _signature_of(lam)
     return MetricStructure(

@@ -96,13 +96,8 @@ def matrix_document(matrix) -> dict:
         raise SchemaError(f"only 2-D matrices can be serialized, got ndim={matrix.ndim}")
     rows, cols = matrix.shape
     field = field_of(matrix)
-    if field == COMPLEX:
-        data = [
-            [[float(matrix[i, j].real), float(matrix[i, j].imag)] for j in range(cols)]
-            for i in range(rows)
-        ]
-    else:
-        data = [[float(matrix[i, j]) for j in range(cols)] for i in range(rows)]
+    data = np.stack([matrix.real, matrix.imag], -1) if field == COMPLEX else matrix
+    data = data.astype(np.float64).tolist()
     return {"field": field, "rows": int(rows), "cols": int(cols), "data": data}
 
 

@@ -145,10 +145,7 @@ def _random_structure(rng, n, field) -> MetricStructure:
     u = gen.random_unitary(rng, n, field)
     involution = u @ np.diag(signs).astype(u.dtype) @ hermitian_conjugate(u)
     k = ip.sqrt @ involution @ ip.sqrt
-    k = (k + hermitian_conjugate(k)) / 2.0
-    if field == REAL:
-        k = k.real
-    return metric_structure_from(ip.gram, k, space)
+    return metric_structure_from(ip.gram, (k + hermitian_conjugate(k)) / 2.0)
 
 
 def _random_ip(rng, n, field) -> InnerProduct:
@@ -407,10 +404,7 @@ def _check_charpoly_oracle(rng, n, field):
 
 def _check_isometry_injective(rng, n, field):
     ip = _random_ip(rng, n, field)
-    f = ip.sqrt_inv @ gen.random_unitary(rng, n, field) @ ip.sqrt
-    if field == REAL:
-        f = f.real
-    return abs(rank(f) - n)
+    return abs(rank(ip.sqrt_inv @ gen.random_unitary(rng, n, field) @ ip.sqrt) - n)
 
 
 # --------------------------------------------------------------------------

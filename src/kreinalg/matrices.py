@@ -54,16 +54,22 @@ def field_of(a: np.ndarray) -> str:
 
 
 def as_matrix(a, field: str | None = None) -> np.ndarray:
-    """Coerce ``a`` to a fresh 2-D float64/complex128 array.
+    """Coerce ``a`` to a fresh 2-D float64/complex128 array over ``field``.
 
-    Kets must be shaped ``(n, 1)`` and bras ``(1, n)``; 1-D input is
-    rejected so that row/column semantics stay explicit.
+    This is the one place where data is cast to a field; by default the
+    field is the data's own.  Real data on the complex field is upcast
+    exactly; complex data (a complex dtype, whatever its imaginary parts)
+    on the real field raises FieldError.  Kets must be shaped ``(n, 1)``
+    and bras ``(1, n)``; 1-D input is rejected so that row/column
+    semantics stay explicit.
     """
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if field is None:
         field = field_of(arr)
+    elif field == REAL and np.iscomplexobj(arr):
+        raise FieldError("complex data cannot be cast to the real field")
     return np.array(arr, dtype=_dtype(field))
 
 

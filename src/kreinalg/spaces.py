@@ -53,15 +53,20 @@ class VectorSpace:
             raise SpaceError(f"unknown field {self.field!r}")
 
     def ket(self, x) -> np.ndarray:
-        """``x`` as a fresh ``(dim, 1)`` column over this space's field."""
+        """``x`` as a fresh ``(dim, 1)`` column over this space's field.
+
+        Cast by :func:`as_matrix`, as are bras and operators: real data on
+        a complex space is upcast exactly, and complex data on a real
+        space raises FieldError.
+        """
         return self._coerce(x, (self.dim, 1), "a ket")
 
     def bra(self, y) -> np.ndarray:
-        """``y`` as a fresh ``(1, dim)`` row over this space's field."""
+        """``y`` as a fresh ``(1, dim)`` row over this space's field (see :meth:`ket`)."""
         return self._coerce(y, (1, self.dim), "a bra")
 
     def operator(self, f) -> np.ndarray:
-        """``f`` as a fresh ``(dim, dim)`` matrix over this space's field."""
+        """``f`` as a fresh ``(dim, dim)`` matrix over this space's field (see :meth:`ket`)."""
         return self._coerce(f, (self.dim, self.dim), "an operator")
 
     def _coerce(self, a, shape: tuple, what: str) -> np.ndarray:
@@ -188,7 +193,8 @@ def _require_same_space(a: Basis, b: Basis) -> None:
 
 
 def _map_matrix(f_natural, domain: VectorSpace, codomain: VectorSpace) -> np.ndarray:
-    f = as_matrix(f_natural)
+    """``f`` as a fresh ``(codomain.dim, domain.dim)`` matrix over the domain's field."""
+    f = as_matrix(f_natural, domain.field)
     if f.shape != (codomain.dim, domain.dim):
         raise ShapeError(f"map must have shape {(codomain.dim, domain.dim)}, got {f.shape}")
     return f
@@ -272,12 +278,8 @@ def canonical_form_bases(
     r = policy.singular_rank(s)
     stretch = np.ones(domain_space.dim)
     stretch[:r] = 1.0 / s[:r]
-    domain_b = vh.conj().T @ np.diag(stretch)
-    if domain_space.field == REAL:
-        domain_b = domain_b.real
-        u = u.real
     return (
-        Basis(domain_space, domain_b),
+        Basis(domain_space, vh.conj().T @ np.diag(stretch)),
         Basis(codomain_space, u),
         r,
     )

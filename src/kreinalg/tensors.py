@@ -15,7 +15,7 @@ import numpy as np
 
 from . import policy
 from .errors import ShapeError, SingularBasisError, SpaceError, VarianceError
-from .matrices import _dtype
+from .matrices import as_matrix
 from .spaces import VectorSpace
 
 __all__ = [
@@ -71,7 +71,7 @@ class Tensor:
 
 def scalar_tensor(space: VectorSpace, value) -> Tensor:
     """Rank-0 tensor holding a single scalar."""
-    return Tensor(space, (), np.asarray(value, dtype=_dtype(space.field)))
+    return Tensor(space, (), as_matrix([[value]], space.field).reshape(()))
 
 
 def tensor_from_ket(space: VectorSpace, ket) -> Tensor:

@@ -25,7 +25,7 @@ from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/sel
     _spectral_function,
     jacobi_hermitian,
 )
-from .matrices import COMPLEX, REAL, hermitian_conjugate
+from .matrices import COMPLEX, hermitian_conjugate
 from .spaces import Basis, VectorSpace
 
 __all__ = [
@@ -69,7 +69,7 @@ class InnerProduct:
         bits as ``InnerProduct(space, U diag(w) U^+)``; the square roots
         come from ``(U, w)`` without a second solve.
         """
-        g = _spectral_function(vectors, w, space.field == REAL)
+        g = _spectral_function(vectors, w)
         ip = cls.__new__(cls)
         ip._cache(space, (g + hermitian_conjugate(g)) / 2.0, w, vectors)
         return ip
@@ -84,9 +84,8 @@ class InnerProduct:
         self.gram = g
         self.gram_inv = np.linalg.inv(g)
         self.min_eigenvalue = float(np.min(w))
-        real = space.field == REAL
-        self.sqrt = _spectral_function(vectors, np.sqrt(w), real)
-        self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(w), real)
+        self.sqrt = _spectral_function(vectors, np.sqrt(w))
+        self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(w))
 
     def __repr__(self) -> str:
         return f"InnerProduct(space={self.space!r})"
@@ -180,10 +179,7 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
     if not np.all(np.isfinite(f)):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
     w, u = _g_selfadjoint_eigh(f, ip)
-    columns = ip.sqrt_inv @ u
-    if ip.space.field == REAL:
-        columns = columns.real
-    return w, columns
+    return w, ip.sqrt_inv @ u
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:
@@ -204,7 +200,7 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
     if not is_selfadjoint(f, ip):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
     w, columns = g_selfadjoint_eigen(f, ip)
-    return _spectral_decomposition(w, columns, ip.space.field == REAL, ip.gram)
+    return _spectral_decomposition(w, columns, ip.gram)
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:

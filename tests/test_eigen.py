@@ -152,22 +152,28 @@ class TestEigenHermitian:
 
 class TestClustering:
     def test_groups_and_means(self):
-        distinct, groups = cluster_eigenvalues([1.0, 1.0 + 1e-12, -2.0], tol=1e-9)
+        values = [1.0, 1.0 + 1e-12, -2.0]
+        distinct, groups = cluster_eigenvalues(values)
         assert len(distinct) == 2
         assert distinct[0] == pytest.approx(1.0, abs=1e-11)
         assert sorted(len(g) for g in groups) == [1, 2]
+        assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, _policy_tol(values)))
 
     def test_descending_order(self):
-        distinct, _ = cluster_eigenvalues([0.5, -3.0, 2.0], tol=1e-9)
+        values = [0.5, -3.0, 2.0]
+        distinct, _ = cluster_eigenvalues(values)
         assert distinct == sorted(distinct, reverse=True)
+        assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, _policy_tol(values)))
 
     def test_chained_near_ties_form_one_cluster(self):
-        a, b, c, d = 1.0 + 1.2e-9, 1.0 + 0.6e-9, 1.0, 1.0 - 1.2e-9
-        assert a - b <= 1e-9 and b - c <= 1e-9 and a - c > 1e-9 and c - d > 1e-9
+        t = _policy_tol([1.0, -2.0, 1.0, 1.0, 1.0])
+        a, b, c, d = 1.0 + 1.2 * t, 1.0 + 0.6 * t, 1.0, 1.0 - 1.2 * t
         values = [c, -2.0, a, d, b]
-        _, groups = cluster_eigenvalues(values, tol=1e-9)
+        tol = _policy_tol(values)
+        assert a - b <= tol and b - c <= tol and a - c > tol and c - d > tol
+        _, groups = cluster_eigenvalues(values)
         assert groups == [[2, 4, 0], [3], [1]]
-        assert _bits(cluster_eigenvalues(values, 1e-9)) == _bits(_cluster_loop(values, 1e-9))
+        assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, tol))
 
     @pytest.mark.parametrize(
         "values",
@@ -175,7 +181,7 @@ class TestClustering:
         ids=["exact-repeats", "single", "empty", "one-repeat"],
     )
     def test_matches_the_loop(self, values):
-        assert _bits(cluster_eigenvalues(values, 1e-9)) == _bits(_cluster_loop(values, 1e-9))
+        assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, _policy_tol(values)))
 
     def test_matches_the_loop_on_random_spectra(self):
         rng = np.random.default_rng(7300)
@@ -185,8 +191,13 @@ class TestClustering:
             # Relative noise far below CLUSTER_TOL: near-ties whose means are not exact.
             noisy = exact * (1.0 + 1e-12 * rng.standard_normal(n))
             for values in (exact, noisy):
-                tol = CLUSTER_TOL * policy.norm(values)
-                assert _bits(cluster_eigenvalues(values, tol)) == _bits(_cluster_loop(values, tol))
+                tol = _policy_tol(values)
+                assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, tol))
+
+
+def _policy_tol(values):
+    """The clustering tolerance the policy sets for ``values``."""
+    return CLUSTER_TOL * policy.norm(np.asarray(values, dtype=np.float64))
 
 
 def _cluster_loop(values, tol):
@@ -213,7 +224,7 @@ def _bits(clustering):
 
 def _projectors_per_cluster(w, vectors, real, gram):
     """``(V_g V_g^+) G`` for each cluster g, one full product each: the reference assembly."""
-    _, groups = cluster_eigenvalues(w, CLUSTER_TOL * policy.norm(w))
+    _, groups = cluster_eigenvalues(w)
     projectors = []
     for group in groups:
         cols = vectors[:, group]
@@ -241,7 +252,7 @@ class TestProjectorAssembly:
         for repeats in (True, False):
             f = random_g_selfadjoint(rng, ip, separated_eigenvalues(rng, n, multiplicities=repeats))
             w, vectors = g_selfadjoint_eigen(f, ip)
-            dec = _spectral_decomposition(w, vectors, real, gram)
+            dec = _spectral_decomposition(w, vectors, gram)
             groups, reference = _projectors_per_cluster(w, vectors, real, gram)
             assert dec.multiplicities == tuple(len(g) for g in groups)
             assert n == 1 or (len(groups) < n) == repeats

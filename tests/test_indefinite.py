@@ -14,12 +14,14 @@ from kreinalg import (
     SymmetryError,
     Tensor,
     adjoint,
+    canonical_form_bases,
     canonical_projectors,
     compatible_structure_from_hform,
     dirac_adjoint_covector,
     dirac_adjoint_operator,
     dirac_adjoint_vector,
     dirac_spectral,
+    eigen_hermitian,
     h_orthonormal_basis,
     hermitian_conjugate,
     hform_value,
@@ -32,16 +34,21 @@ from kreinalg import (
     minkowski_structure,
     policy,
     raise_lower_index,
+    spectral_representation,
 )
 from kreinalg.generators import (
     lorentz_boost,
     random_dirac_selfadjoint,
+    random_g_selfadjoint,
+    random_hermitian,
     random_invertible,
     random_ket,
+    random_matrix,
     random_nondegenerate_hform,
     random_pseudo_unitary,
     random_unitary,
 )
+from kreinalg.unitary import g_selfadjoint_eigen
 
 
 def _swap_structure():
@@ -438,6 +445,34 @@ def _conditioned_structure(rng, kind, n, field):
     v = random_unitary(rng, n, field)
     k = root @ (v * signs) @ hermitian_conjugate(v) @ root
     return metric_structure_from(root @ root, (k + hermitian_conjugate(k)) / 2.0)
+
+
+class TestRealFieldStaysReal:
+    """Every array returned on a real space is float64, with no cast to make it so."""
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_arrays_are_float64(self, kind, n):
+        rng = np.random.default_rng(9200 + n)
+        ms = _conditioned_structure(rng, kind, n, "real")
+        ip = ms.ip
+        f = random_g_selfadjoint(rng, ip)
+        _, columns = g_selfadjoint_eigen(f, ip)
+        domain_b, codomain_b, _ = canonical_form_bases(random_matrix(rng, n, n), ms.space, ms.space)
+        arrays = {
+            "eigen_hermitian": eigen_hermitian(random_hermitian(rng, n)).projectors,
+            "spectral_representation": spectral_representation(f, ip).projectors,
+            "dirac_spectral": dirac_spectral(random_dirac_selfadjoint(rng, ms), ms).projectors,
+            "h": [ms.h],
+            "frame": [ms.frame.basis.matrix, ms.frame.basis.inverse],
+            "inner product": [ip.gram, ip.sqrt, ip.sqrt_inv],
+            "g_selfadjoint_eigen": [columns],
+            "canonical_form_bases": [
+                domain_b.matrix, domain_b.inverse, codomain_b.matrix, codomain_b.inverse
+            ],
+        }
+        for name, group in arrays.items():
+            assert [a.dtype for a in group] == [np.float64] * len(group), name
 
 
 FRAME_CASES = [

@@ -6,6 +6,7 @@ import pytest
 from kreinalg import ParseError, SchemaError
 from kreinalg.generators import random_matrix
 from kreinalg.io import (
+    dumps,
     matrix_document,
     parse_matrix_document,
     scalar_pair,
@@ -88,3 +89,40 @@ class TestSerialize:
         rng = np.random.default_rng(201)
         text = serialize_matrix_document(random_matrix(rng, 2, 2, "complex"))
         json.loads(text)
+
+
+def _document_by_entry(matrix):
+    """The entry-at-a-time serializer, kept as the reference."""
+    matrix = np.asarray(matrix)
+    rows, cols = matrix.shape
+    if np.iscomplexobj(matrix):
+        field = "complex"
+        data = [
+            [[float(matrix[i, j].real), float(matrix[i, j].imag)] for j in range(cols)]
+            for i in range(rows)
+        ]
+    else:
+        field = "real"
+        data = [[float(matrix[i, j]) for j in range(cols)] for i in range(rows)]
+    return {"field": field, "rows": rows, "cols": cols, "data": data}
+
+
+_WIDE = np.arange(24.0).reshape(4, 6) / 7.0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[1, -2], [3, 4]]),
+        np.array([[True, False]]),
+        np.array([[-0.0, 0.0], [1.0, -0.0]]),
+        np.array([[5e-324, -2.2250738585072e-308]]),
+        _WIDE[::2, ::3],
+        np.asfortranarray(_WIDE),
+        np.array([[1.0 - 0.0j, -0.0 + 5e-324j], [0.1 + 0.2j, -3.0 - 1e300j]]),
+        random_matrix(np.random.default_rng(202), 64, 64, "complex"),
+    ],
+    ids=["int", "bool", "signed-zero", "subnormal", "strided", "fortran", "complex", "complex-64"],
+)
+def test_document_bytes_match_the_entry_loop(matrix):
+    assert dumps(matrix_document(matrix)) == dumps(_document_by_entry(matrix))
