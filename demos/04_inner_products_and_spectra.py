@@ -67,5 +67,6 @@ print("projectors complete:",
       np.allclose(sum(dec_g.projectors), np.eye(3)))
 
 # Operators preserving the inner product form the unitary group.
-u = ip.sqrt_inv @ np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] @ ip.sqrt
+q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+u = ip.frame @ q @ ip.frame_inv
 print("is unitary w.r.t. ip:", is_unitary_wrt(u, ip))

@@ -141,7 +141,7 @@ def random_g_selfadjoint(
     n = ip.space.dim
     if eigenvalues is None:
         eigenvalues = separated_eigenvalues(rng, n)
-    w = ip.sqrt_inv @ random_unitary(rng, n, ip.space.field)
+    w = ip.frame @ random_unitary(rng, n, ip.space.field)
     return w @ np.diag(np.asarray(eigenvalues, dtype=float)).astype(w.dtype) @ np.linalg.inv(w)
 
 

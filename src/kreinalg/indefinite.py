@@ -166,19 +166,9 @@ def _eta_diag(signature: tuple) -> tuple:
     return (1,) * n_plus + (-1,) * n_minus
 
 
-def _pair_frame(ip: InnerProduct, u: np.ndarray, signature: tuple) -> HOrthonormalBasis:
-    """``B = G^{-1/2} u`` and ``B^{-1} = u^+ G^{1/2}``, u the eigenvectors of ``G^{1/2} h G^{-1/2}``."""
-    b, b_inv = ip.sqrt_inv @ u, hermitian_conjugate(u) @ ip.sqrt
-    return HOrthonormalBasis(Basis._with_inverse(ip.space, b, b_inv), _eta_diag(signature))
-
-
-def _hform_frame(hf: HForm, signature: tuple) -> HOrthonormalBasis:
-    """``B = U |Lambda|^{-1/2}`` and ``B^{-1} = |Lambda|^{1/2} U^+``, positive eigenvalues first."""
-    order = np.argsort(hf._eigenvalues < 0, kind="stable")
-    u = hf._eigenvectors[:, order]
-    scale = np.sqrt(np.abs(hf._eigenvalues[order]))
-    b_inv = hermitian_conjugate(u) * scale[:, np.newaxis]
-    return HOrthonormalBasis(Basis._with_inverse(hf.space, u / scale, b_inv), _eta_diag(signature))
+def _frame(space: VectorSpace, b, b_inv, signature: tuple) -> HOrthonormalBasis:
+    """The canonical frame ``B`` with its closed-form inverse, +1 block first."""
+    return HOrthonormalBasis(Basis._with_inverse(space, b, b_inv), _eta_diag(signature))
 
 
 def metric_structure_from(gram, hform_matrix) -> MetricStructure:
@@ -187,10 +177,11 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     G and K must share the scalar field, otherwise FieldError is raised;
     the space is ``VectorSpace(n, field)`` for the n of G.  K is checked
     Hermitian (SymmetryError) but not decomposed.  The one solve after
-    G's is of the Hermitian ``G^{1/2} h G^{-1/2} =
-    G^{-1/2} K G^{-1/2}``, with ``h = G^{-1} K``: its eigenvectors give the
-    canonical frame, and its eigenvalues ``w`` are congruent to K's, so by
-    Sylvester's law of inertia their signs are K's signature.  By
+    G's is of the Hermitian ``W^+ K W = W^{-1} h W``, for the frame ``W``
+    of G and ``h = G^{-1} K``: ``W u`` for its eigenvectors ``u`` is the
+    canonical frame, with inverse ``u^+ W^{-1}``, and its eigenvalues
+    ``w`` are congruent to K's, so by Sylvester's law of inertia their
+    signs are K's signature.  By
     Ostrowski's theorem every ``|eigenvalue|`` of K is at least
     ``lambda_min(G) min |w|``, so K counts as non-degenerate when that
     bound exceeds ``FORM_TOL ||K||``, otherwise DegenerateFormError is
@@ -217,9 +208,8 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
             f"metric operator does not square to the identity (residual {residual:.3e})"
         )
     signature = _signature_of(w)
-    return MetricStructure(
-        ip=ip, hform=hf, h=h, signature=signature, frame=_pair_frame(ip, u, signature)
-    )
+    frame = _frame(space, ip.frame @ u, hermitian_conjugate(u) @ ip.frame_inv, signature)
+    return MetricStructure(ip=ip, hform=hf, h=h, signature=signature, frame=frame)
 
 
 def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
@@ -227,22 +217,23 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
 
     The space is ``VectorSpace(n, field)`` for the n and the field of K.
     Everything comes from the one eigendecomposition ``K = U Lambda U^+``:
-    the positive-definite ``G = U |Lambda| U^+`` (with its square roots),
-    the metric operator ``h = U sign(Lambda) U^+`` and the canonical frame
-    ``B = U |Lambda|^{-1/2}``.  Only ``G^{-1}`` is a separate (LU)
-    factorization.
+    the positive-definite ``G = U |Lambda| U^+`` with its frame ``W = U
+    |Lambda|^{-1/2}``, the metric operator ``h = U sign(Lambda) U^+``, and
+    the canonical frame, which is ``W`` with its +1 columns first.  Only
+    ``G^{-1}`` is a separate (LU) factorization.
     """
     hform_matrix = np.asarray(hform_matrix)
     space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
     hf = HForm(space, hform_matrix)
-    u = hf._eigenvectors
-    lam = hf._eigenvalues
+    u, lam = hf._eigenvectors, hf._eigenvalues
+    g = _spectral_function(u, np.abs(lam))
+    ip = InnerProduct.__new__(InnerProduct)
+    ip._init(space, (g + hermitian_conjugate(g)) / 2.0, np.abs(lam), u)
     h = _spectral_function(u, np.sign(lam))
-    ip = InnerProduct._from_eigh(space, np.abs(lam), u)
     signature = _signature_of(lam)
-    return MetricStructure(
-        ip=ip, hform=hf, h=h, signature=signature, frame=_hform_frame(hf, signature)
-    )
+    order = np.argsort(lam < 0, kind="stable")
+    frame = _frame(space, ip.frame[:, order], ip.frame_inv[order], signature)
+    return MetricStructure(ip=ip, hform=hf, h=h, signature=signature, frame=frame)
 
 
 def minkowski_structure(n_plus: int, n_minus: int, field: str = REAL) -> MetricStructure:

@@ -66,6 +66,12 @@ def as_matrix(a, field: str | None = None) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    return _on_field(arr, field)
+
+
+def _on_field(a, field: str | None = None) -> np.ndarray:
+    """The field rule of :func:`as_matrix` for an array of any shape."""
+    arr = np.asarray(a)
     if field is None:
         field = field_of(arr)
     elif field == REAL and np.iscomplexobj(arr):

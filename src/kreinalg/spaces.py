@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import policy
-from .errors import ShapeError, SingularBasisError, SpaceError
+from .errors import FieldError, ShapeError, SingularBasisError, SpaceError
 from .matrices import COMPLEX, REAL, as_matrix, field_of
 
 __all__ = [
@@ -95,9 +95,11 @@ class Basis:
     def _with_inverse(cls, space: VectorSpace, matrix: np.ndarray, inverse: np.ndarray) -> Basis:
         """A basis whose inverse is known in closed form: no rank check, no LU.
 
-        Used for the canonical frames of :mod:`kreinalg.indefinite`.  Those
-        have ``B^+ G B = 1`` for a Gram matrix ``G`` that cleared the form
-        floor, so ``cond(B)^2 = cond(G) < 1 / FORM_TOL = 1e10`` and
+        Used for the canonical frames of :mod:`kreinalg.indefinite`: the
+        frame ``W`` of an inner product with its columns reordered, or
+        ``W u`` for a unitary ``u``.  Each has ``B^+ G B = 1`` for a Gram
+        matrix ``G`` that cleared the form floor, so ``B B^+ = G^{-1}``,
+        ``cond(B)^2 = cond(G) < 1 / FORM_TOL = 1e10`` and
         ``s_min / s_max > 1e-5``: far above ``RANK_TOL``, so the rank check
         could not fail.  ``matrix`` and ``inverse`` must already be over
         the space's field.
@@ -150,19 +152,20 @@ class CovectorInBasis:
 
 @dataclass(frozen=True)
 class LinearMapRep:
-    """Matrix of a linear map relative to a domain and a codomain basis."""
+    """Matrix of a linear map relative to a domain and a codomain basis.
+
+    The matrix is cast as :func:`represent_map` casts a map: the two
+    spaces must share a field, and complex data on a real space raises
+    FieldError.
+    """
 
     domain_basis: Basis
     codomain_basis: Basis
     matrix: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        expected = (self.codomain_basis.space.dim, self.domain_basis.space.dim)
-        if np.shape(self.matrix) != expected:
-            raise ShapeError(
-                f"representation matrix must have shape {expected}, "
-                f"got {np.shape(self.matrix)}"
-            )
+        matrix = _map_matrix(self.matrix, self.domain_basis.space, self.codomain_basis.space)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def is_endomorphism(self) -> bool:
@@ -193,7 +196,14 @@ def _require_same_space(a: Basis, b: Basis) -> None:
 
 
 def _map_matrix(f_natural, domain: VectorSpace, codomain: VectorSpace) -> np.ndarray:
-    """``f`` as a fresh ``(codomain.dim, domain.dim)`` matrix over the domain's field."""
+    """``f`` as a fresh ``(codomain.dim, domain.dim)`` matrix over the spaces' one field.
+
+    A domain and a codomain over different fields raise FieldError.
+    """
+    if domain.field != codomain.field:
+        raise FieldError(
+            f"domain and codomain must share the scalar field: {domain.field} vs {codomain.field}"
+        )
     f = as_matrix(f_natural, domain.field)
     if f.shape != (codomain.dim, domain.dim):
         raise ShapeError(f"map must have shape {(codomain.dim, domain.dim)}, got {f.shape}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import policy
 from .errors import ShapeError, SingularBasisError, SpaceError, VarianceError
-from .matrices import as_matrix
+from .matrices import _on_field
 from .spaces import VectorSpace
 
 __all__ = [
@@ -41,13 +41,19 @@ DOWN = "down"
 
 @dataclass(frozen=True)
 class Tensor:
-    """Dense components with one up/down-tagged axis per slot."""
+    """Dense components with one up/down-tagged axis per slot.
+
+    The components are cast to the space's field by the rule of
+    :func:`kreinalg.matrices.as_matrix`: complex data on a real space
+    raises FieldError.
+    """
 
     space: VectorSpace
     variance: tuple  # tuple of UP/DOWN, one entry per slot
     components: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "components", _on_field(self.components, self.space.field))
         expected = (self.space.dim,) * len(self.variance)
         if self.components.shape != expected:
             raise ShapeError(
@@ -71,7 +77,7 @@ class Tensor:
 
 def scalar_tensor(space: VectorSpace, value) -> Tensor:
     """Rank-0 tensor holding a single scalar."""
-    return Tensor(space, (), as_matrix([[value]], space.field).reshape(()))
+    return Tensor(space, (), value)
 
 
 def tensor_from_ket(space: VectorSpace, ket) -> Tensor:
@@ -110,7 +116,7 @@ def contract(t: Tensor, k: int, l: int) -> Tensor:
         )
     components = np.trace(t.components, axis1=k - 1, axis2=l - 1)
     variance = tuple(tag for i, tag in enumerate(t.variance) if i not in (k - 1, l - 1))
-    return Tensor(t.space, variance, np.asarray(components))
+    return Tensor(t.space, variance, components)
 
 
 def full_trace(t: Tensor):
@@ -198,4 +204,4 @@ def kron_unflatten(flat, space: VectorSpace, variance) -> Tensor:
     expected = (dim**n_up, dim ** (len(variance) - n_up))
     if flat.shape != expected:
         raise ShapeError(f"flat shape {flat.shape} does not match {expected}")
-    return Tensor(space, variance, flat.reshape((dim,) * len(variance)).copy())
+    return Tensor(space, variance, flat.reshape((dim,) * len(variance)))

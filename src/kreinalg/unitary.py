@@ -1,12 +1,12 @@
 """Definite inner products and the operator theory they induce.
 
 An inner product is carried by its Gram matrix ``G`` in the natural
-frame: ``(x, y) = x^+ G y``, antilinear in the first argument.  The
-Hermitian square root of ``G`` (cached at construction) turns every
-G-selfadjoint eigenproblem into an ordinary Hermitian one, which the
-eigensolver seam handles; eigenvectors come back G-orthonormal and the
-spectral projectors are G-selfadjoint.  Every tolerance is a rule of
-:mod:`kreinalg.policy`.
+frame: ``(x, y) = x^+ G y``, antilinear in the first argument.  Its frame
+``W``, with ``W^+ G W = 1`` and ``W^{-1}`` in closed form (both cached at
+construction), turns every G-selfadjoint eigenproblem into an ordinary
+Hermitian one, which the eigensolver seam handles; eigenvectors come back
+G-orthonormal and the spectral projectors are G-selfadjoint.  Every
+tolerance is a rule of :mod:`kreinalg.policy`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/sel
     _eigh,
     _hermitian_form_eigh,
     _spectral_decomposition,
-    _spectral_function,
     jacobi_hermitian,
 )
 from .matrices import COMPLEX, hermitian_conjugate
@@ -49,43 +48,34 @@ class InnerProduct:
 
     Construction validates Hermiticity and positive definiteness, runs one
     eigendecomposition ``G = U diag(w) U^+``, and caches the inverse, the
-    smallest eigenvalue ``min_eigenvalue`` and the Hermitian square-root
-    factors ``U diag(w^{+-1/2}) U^+`` used by the adjoint and spectral
-    machinery.  A Gram matrix built from eigenpairs
-    that are already known (the ``|K|`` of a bare H-form) skips the
-    solve: see :meth:`_from_eigh`.  The inverse is always the LU inverse
-    of ``G``, which is more accurate than ``U diag(1/w) U^+``.
+    smallest eigenvalue ``min_eigenvalue`` and the frame ``W = U
+    diag(w^{-1/2})``, a G-orthonormal basis (``W^+ G W = 1``) whose
+    inverse ``frame_inv = diag(w^{1/2}) U^+`` is exact in closed form.
+    The adjoint and spectral machinery read only these.  The inverse of
+    ``G`` is the LU inverse, which is more accurate than ``U diag(1/w)
+    U^+``.
     """
 
     def __init__(self, space: VectorSpace, gram) -> None:
-        g, eigenvalues, vectors = _hermitian_form_eigh(space.operator(gram), "Gram matrix")
-        self._cache(space, g, eigenvalues, vectors)
+        self._init(space, *_hermitian_form_eigh(space.operator(gram), "Gram matrix"))
 
-    @classmethod
-    def _from_eigh(cls, space: VectorSpace, w, vectors) -> InnerProduct:
-        """The inner product ``G = U diag(w) U^+`` of known orthonormal eigenpairs.
+    def _init(self, space: VectorSpace, g: np.ndarray, w, vectors) -> None:
+        """Cache the Hermitian ``G = U diag(w) U^+`` with its known eigenpairs.
 
-        ``G`` is symmetrized as the constructor would, so it has the same
-        bits as ``InnerProduct(space, U diag(w) U^+)``; the square roots
-        come from ``(U, w)`` without a second solve.
+        A bare H-form's ``|K|`` enters here directly, without a second solve.
         """
-        g = _spectral_function(vectors, w)
-        ip = cls.__new__(cls)
-        ip._cache(space, (g + hermitian_conjugate(g)) / 2.0, w, vectors)
-        return ip
-
-    def _cache(self, space: VectorSpace, g: np.ndarray, w, vectors) -> None:
         if not policy.clears_form_floor(w, g):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
                 f"(min eigenvalue {np.min(w):.3e})"
             )
+        root = np.sqrt(w)
         self.space = space
         self.gram = g
         self.gram_inv = np.linalg.inv(g)
         self.min_eigenvalue = float(np.min(w))
-        self.sqrt = _spectral_function(vectors, np.sqrt(w))
-        self.sqrt_inv = _spectral_function(vectors, 1.0 / np.sqrt(w))
+        self.frame = vectors / root
+        self.frame_inv = hermitian_conjugate(vectors) * root[:, np.newaxis]
 
     def __repr__(self) -> str:
         return f"InnerProduct(space={self.space!r})"
@@ -157,12 +147,13 @@ def adjoint(f, ip: InnerProduct) -> np.ndarray:
 
 
 def _g_selfadjoint_eigh(f: np.ndarray, ip: InnerProduct):
-    """Descending eigenvalues and orthonormal eigenvectors of ``G^{1/2} f G^{-1/2}``.
+    """Descending eigenvalues and orthonormal eigenvectors of ``W^{-1} f W``.
 
-    For a G-selfadjoint ``f`` that matrix is Hermitian up to roundoff, so
-    its Hermitian part goes to the eigensolver seam.
+    For a G-selfadjoint ``f`` and the frame ``W`` of ``ip`` that matrix
+    equals ``W^+ G f W``, Hermitian up to roundoff, so its Hermitian part
+    goes to the eigensolver seam.
     """
-    work = ip.sqrt @ f @ ip.sqrt_inv
+    work = ip.frame_inv @ f @ ip.frame
     w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
     order = np.argsort(-w)
     return w[order], u[:, order]
@@ -172,14 +163,15 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
     """Eigenvalues (descending) and G-orthonormal eigenvector columns.
 
     The input must already be selfadjoint with respect to ``ip``; the
-    similarity transform by the Gram square root hands the problem to the
-    Hermitian eigensolver.  Non-finite input raises SymmetryError.
+    similarity transform by the frame ``W`` of ``ip`` hands the problem to
+    the Hermitian eigensolver, and ``W`` maps its orthonormal eigenvectors
+    to G-orthonormal ones.  Non-finite input raises SymmetryError.
     """
     f = ip.space.operator(f)
     if not np.all(np.isfinite(f)):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
     w, u = _g_selfadjoint_eigh(f, ip)
-    return w, ip.sqrt_inv @ u
+    return w, ip.frame @ u
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:

@@ -1,14 +1,19 @@
 import argparse
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import kreinalg
-from kreinalg import cli
+from kreinalg import InnerProduct, VectorSpace, cli, hermitian_conjugate
 from kreinalg.cli import CHECK_KINDS, OPERATION_COVERAGE, SUBCOMMANDS, main
+from kreinalg.generators import random_g_selfadjoint, random_positive_definite, random_unitary
+from kreinalg.io import serialize_matrix_document
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -218,6 +223,61 @@ class TestDeterminism:
         assert code == 0
         assert out == ""
         assert target.read_text() == (GOLDEN / "expected" / "det.txt").read_text()
+
+
+def _n64_documents(directory: pathlib.Path, field: str) -> dict:
+    """Seeded n = 64 documents: a Gram matrix G, a G-selfadjoint operator, a compatible K.
+
+    K is ``W^{-+} Q S Q^+ W^{-1}`` for the frame W of G, a unitary Q and a
+    sign diagonal S, so ``h = G^{-1} K`` squares to the identity.
+    """
+    n = 64
+    rng = np.random.default_rng(6400 if field == "real" else 6401)
+    ip = InnerProduct(VectorSpace(n, field), random_positive_definite(rng, n, field))
+    q = random_unitary(rng, n, field)
+    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    k = hermitian_conjugate(ip.frame_inv) @ (q * signs) @ hermitian_conjugate(q) @ ip.frame_inv
+    documents = {
+        "gram": ip.gram,
+        "operator": random_g_selfadjoint(rng, ip),
+        "hform": (k + hermitian_conjugate(k)) / 2.0,
+    }
+    paths = {}
+    for name, matrix in documents.items():
+        path = directory / f"{name}.json"
+        path.write_text(serialize_matrix_document(matrix))
+        paths[name] = str(path)
+    return paths
+
+
+class TestBlasThreadDeterminism:
+    """Outputs of the frame path have the same bytes under one and two BLAS threads.
+
+    Each run is a fresh interpreter, since OpenBLAS reads its thread count
+    at start-up.  Eigenvector bits do differ across thread counts from
+    n = 112 up (see the README), so the documents are n = 64.
+    """
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("command", ["spectral", "canonical-basis"])
+    def test_same_bytes_under_one_and_two_threads(self, tmp_path, command, field):
+        docs = _n64_documents(tmp_path, field)
+        argv = {
+            "spectral": ["spectral", "--in", docs["operator"], "--gram", docs["gram"]],
+            "canonical-basis": ["canonical-basis", "--gram", docs["gram"], "--hform", docs["hform"]],
+        }[command]
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "kreinalg.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestErrorPaths:

@@ -2,8 +2,9 @@
 
 Complex data cast to the real field raises FieldError, wherever it enters
 (a space's kets, bras and operators, a Gram matrix, a basis, a map, a
-scalar tensor, a CLI document).  Real data on the complex field is
-upcast exactly.
+map's representation, a tensor, a CLI document).  Real data on the
+complex field is upcast exactly.  A map between spaces over different
+fields raises FieldError too.
 """
 
 import json
@@ -16,6 +17,8 @@ from kreinalg import (
     Basis,
     FieldError,
     InnerProduct,
+    LinearMapRep,
+    Tensor,
     VectorSpace,
     canonical_form_bases,
     natural_basis,
@@ -50,10 +53,13 @@ class TestComplexDataOnARealSpace:
             lambda: canonical_form_bases(np.diag([1j, 1.0]), REAL2, REAL2),
             lambda: represent_map(PAULI_Y, natural_basis(REAL2), natural_basis(REAL2)),
             lambda: scalar_tensor(REAL2, 1j),
+            lambda: Tensor(REAL2, ("up",), [1j, 0]),
+            lambda: LinearMapRep(natural_basis(REAL2), natural_basis(REAL2), PAULI_Y),
         ],
         ids=[
             "ket", "bra", "operator", "gram", "norm", "rep_vector", "basis",
-            "canonical_form_bases", "represent_map", "scalar_tensor",
+            "canonical_form_bases", "represent_map", "scalar_tensor", "tensor",
+            "linear_map_rep",
         ],
     )
     def test_raises_field_error(self, cast):
@@ -63,6 +69,18 @@ class TestComplexDataOnARealSpace:
     def test_complex_dtype_decides_not_the_values(self):
         with pytest.raises(FieldError):
             as_matrix(np.eye(2, dtype=complex), "real")
+
+
+class TestMapBetweenFields:
+    """A map's domain and codomain must share a field; the error names both."""
+
+    def test_represent_map(self):
+        with pytest.raises(FieldError, match="domain and codomain .*: complex vs real"):
+            represent_map(np.eye(2), natural_basis(COMPLEX2), natural_basis(REAL2))
+
+    def test_canonical_form_bases(self):
+        with pytest.raises(FieldError, match="domain and codomain .*: complex vs real"):
+            canonical_form_bases(np.eye(2), COMPLEX2, REAL2)
 
 
 class TestRealDataOnAComplexSpace:
@@ -79,6 +97,14 @@ class TestRealDataOnAComplexSpace:
         ip = InnerProduct(COMPLEX2, g)
         assert ip.gram.dtype == np.complex128
         np.testing.assert_array_equal(ip.gram, g)
+
+    def test_tensor_and_map_representation_upcast_exactly(self):
+        f = np.array([[1.0, 2.0], [3.0, 4.0]])
+        tensor = Tensor(COMPLEX2, ("up", "down"), f)
+        rep = LinearMapRep(natural_basis(COMPLEX2), natural_basis(COMPLEX2), f)
+        for got in (tensor.components, rep.matrix):
+            assert got.dtype == np.complex128
+            np.testing.assert_array_equal(got, f)
 
     def test_real_map_between_complex_spaces(self):
         f = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -99,8 +125,13 @@ def _doc(name: str) -> str:
         ["check", "--kind", "selfadjoint", "--in", _doc("pauli_y.json"), "--gram", _doc("eye2.json")],
         ["dirac-adjoint", "--in", _doc("pauli_y.json"), "--hform", _doc("eta2.json")],
         ["change-basis", "--in", _doc("eye2.json"), "--in", _doc("pauli_y.json")],
+        ["change-basis", "--in", _doc("eye2.json"), "--in", _doc("b_new.json"),
+         "--in", _doc("pauli_y.json")],
     ],
-    ids=["spectral", "adjoint", "check-selfadjoint", "dirac-adjoint", "change-basis"],
+    ids=[
+        "spectral", "adjoint", "check-selfadjoint", "dirac-adjoint", "change-basis",
+        "change-basis-operator",
+    ],
 )
 def test_cli_complex_document_on_a_real_space_is_field_error(capsys, argv):
     code = main(argv)

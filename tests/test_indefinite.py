@@ -465,7 +465,7 @@ class TestRealFieldStaysReal:
             "dirac_spectral": dirac_spectral(random_dirac_selfadjoint(rng, ms), ms).projectors,
             "h": [ms.h],
             "frame": [ms.frame.basis.matrix, ms.frame.basis.inverse],
-            "inner product": [ip.gram, ip.sqrt, ip.sqrt_inv],
+            "inner product": [ip.gram, ip.frame, ip.frame_inv],
             "g_selfadjoint_eigen": [columns],
             "canonical_form_bases": [
                 domain_b.matrix, domain_b.inverse, codomain_b.matrix, codomain_b.inverse
@@ -535,6 +535,15 @@ class TestCanonicalFrame:
         constructed = InnerProduct(ms.space, g.real if field == "real" else g)
         np.testing.assert_array_equal(ms.ip.gram, constructed.gram)
         np.testing.assert_array_equal(ms.ip.gram_inv, constructed.gram_inv)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_hform_frame_is_the_inner_product_frame_reordered(self, field, n):
+        ms = _conditioned_structure(np.random.default_rng(17 + n), "hform", n, field)
+        lam = ms.hform._eigenvalues
+        order = np.concatenate([np.flatnonzero(lam > 0), np.flatnonzero(lam < 0)])
+        assert ms.frame.basis.matrix.tobytes() == ms.ip.frame[:, order].tobytes()
+        assert ms.frame.basis.inverse.tobytes() == ms.ip.frame_inv[order].tobytes()
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_hform_inverse_is_the_lu_inverse_on_first_use(self, field):

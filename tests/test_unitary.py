@@ -80,10 +80,12 @@ class TestInnerProduct:
         with pytest.raises(DegenerateFormError):
             InnerProduct(SPACE2, np.diag([1.0, -1.0]))
 
-    def test_sqrt_factors(self):
-        _, ip = _random_ip(73)
-        np.testing.assert_allclose(ip.sqrt @ ip.sqrt, ip.gram, atol=1e-12)
-        np.testing.assert_allclose(ip.sqrt @ ip.sqrt_inv, np.eye(3), atol=1e-12)
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_frame_is_g_orthonormal_with_its_inverse(self, field):
+        _, ip = _random_ip(73, field=field)
+        w = ip.frame
+        np.testing.assert_allclose(hermitian_conjugate(w) @ ip.gram @ w, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(w @ ip.frame_inv, np.eye(3), atol=1e-12)
 
 
 class TestNorm:
@@ -328,7 +330,7 @@ class TestUnitaryMembership:
 
     def test_image_of_orthonormal_basis_is_orthonormal(self):
         rng, ip = _random_ip(91)
-        u = ip.sqrt_inv @ random_unitary(rng, 3, "complex") @ ip.sqrt
+        u = ip.frame @ random_unitary(rng, 3, "complex") @ ip.frame_inv
         assert is_unitary_wrt(u, ip)
         basis = orthonormalize([random_ket(rng, 3, "complex") for _ in range(3)], ip)
         moved = u @ basis.matrix
