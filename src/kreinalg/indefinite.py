@@ -32,6 +32,7 @@ from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/sel
     SpectralDecomposition,
     _hermitian_form,
     _hermitian_form_eigh,
+    _spectral_decomposition,
     _spectral_function,
     jacobi_hermitian,
 )
@@ -39,6 +40,7 @@ from .matrices import (
     COMPLEX,
     REAL,
     _require_square,
+    as_matrix,
     field_of,
     hermitian_conjugate,
 )
@@ -48,7 +50,6 @@ from .unitary import (
     InnerProduct,
     _g_selfadjoint_eigh,
     adjoint,
-    spectral_representation,
 )
 
 __all__ = [
@@ -189,8 +190,8 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     Only then must the pair be compatible: h has to square to the
     identity, otherwise CompatibilityError is raised.
     """
-    gram = np.asarray(gram)
-    hform_matrix = np.asarray(hform_matrix)
+    gram = as_matrix(gram)
+    hform_matrix = as_matrix(hform_matrix)
     if field_of(gram) != field_of(hform_matrix):
         raise FieldError("Gram matrix and H-form must share the scalar field")
     space = VectorSpace(gram.shape[0], field_of(gram))
@@ -222,7 +223,7 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     the canonical frame, which is ``W`` with its +1 columns first.  Only
     ``G^{-1}`` is a separate (LU) factorization.
     """
-    hform_matrix = np.asarray(hform_matrix)
+    hform_matrix = as_matrix(hform_matrix)
     space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
     hf = HForm(space, hform_matrix)
     u, lam = hf._eigenvectors, hf._eigenvalues
@@ -320,15 +321,15 @@ class DiracSpectralDecomposition(SpectralDecomposition):
 def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     """Decompose a Dirac-selfadjoint operator through its selfadjoint partner.
 
-    ``f h`` is selfadjoint w.r.t. the inner product whenever f is
-    Dirac-selfadjoint; its spectral projectors composed back with ``h``
-    reconstruct f.
+    Only f's Dirac-selfadjointness is decided (SymmetryError otherwise):
+    ``f h`` is then G-selfadjoint, and a second test, relative to ``||f h||``,
+    would reject valid f at large ``||h||``.  Its projectors times ``h`` give f.
     """
     f = ms.space.operator(f)
-    if not is_dirac_selfadjoint(f, ms):
+    if not policy.selfadjoint(f, lambda m: dirac_adjoint_operator(m, ms)):
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    partner = f @ ms.h
-    dec = spectral_representation(partner, ms.ip)
+    w, u = _g_selfadjoint_eigh(f @ ms.h, ms.ip)
+    dec = _spectral_decomposition(w, ms.ip.frame @ u, ms.ip.gram)
     return DiracSpectralDecomposition(
         dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()
     )
@@ -363,12 +364,8 @@ def is_orthogonal(f) -> bool:
 
 
 def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
-    """Real specialization of pseudo-unitarity: f^T K f = K.
-
-    Reuses the complex code path; conjugation is the identity on the
-    real field.
-    """
+    """Real specialization of pseudo-unitarity, f^T K f = K, decided after the field check."""
     f = np.asarray(f)
     if field_of(f) != REAL or ms.space.field != REAL:
         raise FieldError("pseudo-orthogonality is a real-field predicate")
-    return is_pseudo_unitary(f, ms)
+    return policy.isometric(ms.space.operator(f), lambda m: dirac_adjoint_operator(m, ms))

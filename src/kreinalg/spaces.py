@@ -271,7 +271,7 @@ def kernel_dimension(a) -> int:
     Deliberately a different route than :func:`rank` so the rank-nullity
     identity is a genuine cross-check, not a tautology.
     """
-    a = np.asarray(a)
+    a = as_matrix(a)
     return a.shape[1] - policy.singular_rank(np.linalg.svd(a, compute_uv=False))
 
 

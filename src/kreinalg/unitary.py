@@ -57,18 +57,17 @@ class InnerProduct:
     """
 
     def __init__(self, space: VectorSpace, gram) -> None:
-        self._init(space, *_hermitian_form_eigh(space.operator(gram), "Gram matrix"))
-
-    def _init(self, space: VectorSpace, g: np.ndarray, w, vectors) -> None:
-        """Cache the Hermitian ``G = U diag(w) U^+`` with its known eigenpairs.
-
-        A bare H-form's ``|K|`` enters here directly, without a second solve.
-        """
+        """Coerce ``gram`` and decide its Hermiticity and form floor, once each."""
+        g, w, vectors = _hermitian_form_eigh(space.operator(gram), "Gram matrix")
         if not policy.clears_form_floor(w, g):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
                 f"(min eigenvalue {np.min(w):.3e})"
             )
+        self._init(space, g, w, vectors)
+
+    def _init(self, space: VectorSpace, g: np.ndarray, w, vectors) -> None:
+        """Cache ``G = U diag(w) U^+`` untested; a bare H-form's ``|K|`` is floored on K."""
         root = np.sqrt(w)
         self.space = space
         self.gram = g
@@ -183,16 +182,16 @@ def is_selfadjoint(f, ip: InnerProduct) -> bool:
 
 
 def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
-    """Spectral decomposition of a G-selfadjoint operator.
+    """Spectral decomposition of a G-selfadjoint operator, tested once (SymmetryError).
 
     The projectors are G-selfadjoint, idempotent, mutually annihilating,
     and complete, and distinct eigenspaces are G-orthogonal.
     """
     f = ip.space.operator(f)
-    if not is_selfadjoint(f, ip):
+    if not policy.selfadjoint(f, lambda m: adjoint(m, ip)):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, columns = g_selfadjoint_eigen(f, ip)
-    return _spectral_decomposition(w, columns, ip.gram)
+    w, u = _g_selfadjoint_eigh(f, ip)
+    return _spectral_decomposition(w, ip.frame @ u, ip.gram)
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:

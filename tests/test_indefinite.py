@@ -11,8 +11,10 @@ from kreinalg import (
     DegenerateFormError,
     FieldError,
     InnerProduct,
+    ShapeError,
     SymmetryError,
     Tensor,
+    VectorSpace,
     adjoint,
     canonical_form_bases,
     canonical_projectors,
@@ -30,12 +32,14 @@ from kreinalg import (
     is_orthogonal,
     is_pseudo_orthogonal,
     is_pseudo_unitary,
+    kernel_dimension,
     metric_structure_from,
     minkowski_structure,
     policy,
     raise_lower_index,
     spectral_representation,
 )
+from kreinalg import eigen
 from kreinalg.generators import (
     lorentz_boost,
     random_dirac_selfadjoint,
@@ -644,3 +648,123 @@ class TestFactorizationCounts:
         for structure in (ms, pair):
             h_orthonormal_basis(structure)
         assert counts == {"eigh": 0, "inv": 0, "svd": 0}
+
+
+class TestDecisionCounts:
+    """Each property is decided once per public call, where the input enters.
+
+    Counted like the factorizations above: the rules of :mod:`kreinalg.policy`,
+    the eigensolver seam and the coercions of :class:`VectorSpace`.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = dict.fromkeys(("selfadjoint", "isometric", "clears_form_floor", "_eigh", "_coerce"), 0)
+
+        def count(owners, name):
+            original = getattr(owners[0], name)
+
+            def counted(*args, **kwargs):
+                tally[name] += 1
+                return original(*args, **kwargs)
+
+            for owner in owners:
+                monkeypatch.setattr(owner, name, counted)
+
+        for name in ("selfadjoint", "isometric", "clears_form_floor"):
+            count([policy], name)
+        modules = [m for key, m in sys.modules.items() if key.startswith("kreinalg")]
+        count([m for m in modules if getattr(m, "_eigh", None) is eigen._eigh], "_eigh")
+        count([VectorSpace], "_coerce")
+        return tally
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_each_construction(self, counts, field, n):
+        k = random_nondegenerate_hform(np.random.default_rng(n), n, field)
+        ms = compatible_structure_from_hform(k)
+        # K's Hermitian check, its one eigh and its one floor; |K| is not tested again.
+        assert counts == {"selfadjoint": 1, "isometric": 0, "clears_form_floor": 1, "_eigh": 1, "_coerce": 1}
+        counts.update(dict.fromkeys(counts, 0))
+        metric_structure_from(ms.ip.gram, ms.hform.matrix)
+        # Two floors: G's and the Ostrowski bound on K; h h = 1 is the one isometry.
+        assert counts == {"selfadjoint": 2, "isometric": 1, "clears_form_floor": 2, "_eigh": 2, "_coerce": 2}
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_each_decomposition(self, counts, kind, field, n):
+        rng = np.random.default_rng(n)
+        ms = compatible_structure_from_hform(random_nondegenerate_hform(rng, n, field))
+        if kind == "pair":
+            ms = metric_structure_from(ms.ip.gram, ms.hform.matrix)
+        f = random_g_selfadjoint(rng, ms.ip)
+        fd = random_dirac_selfadjoint(rng, ms)
+        for decompose in (lambda: spectral_representation(f, ms.ip), lambda: dirac_spectral(fd, ms)):
+            counts.update(dict.fromkeys(counts, 0))
+            decompose()
+            coercions = counts["_coerce"]
+            assert coercions <= 2
+            assert counts == {
+                "selfadjoint": 1, "isometric": 0, "clears_form_floor": 0, "_eigh": 1, "_coerce": coercions
+            }
+
+
+def _boosted_pair(rapidity, n, field):
+    """(G, K) whose canonical frame ``B`` is ``lorentz_boost(rapidity, n)``.
+
+    ``B^+ G B = 1`` and ``B^+ K B = eta = diag(1, -1, ..)``, so with the
+    boost at ``-rapidity`` as ``B^{-1}``: ``G = B^{-+} B^{-1}``, ``K =
+    B^{-+} eta B^{-1}``, and ``h = B eta B^{-1}`` has ``||h||_2 = e^{2 rapidity}``.
+    """
+    b_inv = lorentz_boost(-rapidity, n).astype(np.complex128 if field == "complex" else np.float64)
+    eta = np.diag(np.concatenate([[1.0], -np.ones(n - 1)]))
+    return b_inv.T @ b_inv, b_inv.T @ eta @ b_inv
+
+
+class TestDiracSpectralUnderStrongBoosts:
+    """``dirac_spectral`` decomposes every f the Dirac rule accepts, at any ``||h||``.
+
+    It decides Dirac-selfadjointness of f once and does not test ``f h``
+    again: that second test's residual is bounded by ``||f# - f|| ||h||``
+    but its bound by ``TOL ||f h||``, so a strongly boosted structure made
+    it reject operators the first test had accepted.  The reconstruction
+    error is ``||f - f#|| / 2`` in exact arithmetic; the bound below is the
+    looser ``cond(G) ||h||_2^2 / 2`` times ``TOL ||f||``, plus matmul roundoff.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        rapidity=st.floats(0.5, 2.0),
+        size=st.floats(0.0, 1.0),
+    )
+    def test_accepted_operators_decompose(self, n, field, seed, rapidity, size):
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = metric_structure_from(*_boosted_pair(rapidity, n, field))
+            f = random_dirac_selfadjoint(rng, ms)
+            e = random_matrix(rng, n, n, field)
+            f = f + e * (size * policy.TOL * np.linalg.norm(f) / np.linalg.norm(e))
+            if not is_dirac_selfadjoint(f, ms):
+                with pytest.raises(SymmetryError, match="Dirac-selfadjoint"):
+                    dirac_spectral(f, ms)
+                return
+            dec = dirac_spectral(f, ms)
+            scale = np.linalg.cond(ms.ip.gram) * np.linalg.norm(ms.h, 2) ** 2 * np.linalg.norm(f)
+            bound = (0.5 * policy.TOL + 64 * n * np.finfo(float).eps) * scale
+            assert np.linalg.norm(dec.reconstruct() - f) <= bound
+
+
+@pytest.mark.parametrize("value", [1.0, np.ones(3)], ids=["0-D", "1-D"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda a: metric_structure_from(a, a), compatible_structure_from_hform, kernel_dimension],
+    ids=["metric_structure_from", "compatible_structure_from_hform", "kernel_dimension"],
+)
+def test_shape_is_checked_before_it_is_read(call, value):
+    with pytest.raises(ShapeError):
+        call(value)

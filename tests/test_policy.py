@@ -362,6 +362,17 @@ class TestPolicyGuard:
                       for lemma in REGISTRY}
         assert {k: v for k, v in signatures.items() if v != ["rng", "n", "field"]} == {}
 
+    def test_checked_entry_points_are_not_reentered(self):
+        # Each public entry point decides its properties once and hands the
+        # checked arrays to private kernels; only the front ends call the
+        # public checks and decompositions.
+        checked = {
+            "is_selfadjoint", "is_unitary_wrt", "is_dirac_selfadjoint", "is_pseudo_unitary",
+            "spectral_representation", "g_selfadjoint_eigen",
+        }
+        sites = _call_sites(checked)
+        assert sites and {site.split(":")[0] for site in sites} <= {"cli.py", "lemmas.py"}
+
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})
         assert lapack == ["eigen.py:_eigh"]
