@@ -16,7 +16,15 @@ The package is layered bottom-up:
   Dirac conjugation, and pseudo-unitary membership;
 * :mod:`kreinalg.lemmas` / :mod:`kreinalg.cli` - the seeded theorem
   verification suite and the JSON command line front end.
+
+:mod:`kreinalg.lemmas` and :mod:`kreinalg.generators` serve only the suite
+and the tests.  ``import kreinalg`` binds both, in ``sys.modules`` and on
+the package, but runs neither until one of its attributes is first read,
+so a command line request other than ``verify`` never compiles them.
 """
+
+import importlib.util
+import sys
 
 from .errors import (
     CompatibilityError,
@@ -121,6 +129,26 @@ from .indefinite import (
     minkowski_structure,
     raise_lower_index,
 )
-from .lemmas import LemmaReport, run_lemma_suite
 
 __version__ = "0.1.0"
+
+
+def _bind_lazily(name: str):
+    """Bind submodule ``name``; its body runs when an attribute is first read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+generators = _bind_lazily("generators")
+lemmas = _bind_lazily("lemmas")
+
+
+def __getattr__(name: str):
+    """The suite's names exported by the package, read from the lazily bound module."""
+    if name in ("LemmaReport", "run_lemma_suite"):
+        return getattr(lemmas, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lemmas
 from .errors import KreinAlgError, ShapeError
 from .eigen import eigen_hermitian
 from .indefinite import (
@@ -32,7 +33,6 @@ from .indefinite import (
     metric_structure_from,
 )
 from .io import dumps, matrix_document, parse_matrix_document, scalar_pair
-from .lemmas import DEFAULT_DIMS, run_lemma_suite
 from .matrices import classify, determinant, field_of, kronecker_product
 from .spaces import Basis, LinearMapRep, VectorSpace, change_of_basis, conjugate_representation
 from .tensors import contract, kron_flatten, sort_slots, tensor_product
@@ -298,9 +298,9 @@ def _cmd_check(args, f) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    dims = DEFAULT_DIMS if args.dims is None else args.dims
+    dims = lemmas.DEFAULT_DIMS if args.dims is None else args.dims
     try:
-        reports = run_lemma_suite(args.seed, dims=dims, instances=args.instances)
+        reports = lemmas.run_lemma_suite(args.seed, dims=dims, instances=args.instances)
     except ValueError as exc:  # the suite's own range checks on dims and instances
         raise _UsageError(str(exc)) from None
     return {
@@ -319,14 +319,27 @@ def _dims_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad dims list {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand's, or only ``only``'s if it names one.
+
+    A request names its subcommand first, so :func:`main` builds just that
+    subparser.  The usage line then spells out every choice itself, so each
+    message has the bytes the full parser would give it.
+    """
     parser = argparse.ArgumentParser(
         prog="kreinalg",
         description="Linear algebra over definite and indefinite inner products.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    names = list(_COMMANDS)
+    if only in _COMMANDS:
+        metavar = "{" + ",".join(names) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = [only]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         if max(command.documents):
             p.add_argument("--in", dest="infile", action="append", default=[], metavar="DOC.json",
@@ -337,18 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hform", metavar="K.json", required=command.hform == "required",
                            help="Gram matrix of the indefinite form")
         p.add_argument("--out", metavar="PATH", help="write the JSON result to a file")
-    sub.choices["check"].add_argument("--kind", choices=CHECK_KINDS, required=True)
-    verify = sub.choices["verify"]
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--dims", type=_dims_list, default=None, metavar="1,2,3")
-    verify.add_argument("--instances", type=int, default=5)
+        if name == "check":
+            p.add_argument("--kind", choices=CHECK_KINDS, required=True)
+        elif name == "verify":
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--dims", type=_dims_list, default=None, metavar="1,2,3")
+            p.add_argument("--instances", type=int, default=5)
     return parser
 
 
 def main(argv=None) -> int:
     """Parse argv (``sys.argv[1:]`` when None), run the subcommand, and emit
     JSON; returns the exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

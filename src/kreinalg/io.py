@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from itertools import chain
 
 import numpy as np
 
@@ -27,12 +29,16 @@ __all__ = [
 ]
 
 _DOCUMENT_KEYS = {"field", "rows", "cols", "data"}
+_NUMBER_TYPES = {int, float}  # json.loads gives no subclasses, and bool is not one of these
 
 
 def _require_finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer out of the double range") from None
     if not math.isfinite(value):
         raise SchemaError(f"{where}: entries must be finite")
     return value
@@ -41,19 +47,26 @@ def _require_finite_number(value, where: str) -> float:
 def parse_matrix_document(text) -> np.ndarray:
     """Parse a matrix document into a float64/complex128 array.
 
-    Raises ParseError (with line and column) on malformed JSON and
-    SchemaError when the JSON does not follow the document schema.
+    Raises ParseError (with line and column where json gives them) on
+    input json cannot read, and SchemaError when the JSON does not follow
+    the document schema.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except ValueError as exc:  # json reads integer literals with int(), which caps their length
+        raise ParseError(
+            f"integer literal of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SchemaError("matrix document must be a JSON object")
     if set(doc) != _DOCUMENT_KEYS:
@@ -71,7 +84,45 @@ def parse_matrix_document(text) -> np.ndarray:
     data = doc["data"]
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(f"data must be a list of {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128 if field == COMPLEX else np.float64)
+    out = _parse_at_once(data, cols, field)
+    return _parse_by_entry(data, cols, field) if out is None else out
+
+
+def _parse_at_once(data: list, cols: int, field: str):
+    """The entries as one array, or None when any row or entry breaks the schema.
+
+    The types of all entries are checked together, numpy converts them in
+    one call, and one pass tests them for finiteness.  The array has the
+    bits of :func:`_parse_by_entry`'s.
+    """
+    if not all(type(row) is list and len(row) == cols for row in data):
+        return None
+    shape = (len(data), cols)
+    if field == COMPLEX:  # the [re, im] pairs become rows of two numbers
+        data = list(chain.from_iterable(data))
+        if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+            return None
+    if not set(map(type, chain.from_iterable(data))) <= _NUMBER_TYPES:
+        return None
+    count = len(data) * len(data[0])
+    try:
+        values = np.fromiter(chain.from_iterable(data), np.float64, count)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if field == COMPLEX:
+        values = values.view(np.complex128)
+    return values.reshape(shape)
+
+
+def _parse_by_entry(data: list, cols: int, field: str) -> np.ndarray:
+    """The entries checked one at a time, in order.
+
+    Raises the SchemaError of the first row or entry that breaks the
+    schema, so it names where that is.
+    """
+    out = np.zeros((len(data), cols), dtype=np.complex128 if field == COMPLEX else np.float64)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"data row {i} must be a list of {cols} entries")

@@ -115,11 +115,19 @@ def _holds(residual, scale) -> bool:
 def selfadjoint(f, sharp) -> bool:
     """f# = f: ``||f# - f|| <= TOL ||f||``, for the adjoint ``f# = sharp(f)``.
 
-    Non-finite ``f`` is rejected before ``sharp`` or any arithmetic runs.
+    The test runs on ``g = f / s``, with ``s`` the power of two of
+    :func:`_scale_exponent` for ``||f||``, as ``||g# - g|| <= TOL ||f|| / s``:
+    ``sharp`` is linear, so that is the same test scaled exactly by ``1/s``,
+    and ``||g||`` is below 2, so ``g#`` stays finite where ``f#`` would
+    overflow.  ``||f||`` is non-finite when any entry is, so the norm the
+    test needs anyway rejects non-finite ``f`` before ``sharp`` runs.
     """
-    if not np.all(np.isfinite(f)):
+    size = norm(f)
+    if not size < math.inf:
         return False
-    return _holds(norm(sharp(f) - f), norm(f))
+    scale = math.ldexp(1.0, _scale_exponent(size))
+    g = f / scale
+    return _holds(norm(sharp(g) - g), size / scale)
 
 
 def isometric(f, sharp) -> bool:

@@ -16,6 +16,8 @@ from kreinalg.generators import random_g_selfadjoint, random_positive_definite, 
 from kreinalg.io import serialize_matrix_document
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run(capsys, *argv):
@@ -26,6 +28,15 @@ def run(capsys, *argv):
 
 def inpath(name: str) -> str:
     return str(GOLDEN / "in" / name)
+
+
+def _run_cli(*argv, code=None, env=None):
+    """``python -m kreinalg.cli ARGV`` (or ``python -c CODE``) in a fresh interpreter."""
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    command = ["-c", code] if code is not None else ["-m", "kreinalg.cli"]
+    return subprocess.run([sys.executable, *command, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 GOLDEN_CASES = {
@@ -266,15 +277,9 @@ class TestBlasThreadDeterminism:
             "spectral": ["spectral", "--in", docs["operator"], "--gram", docs["gram"]],
             "canonical-basis": ["canonical-basis", "--gram", docs["gram"], "--hform", docs["hform"]],
         }[command]
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "kreinalg.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
+            proc = _run_cli(*argv, env={"OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
@@ -299,6 +304,17 @@ class TestErrorPaths:
         code, _, err = run(capsys, "det", "--in", inpath("malformed.json"))
         assert code == 1
         assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("data,error", [
+        ("[[" + "9" * 400 + "]]", "SchemaError"),  # beyond the double range
+        ("[[" + "9" * 5000 + "]]", "ParseError"),  # more digits than int() reads
+    ], ids=["huge", "long"])
+    def test_oversized_integer_is_domain_error(self, tmp_path, data, error):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"field":"real","rows":1,"cols":1,"data":{data}}}')
+        proc = _run_cli("det", "--in", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr)["error"] == error
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "det", "--in", inpath("does_not_exist.json"))
@@ -369,6 +385,155 @@ class TestErrorPaths:
         code, _, err = run(capsys, "check", "--kind", "pseudo-unitary",
                            "--in", inpath("eye2.json"), "--hform", inpath("malformed.json"))
         assert code == 1
+
+
+_CHOICES = ("{det,eig,spectral,adjoint,dirac-adjoint,signature,canonical-basis,projectors,"
+            "tensor-product,contract,kron,change-basis,check,verify}")
+_TOP_USAGE = f"usage: kreinalg [-h]\n                {_CHOICES}\n                ...\n"
+_TOP_HELP = _TOP_USAGE + f"""
+Linear algebra over definite and indefinite inner products.
+
+positional arguments:
+  {_CHOICES}
+    det                 determinant of a square document
+    eig                 spectral decomposition of a Hermitian document
+    spectral            spectral decomposition w.r.t. a Gram matrix (or Dirac-
+                        spectral with --hform)
+    adjoint             adjoint w.r.t. a Gram matrix
+    dirac-adjoint       Dirac adjoint of a ket, bra, or operator document
+    signature           signature of an indefinite form
+    canonical-basis     basis bringing the form to diag(+1.., -1..)
+    projectors          projectors onto the positive/negative metric subspaces
+    tensor-product      tensor product of two documents, slot-sorted and
+                        flattened
+    contract            trace contraction of an operator document
+    kron                Kronecker product of two documents
+    change-basis        change-of-basis matrix (and optional operator
+                        conjugation)
+    check               membership/structure predicates
+    verify              run the seeded lemma verification suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+_DET_HELP = """usage: kreinalg det [-h] [--in DOC.json] [--out PATH]
+
+options:
+  -h, --help     show this help message and exit
+  --in DOC.json  input matrix document (repeat for multi-input commands)
+  --out PATH     write the JSON result to a file
+"""
+_COMMAND_LIST = ", ".join(repr(name) for name in _CHOICES[1:-1].split(","))
+
+
+class TestUsageBytes:
+    """Help and usage errors, byte for byte, with their exit codes (80 columns)."""
+
+    CASES = {
+        "help": (["-h"], 0, _TOP_HELP, ""),
+        "det-help": (["det", "-h"], 0, _DET_HELP, ""),
+        "unknown-command": (["frobnicate"], 2, "", _TOP_USAGE + (
+            "kreinalg: error: argument command: invalid choice: 'frobnicate' "
+            f"(choose from {_COMMAND_LIST})\n")),
+        "no-command": ([], 2, "", _TOP_USAGE + (
+            "kreinalg: error: the following arguments are required: command\n")),
+        "missing-hform": (["signature"], 2, "", (
+            "usage: kreinalg signature [-h] [--gram G.json] --hform K.json [--out PATH]\n"
+            "kreinalg signature: error: the following arguments are required: --hform\n")),
+        "abbreviated-option": (["verify", "--in", "1", "--dims", "1"], 2, "", _TOP_USAGE + (
+            "kreinalg: error: unrecognized arguments: --in 1\n")),
+        "extra-argument": (["det", "--in", "a.json", "extra"], 2, "", _TOP_USAGE + (
+            "kreinalg: error: unrecognized arguments: extra\n")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_and_exit_code(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv, code, out, err = self.CASES[case]
+        assert run(capsys, *argv) == (code, out, err)
+
+    TAILS = (["-h"], [], ["--nope"], ["--out"], ["extra"], ["--in", "a", "--in"],
+             ["--kind", "bogus"], ["--seed", "x"], ["--dims", "1,x"], ["--hform", "K"])
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_one_subparser_parses_as_the_full_parser(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(parser, argv):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        for tail in self.TAILS:
+            argv = [name, *tail]
+            assert outcome(cli.build_parser(name), argv) == outcome(cli.build_parser(), argv)
+
+
+# Runs ``python -m kreinalg.cli ARGV`` and prints, after its output, the JSON
+# list of source files whose module bodies ran, as seen by the "exec" audit event.
+_EXECUTED_MODULES = """
+import json, runpy, sys
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(args[0].co_filename))
+sys.argv[0] = "kreinalg"
+try:
+    runpy.run_module("kreinalg.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(ran))
+"""
+
+
+class TestLazyLoading:
+    """``lemmas`` and ``generators`` are bound at import but run only when first used."""
+
+    def test_import_binds_every_traced_layer_without_running_the_suite(self):
+        proc = _run_cli(code=(
+            "import json, sys\n"
+            "import kreinalg.cli\n"
+            "hashlib = 'hashlib' in sys.modules\n"
+            f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "from tracing import LAYERS\n"
+            "print(json.dumps([hashlib, [l for l in LAYERS if 'kreinalg.' + l not in sys.modules]]))"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, []]
+
+    def test_det_request_never_runs_the_lemma_module(self):
+        proc = _run_cli("det", "--in", inpath("a22.json"), code=_EXECUTED_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        out, ran = proc.stdout.splitlines()
+        assert out + "\n" == (GOLDEN / "expected" / "det.txt").read_text()
+        assert not {"lemmas.py", "generators.py"} & {pathlib.Path(p).name for p in json.loads(ran)}
+
+    def test_verify_request_runs_the_lemma_module(self):
+        proc = _run_cli("verify", "--dims", "1", "--instances", "1", code=_EXECUTED_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        ran = json.loads(proc.stdout.splitlines()[-1])
+        assert "lemmas.py" in {pathlib.Path(p).name for p in ran}
+
+    def test_lazy_names_resolve(self):
+        proc = _run_cli(code=(
+            "import kreinalg\n"
+            "from kreinalg import LemmaReport\n"
+            "from kreinalg.generators import random_unitary\n"
+            "assert kreinalg.run_lemma_suite is kreinalg.lemmas.run_lemma_suite\n"
+            "assert LemmaReport is kreinalg.lemmas.LemmaReport\n"
+            "assert random_unitary is kreinalg.generators.random_unitary\n"
+            "try:\n"
+            "    kreinalg.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "module 'kreinalg' has no attribute 'no_such_name'\n"
+
+    def test_default_verify_in_a_fresh_interpreter(self):
+        proc = _run_cli("verify", "--seed", "42")
+        assert proc.returncode == 0, proc.stderr
+        assert golden_differences("verify_default.txt", proc.stdout) == []
 
 
 class TestDispatch:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kreinalg import (
     UP,
@@ -32,6 +32,7 @@ from kreinalg import (
     is_orthogonal,
     is_pseudo_orthogonal,
     is_pseudo_unitary,
+    is_selfadjoint,
     kernel_dimension,
     metric_structure_from,
     minkowski_structure,
@@ -757,6 +758,45 @@ class TestDiracSpectralUnderStrongBoosts:
             scale = np.linalg.cond(ms.ip.gram) * np.linalg.norm(ms.h, 2) ** 2 * np.linalg.norm(f)
             bound = (0.5 * policy.TOL + 64 * n * np.finfo(float).eps) * scale
             assert np.linalg.norm(dec.reconstruct() - f) <= bound
+
+
+class TestSelfAdjointnessAtAnyScale:
+    """The self-adjointness rules decide ``c f`` as they decide ``f``, at any scale.
+
+    Under a ``lorentz_boost(2.0, n)`` frame ``f#`` is up to ~e^8 times
+    larger than f, so forming it from an f with largest entry 1e307
+    overflowed; the rule now forms it from f scaled by a power of two.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-300.0, 307.0),
+    )
+    @example(n=3, field="real", seed=1, exponent=307.0)
+    @example(n=3, field="complex", seed=1, exponent=307.0)
+    @example(n=3, field="complex", seed=1, exponent=-300.0)
+    def test_members_accepted_and_others_rejected(self, n, field, seed, exponent):
+        rng = np.random.default_rng(seed)
+        ms = metric_structure_from(*_boosted_pair(2.0, n, field))
+        dirac = random_dirac_selfadjoint(rng, ms)
+        g_self = random_g_selfadjoint(rng, ms.ip)
+        e = random_matrix(rng, n, n, field)
+
+        def at_scale(f):
+            return f * (10.0**exponent / np.max(np.abs(f)))
+
+        def perturbed(f):
+            return f + 1e-3 * np.max(np.abs(f)) / np.max(np.abs(e)) * e
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_dirac_selfadjoint(at_scale(dirac), ms)
+            assert is_selfadjoint(at_scale(g_self), ms.ip)
+            assert not is_dirac_selfadjoint(at_scale(perturbed(dirac)), ms)
+            assert not is_selfadjoint(at_scale(perturbed(g_self)), ms.ip)
 
 
 @pytest.mark.parametrize("value", [1.0, np.ones(3)], ids=["0-D", "1-D"])

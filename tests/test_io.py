@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg import ParseError, SchemaError
 from kreinalg.generators import random_matrix
@@ -55,6 +57,141 @@ class TestParse:
     def test_schema_violations(self, text):
         with pytest.raises(SchemaError):
             parse_matrix_document(text)
+
+
+_HUGE = "9" * 400  # an integer literal beyond the double range
+_LONG = "9" * 5000  # more digits than int() reads from a string
+
+
+class TestUnreadableInput:
+    """Valid JSON that no double holds, and bytes json cannot read, are errors, not crashes."""
+
+    @pytest.mark.parametrize("field,entry,where", [
+        ("real", _HUGE, "data[0][1]"),
+        ("real", "-" + _HUGE, "data[0][1]"),
+        ("complex", f"[0,{_HUGE}]", "data[0][1]"),
+    ], ids=["real", "negative", "complex"])
+    def test_integer_beyond_the_double_range(self, field, entry, where):
+        first = "[1,2]" if field == "complex" else "1"
+        text = f'{{"field":"{field}","rows":1,"cols":2,"data":[[{first},{entry}]]}}'
+        with pytest.raises(SchemaError) as info:
+            parse_matrix_document(text)
+        assert str(info.value) == f"{where}: integer out of the double range"
+
+    @pytest.mark.parametrize("text", [
+        f'{{"field":"real","rows":1,"cols":1,"data":[[{_LONG}]]}}',
+        f'{{"field":"real","rows":{_LONG},"cols":1,"data":[[1]]}}',
+    ], ids=["entry", "rows"])
+    def test_integer_literal_too_long_to_read(self, text):
+        with pytest.raises(ParseError, match="integer literal of more than 4300 digits"):
+            parse_matrix_document(text)
+
+    def test_invalid_utf8(self):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_matrix_document(b'{"field":"real","rows":1,"cols":1,"data":[[1\xff]]}')
+
+    def test_nesting_too_deep(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_matrix_document("[" * 100_000 + "]" * 100_000)
+
+
+def _data_by_entry(doc):
+    """The entry-at-a-time parse of a document's data, kept as the reference.
+
+    This is the loop that ``parse_matrix_document`` ran on every document
+    before it checked whole arrays.  The one change: an integer beyond the
+    double range gets its SchemaError, where ``float()`` raised
+    OverflowError.
+    """
+    def number(value, where):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{where}: expected a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise SchemaError(f"{where}: integer out of the double range") from None
+        if not math.isfinite(value):
+            raise SchemaError(f"{where}: entries must be finite")
+        return value
+
+    field, rows, cols = doc["field"], doc["rows"], doc["cols"]
+    out = np.zeros((rows, cols), dtype=np.complex128 if field == "complex" else np.float64)
+    for i, row in enumerate(doc["data"]):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"data row {i} must be a list of {cols} entries")
+        for j, entry in enumerate(row):
+            where = f"data[{i}][{j}]"
+            if field == "real":
+                out[i, j] = number(entry, where)
+            else:
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise SchemaError(f"{where}: complex entries are [re, im] pairs")
+                out[i, j] = complex(number(entry[0], where), number(entry[1], where))
+    return out
+
+
+def _outcome(parse, *args):
+    """(dtype, shape, bytes) of the parsed array, or (type, message) of the error raised."""
+    try:
+        out = parse(*args)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # signed zeros and subnormals included
+    st.integers(-(2**60), 2**60),  # beyond 2**53 an integer must round to nearest even
+    st.sampled_from([2**1024 - 2**970 - 1, -(2**1023)]),  # round to +-the largest doubles
+)
+# Entries that break the schema: booleans, non-numbers, non-finite values,
+# integers that round beyond the largest double, bad pairs.
+_BAD = st.sampled_from([True, False, None, "1", {}, [], [1.0], [1, 2, 3], [True, 0],
+                        [0, None], [0, math.nan], [0, 2**1024], math.nan, math.inf,
+                        -math.inf, 2**1024 - 2**970, -(10**400)])
+
+
+@st.composite
+def _documents(draw):
+    """A matrix document with a valid header; its data may break the schema anywhere."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.lists(_NUMBERS, min_size=2, max_size=2) if field == "complex" else _NUMBERS
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        kind = draw(st.sampled_from(["entry", "component", "drop", "extend", "row"]))
+        if not isinstance(data[i], list) or j >= len(data[i]):  # an earlier edit took it
+            continue
+        if kind == "entry":
+            data[i][j] = draw(_BAD)
+        elif kind == "component" and field == "complex" and isinstance(data[i][j], list):
+            data[i][j][draw(st.integers(0, 1))] = draw(_BAD)
+        elif kind == "drop":
+            data[i].pop()
+        elif kind == "extend":
+            data[i].append(draw(entry))
+        elif kind == "row":
+            data[i] = draw(st.sampled_from([None, 1.0, {}, "row"]))
+    return {"field": field, "rows": rows, "cols": cols, "data": data}
+
+
+class TestParseMatchesTheEntryLoop:
+    """The whole-array parse gives the entry loop's bits, and its first error and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_documents())
+    def test_documents(self, doc):
+        text = json.dumps(doc)
+        assert _outcome(parse_matrix_document, text) == _outcome(_data_by_entry, json.loads(text))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_64_by_64(self, field):
+        m = random_matrix(np.random.default_rng(64), 64, 64, field) * 10.0 ** np.arange(-32, 32)
+        text = serialize_matrix_document(m)
+        assert _outcome(parse_matrix_document, text) == _outcome(_data_by_entry, json.loads(text))
+        assert parse_matrix_document(text).tobytes() == m.tobytes()
 
 
 class TestSerialize:
