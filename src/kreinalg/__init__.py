@@ -17,6 +17,9 @@ The package is layered bottom-up:
 * :mod:`kreinalg.lemmas` / :mod:`kreinalg.cli` - the seeded theorem
   verification suite and the JSON command line front end.
 
+Each layer's ``__all__`` is its public surface; the package re-exports
+the union of those of ``errors`` through ``indefinite``.
+
 :mod:`kreinalg.lemmas` and :mod:`kreinalg.generators` serve only the suite
 and the tests.  ``import kreinalg`` binds both, in ``sys.modules`` and on
 the package, but runs neither until one of its attributes is first read,
@@ -26,109 +29,13 @@ so a command line request other than ``verify`` never compiles them.
 import importlib.util
 import sys
 
-from .errors import (
-    CompatibilityError,
-    ConvergenceError,
-    DegenerateFormError,
-    DependentSetError,
-    FieldError,
-    KreinAlgError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-    SingularBasisError,
-    SpaceError,
-    SymmetryError,
-    VarianceError,
-)
-from .matrices import (
-    COMPLEX,
-    REAL,
-    classify,
-    determinant,
-    determinant_permutation_sum,
-    elementary_projector,
-    hermitian_conjugate,
-    identity,
-    kronecker_product,
-    matmul,
-    natural_bra,
-    natural_ket,
-)
-from .spaces import (
-    Basis,
-    CovectorInBasis,
-    LinearMapRep,
-    VectorInBasis,
-    VectorSpace,
-    canonical_form_bases,
-    change_of_basis,
-    conjugate_representation,
-    dual_basis,
-    kernel_dimension,
-    natural_basis,
-    operator_determinant,
-    rank,
-    rep_covector,
-    rep_vector,
-    represent_map,
-)
-from .tensors import (
-    DOWN,
-    UP,
-    Tensor,
-    contract,
-    full_trace,
-    kron_flatten,
-    kron_unflatten,
-    scalar_tensor,
-    sort_slots,
-    tensor_from_bra,
-    tensor_from_ket,
-    tensor_from_operator,
-    tensor_product,
-    transform_tensor,
-)
-from .eigen import (
-    SpectralDecomposition,
-    charpoly_eigenvalues,
-    eigen_hermitian,
-    jacobi_hermitian,
-)
-from .unitary import (
-    InnerProduct,
-    adjoint,
-    inner_product,
-    is_selfadjoint,
-    is_unitary_wrt,
-    norm,
-    orthonormalize,
-    riesz_inverse,
-    riesz_map,
-    spectral_representation,
-    standard_inner_product,
-)
-from .indefinite import (
-    DiracSpectralDecomposition,
-    HForm,
-    HOrthonormalBasis,
-    MetricStructure,
-    canonical_projectors,
-    compatible_structure_from_hform,
-    dirac_adjoint_covector,
-    dirac_adjoint_operator,
-    dirac_adjoint_vector,
-    dirac_spectral,
-    h_orthonormal_basis,
-    hform_value,
-    is_dirac_selfadjoint,
-    is_orthogonal,
-    is_pseudo_orthogonal,
-    is_pseudo_unitary,
-    metric_structure_from,
-    minkowski_structure,
-    raise_lower_index,
-)
+from .errors import *
+from .matrices import *
+from .spaces import *
+from .tensors import *
+from .eigen import *
+from .unitary import *
+from .indefinite import *
 
 __version__ = "0.1.0"
 

@@ -101,15 +101,14 @@ def random_nondegenerate_hform(
     return (k + hermitian_conjugate(k)) / 2.0
 
 
+# separated_eigenvalues draws from [_LOW, _HIGH], its distinct values _MIN_GAP apart.
+_LOW, _HIGH, _MIN_GAP = -2.0, 2.0, 1e-3
+
+
 def separated_eigenvalues(
-    rng: np.random.Generator,
-    n: int,
-    low: float = -2.0,
-    high: float = 2.0,
-    min_gap: float = 1e-3,
-    multiplicities: bool = False,
+    rng: np.random.Generator, n: int, multiplicities: bool = False
 ) -> np.ndarray:
-    """Real eigenvalues whose distinct values are at least ``min_gap`` apart.
+    """Real eigenvalues in [-2, 2] whose distinct values are at least 1e-3 apart.
 
     With ``multiplicities=True`` some entries are exact repeats, so
     clustering tests see genuine multiplicity rather than near-ties.
@@ -118,11 +117,11 @@ def separated_eigenvalues(
     if multiplicities and n >= 2:
         k = int(rng.integers(1, n))
     for _ in range(1000):
-        distinct = np.sort(rng.uniform(low, high, size=k))
-        if k == 1 or np.min(np.diff(distinct)) >= min_gap:
+        distinct = np.sort(rng.uniform(_LOW, _HIGH, size=k))
+        if k == 1 or np.min(np.diff(distinct)) >= _MIN_GAP:
             break
     else:
-        distinct = low + (high - low) * np.arange(k) / max(k - 1, 1)
+        distinct = _LOW + (_HIGH - _LOW) * np.arange(k) / max(k - 1, 1)
     values = distinct[rng.integers(0, k, size=n)] if k < n else distinct
     if k < n:
         # Guarantee every distinct value appears at least once.

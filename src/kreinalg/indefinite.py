@@ -39,8 +39,8 @@ from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/sel
 from .matrices import (
     COMPLEX,
     REAL,
+    _matrix_view,
     _require_square,
-    as_matrix,
     field_of,
     hermitian_conjugate,
 )
@@ -190,8 +190,8 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     Only then must the pair be compatible: h has to square to the
     identity, otherwise CompatibilityError is raised.
     """
-    gram = as_matrix(gram)
-    hform_matrix = as_matrix(hform_matrix)
+    gram = _matrix_view(gram)
+    hform_matrix = _matrix_view(hform_matrix)
     if field_of(gram) != field_of(hform_matrix):
         raise FieldError("Gram matrix and H-form must share the scalar field")
     space = VectorSpace(gram.shape[0], field_of(gram))
@@ -223,7 +223,7 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     the canonical frame, which is ``W`` with its +1 columns first.  Only
     ``G^{-1}`` is a separate (LU) factorization.
     """
-    hform_matrix = as_matrix(hform_matrix)
+    hform_matrix = _matrix_view(hform_matrix)
     space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
     hf = HForm(space, hform_matrix)
     u, lam = hf._eigenvectors, hf._eigenvalues
@@ -324,12 +324,16 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     Only f's Dirac-selfadjointness is decided (SymmetryError otherwise):
     ``f h`` is then G-selfadjoint, and a second test, relative to ``||f h||``,
     would reject valid f at large ``||h||``.  Its projectors times ``h`` give f.
+    ``f h`` is formed from ``f / s``, with ``s`` the power of two of
+    :func:`policy.scale_of` for ``||f||``, so it cannot overflow; scaling by
+    ``s`` is exact, so only the eigenvalues are multiplied back.
     """
     f = ms.space.operator(f)
     if not policy.selfadjoint(f, lambda m: dirac_adjoint_operator(m, ms)):
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    w, u = _g_selfadjoint_eigh(f @ ms.h, ms.ip)
-    dec = _spectral_decomposition(w, ms.ip.frame @ u, ms.ip.gram)
+    scale = policy.scale_of(policy.norm(f))
+    w, u = _g_selfadjoint_eigh((f / scale) @ ms.h, ms.ip)
+    dec = _spectral_decomposition(scale * w, ms.ip.frame @ u, ms.ip.gram)
     return DiracSpectralDecomposition(
         dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()
     )

@@ -90,6 +90,8 @@ from .unitary import (
 __all__ = ["Lemma", "LemmaReport", "REGISTRY", "DEFAULT_DIMS", "run_lemma_suite"]
 
 DEFAULT_DIMS = (1, 2, 3, 4, 5, 6)
+# No lemma runs above this dimension.
+_MAX_DIM = 12
 
 _FIELDS = (REAL, COMPLEX)
 
@@ -107,7 +109,7 @@ class Lemma:
     tolerance: float
     check: callable
     min_dim: int = 1
-    max_dim: int = 12
+    max_dim: int = _MAX_DIM
     description: str = ""
 
 
@@ -655,13 +657,13 @@ REGISTRY = (
 def run_lemma_suite(seed: int, dims=None, instances: int = 5):
     """Evaluate every registered lemma on seeded random instances.
 
-    ``dims`` must be a subset of 1..12.  Each (lemma, dim, instance)
+    ``dims`` must be a subset of 1 to ``_MAX_DIM``.  Each (lemma, dim, instance)
     triple draws from its own derived sub-stream, so the result is
     independent of evaluation order; both fields of an instance share it.
     """
     dims = tuple(dims) if dims is not None else DEFAULT_DIMS
-    if not dims or any(d < 1 or d > 12 for d in dims):
-        raise ValueError("dims must be a non-empty subset of 1..12")
+    if not dims or any(d < 1 or d > _MAX_DIM for d in dims):
+        raise ValueError(f"dims must be a non-empty subset of 1..{_MAX_DIM}")
     if instances < 1:
         raise ValueError("instances must be >= 1")
     reports = []

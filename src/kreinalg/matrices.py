@@ -63,10 +63,15 @@ def as_matrix(a, field: str | None = None) -> np.ndarray:
     and bras ``(1, n)``; 1-D input is rejected so that row/column
     semantics stay explicit.
     """
+    return _on_field(_matrix_view(a), field)
+
+
+def _matrix_view(a) -> np.ndarray:
+    """``np.asarray(a)``, uncast, after the 2-D check of :func:`as_matrix`."""
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return _on_field(arr, field)
+    return arr
 
 
 def _on_field(a, field: str | None = None) -> np.ndarray:

@@ -23,7 +23,8 @@ from .errors import SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "scale_free_norm", "selfadjoint", "isometric", "require_hermitian", "asymmetry_error",
+    "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric",
+    "require_hermitian", "asymmetry_error",
     "clears_form_floor", "singular_rank", "is_singular",
 ]
 
@@ -94,8 +95,13 @@ def scale_free_norm(a, measure) -> float:
     peak = float(np.max(np.abs(a)))
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    scale = math.ldexp(1.0, _scale_exponent(peak))
+    scale = scale_of(peak)
     return scale * measure(a / scale)
+
+
+def scale_of(size: float) -> float:
+    """The power of two of :func:`_scale_exponent` for ``size``; dividing by it is exact."""
+    return math.ldexp(1.0, _scale_exponent(size))
 
 
 def _scale_exponent(peak: float, floor: int = -1022) -> int:
@@ -125,7 +131,7 @@ def selfadjoint(f, sharp) -> bool:
     size = norm(f)
     if not size < math.inf:
         return False
-    scale = math.ldexp(1.0, _scale_exponent(size))
+    scale = scale_of(size)
     g = f / scale
     return _holds(norm(sharp(g) - g), size / scale)
 
@@ -141,12 +147,13 @@ def isometric(f, sharp) -> bool:
     ``||g# g - s**-2 1|| <= TOL ||g#|| ||g||``:
     ``sharp`` is linear, so that is the same test scaled exactly by
     ``s**-2``, and ``g# g`` cannot overflow even for a boost at rapidity
-    700.  Non-finite ``f`` is rejected before ``sharp`` or any arithmetic
-    runs.
+    700.  ``max |f_ij|`` is NaN or infinite when any entry is, so it
+    rejects non-finite ``f`` before ``sharp`` or any other arithmetic runs.
     """
-    if not np.all(np.isfinite(f)):
+    peak = float(np.max(np.abs(f), initial=0.0))
+    if not peak < math.inf:
         return False
-    exponent = _scale_exponent(float(np.max(np.abs(f), initial=0.0)), -511)
+    exponent = _scale_exponent(peak, -511)
     g = f / math.ldexp(1.0, exponent)
     g_sharp = sharp(g)
     residual = norm(g_sharp @ g - math.ldexp(1.0, -2 * exponent) * np.eye(f.shape[1]))

@@ -12,7 +12,13 @@ import pytest
 import kreinalg
 from kreinalg import InnerProduct, VectorSpace, cli, hermitian_conjugate
 from kreinalg.cli import CHECK_KINDS, OPERATION_COVERAGE, SUBCOMMANDS, main
-from kreinalg.generators import random_g_selfadjoint, random_positive_definite, random_unitary
+from kreinalg.generators import (
+    lorentz_boost,
+    random_dirac_selfadjoint,
+    random_g_selfadjoint,
+    random_positive_definite,
+    random_unitary,
+)
 from kreinalg.io import serialize_matrix_document
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -315,6 +321,25 @@ class TestErrorPaths:
         proc = _run_cli("det", "--in", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert json.loads(proc.stderr)["error"] == error
+
+    def test_dirac_spectral_near_the_double_range_never_tracebacks(self, tmp_path):
+        # Under a lorentz_boost(2.0) frame f h overflowed for an f with
+        # largest entry 1e307, and LinAlgError escaped as a traceback.
+        b_inv = lorentz_boost(-2.0, 3)
+        gram, hform = b_inv.T @ b_inv, b_inv.T @ np.diag([1.0, -1.0, -1.0]) @ b_inv
+        f = random_dirac_selfadjoint(np.random.default_rng(0), kreinalg.metric_structure_from(gram, hform))
+        paths = {}
+        for name, matrix in {"f": f * (1e307 / np.max(np.abs(f))), "g": gram, "k": hform}.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(serialize_matrix_document(matrix))
+        proc = _run_cli("spectral", "--in", str(paths["f"]), "--gram", str(paths["g"]),
+                        "--hform", str(paths["k"]))
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 1:
+            assert "error" in json.loads(proc.stderr)
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert np.all(np.isfinite(json.loads(proc.stdout)["eigenvalues"]))
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "det", "--in", inpath("does_not_exist.json"))

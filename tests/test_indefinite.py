@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -40,7 +41,7 @@ from kreinalg import (
     raise_lower_index,
     spectral_representation,
 )
-from kreinalg import eigen
+from kreinalg import eigen, matrices
 from kreinalg.generators import (
     lorentz_boost,
     random_dirac_selfadjoint,
@@ -655,12 +656,15 @@ class TestDecisionCounts:
     """Each property is decided once per public call, where the input enters.
 
     Counted like the factorizations above: the rules of :mod:`kreinalg.policy`,
-    the eigensolver seam and the coercions of :class:`VectorSpace`.
+    the eigensolver seam, the coercions of :class:`VectorSpace` and the casts
+    to a field (``matrices._on_field``).
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = dict.fromkeys(("selfadjoint", "isometric", "clears_form_floor", "_eigh", "_coerce"), 0)
+        tally = dict.fromkeys(
+            ("selfadjoint", "isometric", "clears_form_floor", "_eigh", "_coerce", "_on_field"), 0
+        )
 
         def count(owners, name):
             original = getattr(owners[0], name)
@@ -677,6 +681,7 @@ class TestDecisionCounts:
         modules = [m for key, m in sys.modules.items() if key.startswith("kreinalg")]
         count([m for m in modules if getattr(m, "_eigh", None) is eigen._eigh], "_eigh")
         count([VectorSpace], "_coerce")
+        count([m for m in modules if getattr(m, "_on_field", None) is matrices._on_field], "_on_field")
         return tally
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -685,11 +690,17 @@ class TestDecisionCounts:
         k = random_nondegenerate_hform(np.random.default_rng(n), n, field)
         ms = compatible_structure_from_hform(k)
         # K's Hermitian check, its one eigh and its one floor; |K| is not tested again.
-        assert counts == {"selfadjoint": 1, "isometric": 0, "clears_form_floor": 1, "_eigh": 1, "_coerce": 1}
+        # K is cast to its field once.
+        assert counts == {
+            "selfadjoint": 1, "isometric": 0, "clears_form_floor": 1, "_eigh": 1, "_coerce": 1, "_on_field": 1
+        }
         counts.update(dict.fromkeys(counts, 0))
         metric_structure_from(ms.ip.gram, ms.hform.matrix)
         # Two floors: G's and the Ostrowski bound on K; h h = 1 is the one isometry.
-        assert counts == {"selfadjoint": 2, "isometric": 1, "clears_form_floor": 2, "_eigh": 2, "_coerce": 2}
+        # G and K are cast once each.
+        assert counts == {
+            "selfadjoint": 2, "isometric": 1, "clears_form_floor": 2, "_eigh": 2, "_coerce": 2, "_on_field": 2
+        }
 
     @pytest.mark.parametrize("kind", ["hform", "pair"])
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -707,7 +718,8 @@ class TestDecisionCounts:
             coercions = counts["_coerce"]
             assert coercions <= 2
             assert counts == {
-                "selfadjoint": 1, "isometric": 0, "clears_form_floor": 0, "_eigh": 1, "_coerce": coercions
+                "selfadjoint": 1, "isometric": 0, "clears_form_floor": 0, "_eigh": 1,
+                "_coerce": coercions, "_on_field": coercions,
             }
 
 
@@ -758,6 +770,39 @@ class TestDiracSpectralUnderStrongBoosts:
             scale = np.linalg.cond(ms.ip.gram) * np.linalg.norm(ms.h, 2) ** 2 * np.linalg.norm(f)
             bound = (0.5 * policy.TOL + 64 * n * np.finfo(float).eps) * scale
             assert np.linalg.norm(dec.reconstruct() - f) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-300.0, 307.0),
+    )
+    @example(n=3, field="real", seed=0, exponent=307.0)
+    @example(n=3, field="complex", seed=0, exponent=307.0)
+    @example(n=3, field="complex", seed=0, exponent=-300.0)
+    def test_decomposes_at_any_scale(self, n, field, seed, exponent):
+        # f h overflowed for an f with largest entry 1e307 under a
+        # lorentz_boost(2.0) frame.  Scaled by a power of two s, f must
+        # give the same projectors and s times the eigenvalues.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = metric_structure_from(*_boosted_pair(2.0, n, field))
+            f = random_dirac_selfadjoint(np.random.default_rng(seed), ms)
+            f = f * (10.0**exponent / np.max(np.abs(f)))
+            s = math.ldexp(1.0, math.frexp(np.max(np.abs(f)))[1] - 1)  # max |f / s| in [1, 2)
+            dec, unit = dirac_spectral(f, ms), dirac_spectral(f / s, ms)
+        assert dec.multiplicities == unit.multiplicities
+        for p, q in zip(dec.projectors, unit.projectors):
+            np.testing.assert_array_equal(p, q)
+        # Exact unless an eigenvalue of f is subnormal.
+        np.testing.assert_allclose(
+            np.array(dec.eigenvalues) / s, unit.eigenvalues, rtol=0, atol=math.ldexp(1.0, -1074) / s
+        )
+        bound = (0.5 * policy.TOL + 64 * n * np.finfo(float).eps) * (
+            np.linalg.cond(ms.ip.gram) * np.linalg.norm(ms.h, 2) ** 2 * np.linalg.norm(f / s)
+        )
+        assert np.linalg.norm(unit.reconstruct() - f / s) <= bound
 
 
 class TestSelfAdjointnessAtAnyScale:

@@ -151,6 +151,10 @@ _BAD = st.sampled_from([True, False, None, "1", {}, [], [1.0], [1, 2, 3], [True,
                         -math.inf, 2**1024 - 2**970, -(10**400)])
 
 
+def _is_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2
+
+
 @st.composite
 def _documents(draw):
     """A matrix document with a valid header; its data may break the schema anywhere."""
@@ -166,7 +170,8 @@ def _documents(draw):
             continue
         if kind == "entry":
             data[i][j] = draw(_BAD)
-        elif kind == "component" and field == "complex" and isinstance(data[i][j], list):
+        elif kind == "component" and field == "complex" and _is_pair(data[i][j]):
+            data[i][j] = list(data[i][j])  # _BAD's lists are shared samples: edit a copy
             data[i][j][draw(st.integers(0, 1))] = draw(_BAD)
         elif kind == "drop":
             data[i].pop()

@@ -233,6 +233,10 @@ class TestSelfAdjointness:
             assert not is_dirac_selfadjoint(f, minkowski_structure(1, 1))
 
 
+def _unreached(f):
+    raise AssertionError("the adjoint was formed from non-finite input")
+
+
 class TestRelativeIsometry:
     # From rapidity ~355 the unscaled product f# f overflows; boost entries
     # stay finite up to ~710.
@@ -276,6 +280,7 @@ class TestRelativeIsometry:
         ms = minkowski_structure(1, n - 1, field)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert not policy.isometric(f, _unreached)
             assert not is_unitary_wrt(f, standard_inner_product(space))
             assert not is_pseudo_unitary(f, ms)
             assert not {"unitary", "orthogonal"} & classify(f)
@@ -372,6 +377,17 @@ class TestPolicyGuard:
         }
         sites = _call_sites(checked)
         assert sites and {site.split(":")[0] for site in sites} <= {"cli.py", "lemmas.py"}
+
+    def test_package_binds_layer_names_only_by_star_imports(self):
+        # Each layer's __all__ is the one declaration of what the package exports.
+        tree = ast.parse((SRC / "__init__.py").read_text())
+        imports = [
+            (node.level, node.module, [alias.name for alias in node.names])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ]
+        layers = ["errors", "matrices", "spaces", "tensors", "eigen", "unitary", "indefinite"]
+        assert imports == [(1, layer, ["*"]) for layer in layers]
 
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})
