@@ -378,7 +378,9 @@ def main(argv=None) -> int:
             )
         documents = [_load(path) for path in paths]
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
-        result = handler(args, *documents)
+        # A result outside the double range is answered by dumps' SchemaError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = handler(args, *documents)
         text = dumps(result)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -128,16 +128,10 @@ def _eigh(a):
 
 
 def _hermitian_form(a: np.ndarray, what: str) -> np.ndarray:
-    """Check (SymmetryError) and symmetrize a form."""
-    policy.require_hermitian(a, what)
+    """The Hermitian part of ``a``, once :func:`policy.selfadjoint` accepts it (SymmetryError)."""
+    if not policy.selfadjoint(a, lambda m: np.conj(m).T):
+        raise policy.asymmetry_error(a, what, "Hermitian")
     return (a + hermitian_conjugate(a)) / 2.0
-
-
-def _hermitian_form_eigh(a: np.ndarray, what: str):
-    """Check (SymmetryError), symmetrize and decompose a form: ``(a, w, vectors)``."""
-    a = _hermitian_form(a, what)
-    w, vectors = _eigh(a)
-    return a, w, vectors
 
 
 def _spectral_function(vectors, values) -> np.ndarray:
@@ -208,7 +202,7 @@ def eigen_hermitian(a) -> SpectralDecomposition:
     """
     a = np.asarray(a)
     _require_square(a)
-    _, w, vectors = _hermitian_form_eigh(a, "matrix")
+    w, vectors = _eigh(_hermitian_form(a, "matrix"))
     return _spectral_decomposition(w, vectors)
 
 

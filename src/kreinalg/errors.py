@@ -13,6 +13,7 @@ __all__ = [
     "SingularBasisError",
     "DependentSetError",
     "SymmetryError",
+    "NonFiniteError",
     "ConvergenceError",
     "DegenerateFormError",
     "CompatibilityError",
@@ -51,6 +52,10 @@ class DependentSetError(KreinAlgError):
 
 class SymmetryError(KreinAlgError):
     """Input lacks the required (self-)adjointness."""
+
+
+class NonFiniteError(KreinAlgError):
+    """A matrix that must be finite has NaN or infinite entries."""
 
 
 class ConvergenceError(KreinAlgError):

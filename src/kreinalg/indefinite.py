@@ -7,6 +7,12 @@ operator ``h = G^{-1} K`` is G-selfadjoint; the pair is *compatible* when
 +1 or -1 and splits the space into two G-orthogonal subspaces.  The
 counts of +1 and -1 eigenvalues form the signature.
 
+:class:`HForm` has one constructor, which decides only that K is
+Hermitian.  K's non-degeneracy is decided by the factory that builds a
+structure on it, from the factorization that factory runs anyway:
+:func:`compatible_structure_from_hform` floors K's eigenvalues, and
+:func:`metric_structure_from` an Ostrowski lower bound on them.
+
 Conjugating with ``h`` turns the ordinary adjoint into the Dirac adjoint
 (``hconj(f) = h adjoint(f) h``), under which the form-preserving
 operators are exactly the pseudo-unitary group of the signature.  With
@@ -30,8 +36,8 @@ from .errors import (
 )
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
+    _eigh,
     _hermitian_form,
-    _hermitian_form_eigh,
     _spectral_decomposition,
     _spectral_function,
     jacobi_hermitian,
@@ -76,37 +82,20 @@ __all__ = [
 
 
 class HForm:
-    """A non-degenerate Hermitian form, carried by its Gram matrix K.
+    """A Hermitian form, carried by its Gram matrix K.
 
-    Construction validates Hermiticity and non-degeneracy (every
-    ``|eigenvalue| > FORM_TOL ||K||``) and caches the eigendecomposition
-    ``K = U diag(lambda) U^+``, from which the compatible structure, its
-    canonical frame and the signature follow.  The form of an explicit
-    (G, K) pair is not factorized: :func:`metric_structure_from` takes
-    its signature and its non-degeneracy from the frame solve instead.
-    The inverse ``K^{-1}`` (LU) is computed on first use: only the Dirac
-    adjoint of a covector reads it.
+    The one constructor coerces K to the space, decides its Hermiticity
+    (SymmetryError) and keeps its Hermitian part; nothing is factorized.
+    K's non-degeneracy is decided by the structure factory built on the
+    form, each by its own bound: :func:`compatible_structure_from_hform`
+    floors K's eigenvalues, :func:`metric_structure_from` an Ostrowski
+    bound on them (DegenerateFormError).  The inverse ``K^{-1}`` (LU) is
+    computed on first use: only the Dirac adjoint of a covector reads it.
     """
 
     def __init__(self, space: VectorSpace, matrix) -> None:
-        k, eigenvalues, vectors = _hermitian_form_eigh(space.operator(matrix), "H-form matrix")
-        if not policy.clears_form_floor(np.abs(eigenvalues), k):
-            raise _degenerate("min |eigenvalue|", np.abs(eigenvalues))
         self.space = space
-        self.matrix = k
-        self._eigenvalues = eigenvalues
-        self._eigenvectors = vectors
-
-    @classmethod
-    def _of_pair(cls, space: VectorSpace, matrix) -> HForm:
-        """The Hermitian-checked, symmetrized form of a pair, not decomposed.
-
-        Its non-degeneracy is for the caller to establish.
-        """
-        hf = cls.__new__(cls)
-        hf.space = space
-        hf.matrix = _hermitian_form(space.operator(matrix), "H-form matrix")
-        return hf
+        self.matrix = _hermitian_form(space.operator(matrix), "H-form matrix")
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -186,7 +175,8 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     Ostrowski's theorem every ``|eigenvalue|`` of K is at least
     ``lambda_min(G) min |w|``, so K counts as non-degenerate when that
     bound exceeds ``FORM_TOL ||K||``, otherwise DegenerateFormError is
-    raised; this accepts no K that :class:`HForm`'s own floor rejects.
+    raised; this accepts no K that the eigenvalue floor of
+    :func:`compatible_structure_from_hform` rejects.
     Only then must the pair be compatible: h has to square to the
     identity, otherwise CompatibilityError is raised.
     """
@@ -196,7 +186,7 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
         raise FieldError("Gram matrix and H-form must share the scalar field")
     space = VectorSpace(gram.shape[0], field_of(gram))
     ip = InnerProduct(space, gram)
-    hf = HForm._of_pair(space, hform_matrix)
+    hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
     w, u = _g_selfadjoint_eigh(h, ip)
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
@@ -217,6 +207,8 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     """Synthesize the compatible inner product of a bare H-form.
 
     The space is ``VectorSpace(n, field)`` for the n and the field of K.
+    K is non-degenerate when every ``|eigenvalue| > FORM_TOL ||K||``,
+    otherwise DegenerateFormError is raised.
     Everything comes from the one eigendecomposition ``K = U Lambda U^+``:
     the positive-definite ``G = U |Lambda| U^+`` with its frame ``W = U
     |Lambda|^{-1/2}``, the metric operator ``h = U sign(Lambda) U^+``, and
@@ -226,10 +218,13 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     hform_matrix = _matrix_view(hform_matrix)
     space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
     hf = HForm(space, hform_matrix)
-    u, lam = hf._eigenvectors, hf._eigenvalues
-    g = _spectral_function(u, np.abs(lam))
+    lam, u = _eigh(hf.matrix)
+    mag = np.abs(lam)
+    if not policy.clears_form_floor(mag, hf.matrix):
+        raise _degenerate("min |eigenvalue|", mag)
+    g = _spectral_function(u, mag)
     ip = InnerProduct.__new__(InnerProduct)
-    ip._init(space, (g + hermitian_conjugate(g)) / 2.0, np.abs(lam), u)
+    ip._init(space, (g + hermitian_conjugate(g)) / 2.0, mag, u)
     h = _spectral_function(u, np.sign(lam))
     signature = _signature_of(lam)
     order = np.argsort(lam < 0, kind="stable")

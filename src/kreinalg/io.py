@@ -159,8 +159,15 @@ def scalar_pair(z) -> list:
 
 
 def dumps(obj) -> str:
-    """Compact deterministic JSON with a trailing newline."""
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+    """Compact deterministic JSON with a trailing newline.
+
+    The schema admits only finite numbers, so a NaN or an infinity (a
+    result outside the double range) raises SchemaError.
+    """
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:  # json's error for a non-finite float
+        raise SchemaError("result has a number outside the double range") from None
 
 
 def serialize_matrix_document(matrix) -> str:

@@ -4,7 +4,12 @@ Each object of the theory is defined by one identity (G = G^+, h h = 1,
 f## = f, F# F = 1), and deciding whether such an identity holds in
 floating point is the one judgement the package makes.  So every tolerance
 lives here, named by the decision it governs, and the other modules ask
-these rules instead of comparing residuals themselves.  Norms are
+these rules instead of comparing residuals themselves, with three
+exceptions that compare against a constant of this module in place:
+Gram-Schmidt breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``),
+eigenvalue clustering (``eigen.cluster_eigenvalues``, ``CLUSTER_TOL``) and
+the stop rule of the Jacobi oracle (``eigen.jacobi_hermitian``,
+``JACOBI_TOL``).  Norms are
 Frobenius norms computed by :func:`norm`, which neither overflows nor
 underflows, so every rule gives the same answer for ``c A`` as for ``A``
 at any scale ``c``.  Every rule is NaN-safe: it accepts only when
@@ -18,14 +23,14 @@ import math
 
 import numpy as np
 
-from .errors import SymmetryError
+from .errors import NonFiniteError, SymmetryError
 
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
     "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric",
-    "require_hermitian", "asymmetry_error",
-    "clears_form_floor", "singular_rank", "is_singular",
+    "asymmetry_error", "clears_form_floor",
+    "unit_scaled", "singular_rank", "numerical_rank", "is_singular",
 ]
 
 # Self-adjointness and isometry, relative to the operators involved.
@@ -33,7 +38,7 @@ TOL = 1e-9
 # Non-degenerate (definite) form K: every |eigenvalue| (eigenvalue), or a lower
 # bound on it, > FORM_TOL ||K||.
 FORM_TOL = 1e-10
-# A singular value s counts as zero when s <= RANK_TOL * s_max.
+# A singular value s counts as zero when s <= RANK_TOL * s_max (of a unit_scaled matrix).
 RANK_TOL = 1e-10
 # Eigenvalues closer than CLUSTER_TOL * ||eigenvalues|| share an eigenspace.
 CLUSTER_TOL = 1e-8
@@ -160,23 +165,21 @@ def isometric(f, sharp) -> bool:
     return _holds(residual, norm(g_sharp) * norm(g))
 
 
-def require_hermitian(a: np.ndarray, what: str) -> None:
-    """Raise SymmetryError unless ``a`` is Hermitian by :func:`selfadjoint`."""
-    if not selfadjoint(a, lambda m: np.conj(m).T):
-        raise asymmetry_error(a, what, "Hermitian")
-
-
 def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
     """The error for an ``f`` that failed :func:`selfadjoint`.
 
     The rule rejects every non-finite input, so the message names the
     non-finite entries when there are any.
     """
-    bad = np.argwhere(~np.isfinite(f))
-    if not bad.size:
+    if np.all(np.isfinite(f)):
         return SymmetryError(f"{what} is not {kind} within tolerance")
+    return SymmetryError(_non_finite_message(f, what))
+
+
+def _non_finite_message(a: np.ndarray, what: str) -> str:
+    bad = np.argwhere(~np.isfinite(a))
     first = tuple(int(i) for i in bad[0])
-    return SymmetryError(f"{what} has {len(bad)} non-finite entries, the first at {first}")
+    return f"{what} has {len(bad)} non-finite entries, the first at {first}"
 
 
 def clears_form_floor(values, k) -> bool:
@@ -188,9 +191,33 @@ def clears_form_floor(values, k) -> bool:
     return bool(np.min(values) > FORM_TOL * norm(k))
 
 
+def unit_scaled(a: np.ndarray) -> tuple:
+    """``(a / s, s)`` for a finite ``a``; NonFiniteError, naming the first bad entry, otherwise.
+
+    ``s`` is the power of two of :func:`scale_of` for ``max |a_ij|``, so the
+    division is exact and the largest entry of ``a / s`` lies in [1, 2)
+    (unless ``a`` is zero or subnormal): no singular value or pivot of
+    ``a / s`` overflows or underflows.
+    """
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if not peak < math.inf:
+        raise NonFiniteError(_non_finite_message(a, "matrix"))
+    scale = scale_of(peak)
+    return a / scale, scale
+
+
 def singular_rank(s) -> int:
-    """Numerical rank from singular values ``s``, largest first."""
+    """The rank rule: the singular values ``s`` (largest first) above ``RANK_TOL s[0]``.
+
+    ``s`` must be those of a :func:`unit_scaled` matrix, so that the count
+    is the same at any scale.
+    """
     return int(np.sum(s > RANK_TOL * s[0])) if len(s) else 0
+
+
+def numerical_rank(a: np.ndarray) -> int:
+    """:func:`singular_rank` of a finite ``a``, free of scale (NonFiniteError otherwise)."""
+    return singular_rank(np.linalg.svd(unit_scaled(a)[0], compute_uv=False))
 
 
 def is_singular(a: np.ndarray) -> bool:
@@ -198,6 +225,4 @@ def is_singular(a: np.ndarray) -> bool:
 
     A zero or non-finite matrix counts as singular.
     """
-    if not np.all(np.isfinite(a)):
-        return True
-    return singular_rank(np.linalg.svd(a, compute_uv=False)) < a.shape[0]
+    return not np.all(np.isfinite(a)) or numerical_rank(a) < a.shape[0]

@@ -85,11 +85,9 @@ class Basis:
 
     def __init__(self, space: VectorSpace, matrix) -> None:
         b = space.operator(matrix)
-        if policy.is_singular(b):
-            raise SingularBasisError("basis matrix is numerically singular")
         self.space = space
         self.matrix = b
-        self.inverse = np.linalg.inv(b)
+        self.inverse = _inverse(b, "basis matrix")
 
     @classmethod
     def _with_inverse(cls, space: VectorSpace, matrix: np.ndarray, inverse: np.ndarray) -> Basis:
@@ -112,6 +110,20 @@ class Basis:
 
     def __repr__(self) -> str:
         return f"Basis(space={self.space!r}, matrix=\n{self.matrix!r})"
+
+
+def _inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """``m^{-1}`` (LU), or SingularBasisError when ``m`` is numerically singular.
+
+    The LU runs on ``m / s`` for the power of two of :func:`policy.unit_scaled`
+    and its inverse is divided by ``s``.  Both scalings are exact, so in
+    range the bits are those of ``inv(m)``, and a well-conditioned ``m``
+    near the overflow threshold still inverts.
+    """
+    if policy.is_singular(m):
+        raise SingularBasisError(f"{what} is numerically singular")
+    scaled, scale = policy.unit_scaled(m)
+    return np.linalg.inv(scaled) / scale
 
 
 def natural_basis(space: VectorSpace) -> Basis:
@@ -244,11 +256,12 @@ def operator_determinant(rep: LinearMapRep):
 def rank(a) -> int:
     """Rank by row echelon reduction with partial pivoting.
 
-    A pivot counts as zero under the numerical-rank rule of
-    :mod:`kreinalg.policy`, with the largest entry standing in for the
-    largest singular value.
+    The reduction runs on :func:`policy.unit_scaled` ``a``, whose largest
+    entry stands in for the largest singular value: a pivot counts as zero
+    when it is at most ``RANK_TOL`` times that entry.  Non-finite input
+    raises NonFiniteError.
     """
-    m = as_matrix(a, COMPLEX)
+    m, _ = policy.unit_scaled(as_matrix(a, COMPLEX))
     rows, cols = m.shape
     floor = policy.RANK_TOL * np.max(np.abs(m), initial=0.0)
     r = 0
@@ -269,10 +282,11 @@ def kernel_dimension(a) -> int:
     """Kernel dimension counted from the singular-value profile.
 
     Deliberately a different route than :func:`rank` so the rank-nullity
-    identity is a genuine cross-check, not a tautology.
+    identity is a genuine cross-check, not a tautology.  Non-finite input
+    raises NonFiniteError.
     """
     a = as_matrix(a)
-    return a.shape[1] - policy.singular_rank(np.linalg.svd(a, compute_uv=False))
+    return a.shape[1] - policy.numerical_rank(a)
 
 
 def canonical_form_bases(
@@ -280,16 +294,22 @@ def canonical_form_bases(
 ):
     """Bases in which a map is represented by the block matrix diag(1_r, 0).
 
-    Returns ``(domain_basis, codomain_basis, r)`` built from the singular
-    value decomposition; ``r`` is the numerical rank.
+    Returns ``(domain_basis, codomain_basis, r)``, with ``r`` the numerical
+    rank, from the singular value decomposition ``U diag(sigma) V^+`` of
+    ``f / s``, for the power of two ``s`` of :func:`policy.unit_scaled`.
+    The domain basis is ``V`` with its first ``r`` columns divided by
+    ``sigma_i``, the codomain basis is ``s U``: both bases and their
+    inverses stay in the double range at any scale of ``f``.  Non-finite
+    input raises NonFiniteError.
     """
     f = _map_matrix(f_natural, domain_space, codomain_space)
-    u, s, vh = np.linalg.svd(f)
+    scaled, scale = policy.unit_scaled(f)
+    u, s, vh = np.linalg.svd(scaled)
     r = policy.singular_rank(s)
     stretch = np.ones(domain_space.dim)
     stretch[:r] = 1.0 / s[:r]
     return (
         Basis(domain_space, vh.conj().T @ np.diag(stretch)),
-        Basis(codomain_space, u),
+        Basis(codomain_space, u * scale),
         r,
     )

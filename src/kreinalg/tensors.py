@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import policy
-from .errors import ShapeError, SingularBasisError, SpaceError, VarianceError
+from .errors import ShapeError, SpaceError, VarianceError
 from .matrices import _on_field
-from .spaces import VectorSpace
+from .spaces import VectorSpace, _inverse
 
 __all__ = [
     "UP",
@@ -142,9 +141,7 @@ def transform_tensor(t: Tensor, m) -> Tensor:
     n = t.space.dim
     if m.shape != (n, n):
         raise ShapeError(f"transformation matrix must be {n}x{n}, got {m.shape}")
-    if policy.is_singular(m):
-        raise SingularBasisError("transformation matrix is numerically singular")
-    m_inv = np.linalg.inv(m)
+    m_inv = _inverse(m, "transformation matrix")
     components = t.components
     for axis, tag in enumerate(t.variance):
         if tag == UP:

@@ -20,7 +20,7 @@ from .errors import DegenerateFormError, DependentSetError, ShapeError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _eigh,
-    _hermitian_form_eigh,
+    _hermitian_form,
     _spectral_decomposition,
     jacobi_hermitian,
 )
@@ -58,7 +58,8 @@ class InnerProduct:
 
     def __init__(self, space: VectorSpace, gram) -> None:
         """Coerce ``gram`` and decide its Hermiticity and form floor, once each."""
-        g, w, vectors = _hermitian_form_eigh(space.operator(gram), "Gram matrix")
+        g = _hermitian_form(space.operator(gram), "Gram matrix")
+        w, vectors = _eigh(g)
         if not policy.clears_form_floor(w, g):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
@@ -150,12 +151,15 @@ def _g_selfadjoint_eigh(f: np.ndarray, ip: InnerProduct):
 
     For a G-selfadjoint ``f`` and the frame ``W`` of ``ip`` that matrix
     equals ``W^+ G f W``, Hermitian up to roundoff, so its Hermitian part
-    goes to the eigensolver seam.
+    goes to the eigensolver seam.  It is formed from :func:`policy.unit_scaled`
+    ``f / s``, so it cannot overflow; scaling by the power of two ``s`` is
+    exact, so only the eigenvalues are multiplied back.
     """
+    f, scale = policy.unit_scaled(f)
     work = ip.frame_inv @ f @ ip.frame
     w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
     order = np.argsort(-w)
-    return w[order], u[:, order]
+    return scale * w[order], u[:, order]
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):

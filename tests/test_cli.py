@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,70 @@ options:
   --out PATH     write the JSON result to a file
 """
 _COMMAND_LIST = ", ".join(repr(name) for name in _CHOICES[1:-1].split(","))
+
+
+class TestResultOutsideTheDoubleRange:
+    """A result that overflows is one SchemaError document, never a warning or a traceback."""
+
+    @staticmethod
+    def _documents(tmp_path):
+        b = lorentz_boost(2.0, 3)
+        b_inv = np.linalg.inv(b)
+        eta = np.diag([1.0, -1.0, -1.0])
+        m = np.zeros((3, 3))
+        m[:2, :2] = [[-0.9320430210885293, 0.9298929885015395],
+                     [0.9298929885015395, -0.9266651825182575]]
+        f = b @ m @ eta @ b_inv  # Dirac-selfadjoint; max|eig(f h)| is ~58.6 max|f|
+        matrices = {
+            "det": np.diag([1e200, 1e200]),
+            "big": np.full((2, 2), 1e300),
+            "adj": np.array([[1.0, 1e306], [1e306, 1.0]]),
+            "gdiag": np.diag([1.0, 1e-3]),
+            "g": b_inv.T @ b_inv,
+            "k": b_inv.T @ eta @ b_inv,
+            "f": f * (4e306 / np.max(np.abs(f))),
+        }
+        paths = {}
+        for name, matrix in matrices.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            pathlib.Path(paths[name]).write_text(serialize_matrix_document(matrix))
+        return paths
+
+    @pytest.mark.parametrize("command", [
+        "det --in {det}",
+        "kron --in {big} --in {big}",
+        "tensor-product --in {big} --in {big}",
+        "adjoint --in {adj} --gram {gdiag}",
+        "spectral --gram {g} --hform {k} --in {f}",
+    ], ids=["det", "kron", "tensor-product", "adjoint", "spectral-hform"])
+    def test_is_one_schema_error_document(self, capsys, tmp_path, command):
+        argv = command.format(**self._documents(tmp_path)).split()
+        out_file = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "SchemaError", "message": "result has a number outside the double range"
+        }
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_dirac_rule_accepts_the_spectral_input(self, tmp_path):
+        paths = self._documents(tmp_path)
+        g, k, f = (kreinalg.io.parse_matrix_document(pathlib.Path(paths[x]).read_text())
+                   for x in ("g", "k", "f"))
+        assert kreinalg.is_dirac_selfadjoint(f, kreinalg.metric_structure_from(g, k))
+
+    def test_fresh_interpreter_prints_only_the_error_document(self, tmp_path):
+        proc = _run_cli("det", "--in", self._documents(tmp_path)["det"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "SchemaError"
+
+    def test_library_calls_keep_numpys_warnings(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            kreinalg.kronecker_product(np.full((2, 2), 1e300), np.full((2, 2), 1e300))
 
 
 class TestUsageBytes:

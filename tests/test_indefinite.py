@@ -11,6 +11,7 @@ from kreinalg import (
     CompatibilityError,
     DegenerateFormError,
     FieldError,
+    HForm,
     InnerProduct,
     ShapeError,
     SymmetryError,
@@ -94,6 +95,39 @@ class TestConstruction:
         assert inner_product(x, ms.h @ y, ms.ip) == pytest.approx(
             hform_value(x, y, ms), abs=1e-12
         )
+
+
+class TestOneHFormConstructor:
+    """Every H-form is built by ``HForm.__init__``; the factories decide K's floor."""
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_each_construction_calls_init_once(self, monkeypatch, kind, field):
+        k = random_nondegenerate_hform(np.random.default_rng(3), 3, field)
+        gram = compatible_structure_from_hform(k).ip.gram
+        built = []
+        original = HForm.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HForm, "__init__", counted)
+        ms = compatible_structure_from_hform(k) if kind == "hform" else metric_structure_from(gram, k)
+        assert built == [ms.hform]
+
+    def test_a_degenerate_form_constructs_and_fails_both_factories(self):
+        k = np.array([[1.0, 1.0], [1.0, 1.0]])
+        hf = HForm(VectorSpace(2), k)
+        np.testing.assert_array_equal(hf.matrix, k)
+        with pytest.raises(DegenerateFormError):
+            compatible_structure_from_hform(k)
+        with pytest.raises(DegenerateFormError):
+            metric_structure_from(np.eye(2), k)
+
+    def test_a_non_hermitian_form_is_rejected_by_the_constructor(self):
+        with pytest.raises(SymmetryError):
+            HForm(VectorSpace(2), np.array([[1.0, 2.0], [0.0, -1.0]]))
 
 
 class TestCompatibleFromHForm:
@@ -536,7 +570,7 @@ class TestCanonicalFrame:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_synthesized_gram_has_the_bits_of_the_constructed_one(self, field):
         ms = _conditioned_structure(np.random.default_rng(13), "hform", 8, field)
-        u, lam = ms.hform._eigenvectors, ms.hform._eigenvalues
+        lam, u = eigen._eigh(ms.hform.matrix)
         g = (u * np.abs(lam)) @ hermitian_conjugate(u)
         constructed = InnerProduct(ms.space, g.real if field == "real" else g)
         np.testing.assert_array_equal(ms.ip.gram, constructed.gram)
@@ -546,7 +580,7 @@ class TestCanonicalFrame:
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_hform_frame_is_the_inner_product_frame_reordered(self, field, n):
         ms = _conditioned_structure(np.random.default_rng(17 + n), "hform", n, field)
-        lam = ms.hform._eigenvalues
+        lam, _ = eigen._eigh(ms.hform.matrix)
         order = np.concatenate([np.flatnonzero(lam > 0), np.flatnonzero(lam < 0)])
         assert ms.frame.basis.matrix.tobytes() == ms.ip.frame[:, order].tobytes()
         assert ms.frame.basis.inverse.tobytes() == ms.ip.frame_inv[order].tobytes()

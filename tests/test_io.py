@@ -232,6 +232,13 @@ class TestSerialize:
         text = serialize_matrix_document(random_matrix(rng, 2, 2, "complex"))
         json.loads(text)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_schema_error(self, value):
+        with pytest.raises(SchemaError, match="outside the double range"):
+            dumps({"eigenvalues": [1.0, value]})
+        with pytest.raises(SchemaError, match="outside the double range"):
+            serialize_matrix_document(np.array([[1.0, value * 1j]]))
+
 
 def _document_by_entry(matrix):
     """The entry-at-a-time serializer, kept as the reference."""

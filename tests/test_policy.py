@@ -4,21 +4,24 @@ that keeps every tolerance in :mod:`kreinalg.policy`."""
 import ast
 import inspect
 import math
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kreinalg import (
     Basis,
     HForm,
     InnerProduct,
+    KreinAlgError,
     ShapeError,
     SingularBasisError,
     SymmetryError,
     VectorSpace,
+    canonical_form_bases,
     classify,
     eigen_hermitian,
     is_dirac_selfadjoint,
@@ -27,10 +30,12 @@ from kreinalg import (
     is_pseudo_unitary,
     is_selfadjoint,
     is_unitary_wrt,
+    kernel_dimension,
     metric_structure_from,
     minkowski_structure,
     natural_basis,
     policy,
+    rank,
     spectral_representation,
     standard_inner_product,
     tensor_from_ket,
@@ -68,6 +73,7 @@ class TestSingularIsRankBelowN:
         kind=st.sampled_from(["identity", "orthogonal"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n=2, exponent=308, kind="orthogonal", seed=0)
     def test_rank_deficient_bases_rejected_at_any_scale(self, n, exponent, kind, seed):
         rng = np.random.default_rng(seed)
         m = _basis_matrix(rng, n, kind)
@@ -87,6 +93,66 @@ class TestSingularIsRankBelowN:
 
     def test_natural_basis_beyond_dimension_18(self):
         assert natural_basis(VectorSpace(19)).matrix.shape == (19, 19)
+
+
+class TestRankAtAnyScale:
+    """Every numerical-rank rule counts the same rank for ``c A`` as for ``A``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        field=st.sampled_from(["real", "complex"]),
+        exponent=st.integers(-300, 308),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_same_rank_from_1e_minus_300_to_1e308(self, n, field, exponent, seed, data):
+        r = data.draw(st.integers(0, n))
+        rng = np.random.default_rng(seed)
+        stretch = np.diag(rng.uniform(1.0, 2.0, r))
+        a = random_unitary(rng, n, field)[:, :r] @ stretch @ random_unitary(rng, n, field)[:r]
+        peak = np.max(np.abs(a))
+        a = 10.0**exponent * (a / peak if peak else a)  # largest entry 10**exponent
+        space = VectorSpace(n, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rank(a) == r
+            assert kernel_dimension(a) == n - r
+            assert policy.is_singular(a) == (r < n)
+            domain, codomain, found = canonical_form_bases(a, space, space)
+            assert found == r
+            block = codomain.inverse @ a @ domain.matrix
+            if r == n:
+                basis = Basis(space, a)
+                np.testing.assert_allclose(basis.inverse @ a, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(block, np.diag([1.0] * r + [0.0] * (n - r)), atol=1e-9)
+
+    def test_a_unitary_basis_near_the_overflow_threshold(self):
+        m = 1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        space = VectorSpace(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = Basis(space, m)
+            np.testing.assert_allclose(basis.inverse @ m, np.eye(2), atol=1e-12)
+            assert kernel_dimension(m) == 0
+            assert canonical_form_bases(m, space, space)[2] == 2
+            assert kernel_dimension(1e308 * np.ones((2, 2))) == 1
+            assert rank(1e308 * np.ones((2, 2))) == 1
+
+    @pytest.mark.parametrize("a, first", [
+        (np.diag([np.inf, 1.0]), (0, 0)),
+        (np.array([[np.nan]]), (0, 0)),
+        (np.array([[1.0, 2.0], [-np.inf, np.nan]]), (1, 0)),
+    ], ids=["inf", "nan", "both"])
+    @pytest.mark.parametrize("call", [
+        rank,
+        kernel_dimension,
+        lambda a: canonical_form_bases(a, VectorSpace(len(a)), VectorSpace(len(a))),
+    ], ids=["rank", "kernel_dimension", "canonical_form_bases"])
+    def test_non_finite_input_names_its_first_bad_entry(self, a, first, call):
+        with pytest.raises(KreinAlgError, match=re.escape(f"first at {first}")):
+            call(a)
+        assert policy.is_singular(a)
 
 
 def _entry_points(n, field):
@@ -388,6 +454,18 @@ class TestPolicyGuard:
         ]
         layers = ["errors", "matrices", "spaces", "tensors", "eigen", "unitary", "indefinite"]
         assert imports == [(1, layer, ["*"]) for layer in layers]
+
+    def test_objects_are_built_by_their_constructors(self):
+        # The two back doors: a bare H-form's inner product, cached from K's
+        # eigenpairs, and a canonical frame, whose inverse is known in closed form.
+        assert _call_sites({"__new__"}) == [
+            "indefinite.py:compatible_structure_from_hform", "spaces.py:_with_inverse",
+        ]
+        # Each Hermitian eigenproblem is solved where its result is consumed.
+        assert _call_sites({"_eigh"}) == [
+            "eigen.py:eigen_hermitian", "indefinite.py:compatible_structure_from_hform",
+            "unitary.py:__init__", "unitary.py:_g_selfadjoint_eigh",
+        ]
 
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kreinalg import (
     DegenerateFormError,
@@ -24,6 +24,7 @@ from kreinalg import (
     standard_inner_product,
 )
 from kreinalg.generators import (
+    lorentz_boost,
     random_g_selfadjoint,
     random_invertible,
     random_ket,
@@ -308,6 +309,40 @@ class TestSpectralRepresentation:
             for j, q in enumerate(dec.projectors):
                 expected = p if i == j else np.zeros_like(p)
                 np.testing.assert_allclose(p @ q, expected, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-300.0, 307.0),
+    )
+    @example(n=3, field="real", seed=0, exponent=307.0)
+    @example(n=3, field="complex", seed=0, exponent=307.0)
+    def test_decomposes_at_any_scale(self, n, field, seed, exponent):
+        # W^{-1} f W overflowed for an f with largest entry 1e307 under the
+        # Gram matrix of a lorentz_boost(2.0) frame, and LAPACK raised
+        # LinAlgError.  Scaled by a power of two s, f must give the same
+        # projectors and s times the eigenvalues.
+        from kreinalg.unitary import g_selfadjoint_eigen
+
+        b_inv = lorentz_boost(-2.0, n)
+        ip = InnerProduct(VectorSpace(n, field), b_inv.T @ b_inv)
+        f = random_g_selfadjoint(np.random.default_rng(seed), ip)
+        f = f * (10.0**exponent / np.max(np.abs(f)))
+        s = math.ldexp(1.0, math.frexp(np.max(np.abs(f)))[1] - 1)  # max |f / s| in [1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec, unit = spectral_representation(f, ip), spectral_representation(f / s, ip)
+            (w, columns), (unit_w, unit_columns) = g_selfadjoint_eigen(f, ip), g_selfadjoint_eigen(f / s, ip)
+        assert dec.multiplicities == unit.multiplicities
+        for p, q in zip(dec.projectors, unit.projectors):
+            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(columns, unit_columns)
+        # Exact unless an eigenvalue of f is subnormal.
+        tiny = math.ldexp(1.0, -1074) / s
+        np.testing.assert_allclose(np.array(dec.eigenvalues) / s, unit.eigenvalues, rtol=0, atol=tiny)
+        np.testing.assert_allclose(w / s, unit_w, rtol=0, atol=tiny)
 
     def test_not_selfadjoint_rejected(self):
         _, ip = _random_ip(89)
