@@ -4,7 +4,10 @@ Every production eigensolve goes through the private seam :func:`_eigh`,
 so the solver behind the package is chosen in one place.  It is LAPACK's
 Hermitian solver (``np.linalg.eigh``), with one deterministic phase gauge
 on the eigenvector columns, so gauge-dependent outputs such as canonical
-bases come out the same on every call.
+bases come out the same on every call.  The seam's eigenpairs come in
+ascending order; a spectral decomposition takes them reversed
+(:func:`_descending`), so no sort runs and the order of exactly equal
+eigenvalues is LAPACK's, reversed.
 
 Two independent solvers are kept as reference oracles; neither feeds a
 production decomposition:
@@ -24,7 +27,6 @@ production decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -113,25 +115,44 @@ def jacobi_hermitian(a):
 def _eigh(a):
     """The eigensolver seam: ascending real eigenvalues and orthonormal eigenvectors.
 
-    LAPACK ``eigh`` reads the lower triangle of a finite Hermitian ``a``.
-    Each eigenvector column is fixed up to a unit phase, so the seam picks
-    one: the column's largest-magnitude entry (the first one on ties)
-    becomes real and positive.
+    LAPACK ``eigh`` reads the lower triangle of a finite Hermitian ``a``
+    and returns the eigenvalues in ascending order; :func:`_descending`
+    reverses the pairs for a spectral decomposition.  Each eigenvector
+    column is fixed up to a unit phase, so the seam picks one: the
+    column's largest-magnitude entry (the first one on ties) becomes real
+    and positive.  Over the real field the phase is the pivot's sign, and
+    multiplying by it gives the bits of dividing by ``p / |p|``.
     """
     w, vectors = np.linalg.eigh(a)
     cols = np.arange(vectors.shape[1])
     rows = np.argmax(np.abs(vectors), axis=0)
     pivots = vectors[rows, cols]
+    if vectors.dtype.kind != "c":
+        return w, vectors * np.sign(pivots)
     vectors = vectors / (pivots / np.abs(pivots))
     vectors[rows, cols] = np.abs(pivots)
     return w, vectors
 
 
+def _descending(w, vectors):
+    """The seam's eigenpairs reversed: eigenvalues descending, as :func:`_spectral_decomposition` takes them.
+
+    The columns are copied in Fortran order, the layout in which the
+    products of the decomposition read them.
+    """
+    return w[::-1].copy(), np.asfortranarray(vectors[:, ::-1])
+
+
 def _hermitian_form(a: np.ndarray, what: str) -> np.ndarray:
-    """The Hermitian part of ``a``, once :func:`policy.selfadjoint` accepts it (SymmetryError)."""
+    """The Hermitian part of ``a``, once :func:`policy.selfadjoint` accepts it (SymmetryError).
+
+    It is formed as ``a/2 + (a/2)^+``, which cannot overflow; in the
+    normal range halving is exact, so these are the bits of ``(a + a^+)/2``.
+    """
     if not policy.selfadjoint(a, lambda m: np.conj(m).T):
         raise policy.asymmetry_error(a, what, "Hermitian")
-    return (a + hermitian_conjugate(a)) / 2.0
+    half = a / 2.0
+    return half + hermitian_conjugate(half)
 
 
 def _spectral_function(vectors, values) -> np.ndarray:
@@ -147,27 +168,41 @@ def cluster_eigenvalues(values):
     """Group nearly equal real eigenvalues, descending.
 
     Returns ``(distinct, groups)``: the representative (mean) eigenvalue
-    of each cluster and the index groups into the original array.  In
-    descending order, a value joins the previous one's cluster when the
-    two are at most ``CLUSTER_TOL * policy.norm(values)`` apart, so
-    near-ties chain.
+    of each cluster and the index groups into the original array, by the
+    rule of :func:`_clusters`.
     """
     values = np.asarray(values, dtype=np.float64)
     if not values.size:
         return [], []
-    tol = policy.CLUSTER_TOL * policy.norm(values)
     order = np.argsort(values)[::-1]
-    ordered = values[order]
+    bounds, distinct = _clusters(values[order])
+    indices = order.tolist()
+    return distinct, [indices[start:end] for start, end in bounds]
+
+
+def _clusters(values):
+    """``(bounds, distinct)`` for non-empty descending ``values``: each cluster's ``[start, end)`` and mean.
+
+    A value joins the previous one's cluster when the two are at most
+    ``CLUSTER_TOL ||values||`` apart, so near-ties chain.  The gaps, the
+    norm and the means are taken of ``values / s``, for the power of two
+    ``s`` of :func:`policy.scale_of` for ``max |values|``: the rule is the
+    same at any scale, and spectra whose norm overflows split as any other.
+    """
+    listed = values.tolist()
+    scale = policy.scale_of(max(abs(listed[0]), abs(listed[-1])))
+    scaled = values / scale
+    tol = policy.CLUSTER_TOL * policy.norm(scaled)
     # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
-    cuts = (np.flatnonzero(~(ordered[:-1] - ordered[1:] <= tol)) + 1).tolist()
-    bounds = list(zip([0] + cuts, cuts + [values.size]))
-    indices, sorted_values = order.tolist(), ordered.tolist()
-    groups = [indices[start:end] for start, end in bounds]
+    cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
+    bounds = list(zip([0] + cuts, cuts + [len(listed)]))
+    if len(bounds) == len(listed):
+        return bounds, listed
     distinct = [
-        sorted_values[start] if end - start == 1 else float(np.mean(ordered[start:end]))
+        listed[start] if end - start == 1 else scale * float(np.mean(scaled[start:end]))
         for start, end in bounds
     ]
-    return distinct, groups
+    return bounds, distinct
 
 
 @dataclass(frozen=True)
@@ -203,44 +238,48 @@ def eigen_hermitian(a) -> SpectralDecomposition:
     a = np.asarray(a)
     _require_square(a)
     w, vectors = _eigh(_hermitian_form(a, "matrix"))
-    return _spectral_decomposition(w, vectors)
+    return _spectral_decomposition(*_descending(w, vectors))
 
 
 def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
-    """Group eigenpairs into eigenspaces with projectors ``V V^+ G``.
+    """Group descending eigenpairs into eigenspaces with projectors ``V V^+ G``.
 
-    The columns of ``vectors`` are G-orthonormal; G is the identity when
-    ``gram`` is omitted.  The projectors are over the field of ``vectors``
-    (and ``gram``): real eigenpairs of a real problem give real
-    projectors.  Assembly costs O(n^3) for any spectrum: the
-    columns are put in cluster order once and ``rows = V^+ G`` is formed
-    once, so each projector is the product ``V[:, s:e] @ rows[s:e]`` of
-    one cluster's contiguous slices.  A run of consecutive clusters of one
-    size m is one batched ``np.matmul`` of their stacked ``(c, n, m)`` and
-    ``(c, m, n)`` slices, written into one ``(k, n, n)`` block whose rows
-    are the projectors, descending; a simple spectrum is a single run.
-    Batched or not, each product has the bits of its own two-dimensional
-    ``matmul``.
+    ``w`` is descending, as :func:`_descending` hands over the seam's
+    pairs, so each cluster of :func:`_clusters` is a contiguous run of
+    columns.  The columns of ``vectors`` are G-orthonormal; G is the
+    identity when ``gram`` is omitted.  The projectors are over the field
+    of ``vectors`` (and ``gram``): real eigenpairs of a real problem give
+    real projectors.  Assembly costs O(n^3) for any spectrum: ``rows =
+    V^+ G`` is formed once, so each projector is the product ``V[:, s:e] @
+    rows[s:e]`` of one cluster's slices.  The clusters of one size m are
+    one batched ``np.matmul`` of their stacked ``(c, n, m)`` and ``(c, m,
+    n)`` slices, so there is one product per distinct multiplicity; a
+    simple spectrum is a single one.  Batched or not, each product has the
+    bits of its own two-dimensional ``matmul`` of Fortran-ordered columns.
     """
-    distinct, groups = cluster_eigenvalues(w)
-    cols = vectors[:, np.concatenate(groups)]
+    bounds, distinct = _clusters(w)
+    cols = np.asfortranarray(vectors)
     rows = hermitian_conjugate(cols)
     if gram is not None:
         rows = rows @ gram
     n = cols.shape[0]
-    multiplicities = tuple(len(g) for g in groups)
-    block = np.empty((len(groups), n, n), dtype=rows.dtype)
-    first = start = 0
-    for m, run in groupby(multiplicities):
-        c = len(list(run))
-        end = start + c * m
-        stacked_cols = cols[:, start:end].reshape(n, c, m).transpose(1, 0, 2)
-        np.matmul(stacked_cols, rows[start:end].reshape(c, m, n), out=block[first : first + c])
-        first, start = first + c, end
+    multiplicities = tuple(end - start for start, end in bounds)
+    projectors = [None] * len(bounds)
+    for m in sorted(set(multiplicities)):
+        which = [k for k, size in enumerate(multiplicities) if size == m]
+        c = len(which)
+        if c == len(bounds):
+            take = slice(None)
+        else:
+            take = np.concatenate([np.arange(*bounds[k]) for k in which])
+        stacked_cols = cols[:, take].reshape(n, c, m).transpose(1, 0, 2)
+        block = np.matmul(stacked_cols, rows[take].reshape(c, m, n))
+        for k, p in zip(which, block):
+            projectors[k] = p
     return SpectralDecomposition(
         eigenvalues=tuple(distinct),
         multiplicities=multiplicities,
-        projectors=tuple(block),
+        projectors=tuple(projectors),
     )
 
 

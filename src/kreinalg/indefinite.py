@@ -36,6 +36,7 @@ from .errors import (
 )
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
+    _descending,
     _eigh,
     _hermitian_form,
     _spectral_decomposition,
@@ -54,8 +55,8 @@ from .spaces import Basis, VectorSpace
 from .tensors import DOWN, UP, Tensor
 from .unitary import (
     InnerProduct,
+    _adjoint,
     _g_selfadjoint_eigh,
-    adjoint,
 )
 
 __all__ = [
@@ -185,10 +186,19 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     if field_of(gram) != field_of(hform_matrix):
         raise FieldError("Gram matrix and H-form must share the scalar field")
     space = VectorSpace(gram.shape[0], field_of(gram))
-    ip = InnerProduct(space, gram)
+    return _structure_on(InnerProduct(space, gram), hform_matrix)
+
+
+def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
+    """:func:`metric_structure_from` on the inner product of G, already built.
+
+    ``hform_matrix`` must be over the field of ``ip``.
+    """
+    space = ip.space
     hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
     w, u = _g_selfadjoint_eigh(h, ip)
+    u = u[:, np.argsort(-w)]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
     if not policy.clears_form_floor(bounds, hf.matrix):
         raise _degenerate("lambda_min(G) min |w|", bounds)
@@ -277,7 +287,12 @@ def dirac_adjoint_covector(y_bra, ms: MetricStructure) -> np.ndarray:
 
 def dirac_adjoint_operator(f, ms: MetricStructure) -> np.ndarray:
     """h adjoint(f) h, satisfying H(x, f y) = H(hconj(f) x, y)."""
-    return ms.h @ adjoint(f, ms.ip) @ ms.h
+    return _dirac_adjoint(ms.space.operator(f), ms)
+
+
+def _dirac_adjoint(f: np.ndarray, ms: MetricStructure) -> np.ndarray:
+    """:func:`dirac_adjoint_operator` of an ``f`` already coerced to the space: the sharp of the rules."""
+    return ms.h @ _adjoint(f, ms.ip) @ ms.h
 
 
 def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
@@ -285,7 +300,7 @@ def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
 
     Non-finite f is never Dirac-selfadjoint.
     """
-    return policy.selfadjoint(ms.space.operator(f), lambda m: dirac_adjoint_operator(m, ms))
+    return policy.selfadjoint(ms.space.operator(f), lambda m: _dirac_adjoint(m, ms))
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
@@ -293,7 +308,7 @@ def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
 
     Non-finite f is never pseudo-unitary.
     """
-    return policy.isometric(ms.space.operator(f), lambda m: dirac_adjoint_operator(m, ms))
+    return policy.isometric(ms.space.operator(f), lambda m: _dirac_adjoint(m, ms))
 
 
 @dataclass(frozen=True)
@@ -319,15 +334,16 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     Only f's Dirac-selfadjointness is decided (SymmetryError otherwise):
     ``f h`` is then G-selfadjoint, and a second test, relative to ``||f h||``,
     would reject valid f at large ``||h||``.  Its projectors times ``h`` give f.
-    ``f h`` is formed from ``f / s``, with ``s`` the power of two of
-    :func:`policy.scale_of` for ``||f||``, so it cannot overflow; scaling by
-    ``s`` is exact, so only the eigenvalues are multiplied back.
+    ``f h`` is formed from ``f / s``, with ``s`` the power of two by which
+    the decision scaled f (:func:`policy.selfadjoint_scale`), so it cannot
+    overflow; scaling by ``s`` is exact, so only the eigenvalues are
+    multiplied back.
     """
     f = ms.space.operator(f)
-    if not policy.selfadjoint(f, lambda m: dirac_adjoint_operator(m, ms)):
+    scale = policy.selfadjoint_scale(f, lambda m: _dirac_adjoint(m, ms))
+    if not scale:
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    scale = policy.scale_of(policy.norm(f))
-    w, u = _g_selfadjoint_eigh((f / scale) @ ms.h, ms.ip)
+    w, u = _descending(*_g_selfadjoint_eigh((f / scale) @ ms.h, ms.ip))
     dec = _spectral_decomposition(scale * w, ms.ip.frame @ u, ms.ip.gram)
     return DiracSpectralDecomposition(
         dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()
@@ -367,4 +383,4 @@ def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
     f = np.asarray(f)
     if field_of(f) != REAL or ms.space.field != REAL:
         raise FieldError("pseudo-orthogonality is a real-field predicate")
-    return policy.isometric(ms.space.operator(f), lambda m: dirac_adjoint_operator(m, ms))
+    return policy.isometric(ms.space.operator(f), lambda m: _dirac_adjoint(m, ms))

@@ -34,13 +34,13 @@ from .errors import KreinAlgError
 from .eigen import charpoly_eigenvalues, eigen_hermitian, jacobi_hermitian
 from .indefinite import (
     MetricStructure,
+    _structure_on,
     canonical_projectors,
     compatible_structure_from_hform,
     dirac_adjoint_operator,
     dirac_spectral,
     h_orthonormal_basis,
     hform_value,
-    metric_structure_from,
     raise_lower_index,
 )
 from .matrices import (
@@ -147,7 +147,9 @@ def _random_structure(rng, n, field) -> MetricStructure:
     u = gen.random_unitary(rng, n, field)
     involution = u @ np.diag(signs).astype(u.dtype) @ hermitian_conjugate(u)
     k = hermitian_conjugate(ip.frame_inv) @ involution @ ip.frame_inv
-    return metric_structure_from(ip.gram, (k + hermitian_conjugate(k)) / 2.0)
+    # The structure is built on ip itself: metric_structure_from(ip.gram, K)
+    # would rebuild the same inner product, bit for bit.
+    return _structure_on(ip, (k + hermitian_conjugate(k)) / 2.0)
 
 
 def _random_ip(rng, n, field) -> InnerProduct:

@@ -48,7 +48,7 @@ def _dtype(field: str):
 
 def field_of(a: np.ndarray) -> str:
     """Return ``"real"`` or ``"complex"`` according to the dtype of ``a``."""
-    if np.issubdtype(np.asarray(a).dtype, np.complexfloating):
+    if np.asarray(a).dtype.kind == "c":
         return COMPLEX
     return REAL
 
@@ -79,7 +79,7 @@ def _on_field(a, field: str | None = None) -> np.ndarray:
     arr = np.asarray(a)
     if field is None:
         field = field_of(arr)
-    elif field == REAL and np.iscomplexobj(arr):
+    elif field == REAL and arr.dtype.kind == "c":
         raise FieldError("complex data cannot be cast to the real field")
     return np.array(arr, dtype=_dtype(field))
 
@@ -117,7 +117,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hermitian_conjugate(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; plain transpose over the real field."""
-    return np.conj(np.asarray(a)).T.copy()
+    a = np.asarray(a)
+    return (np.conj(a) if a.dtype.kind == "c" else a).T.copy()
 
 
 def determinant(a: np.ndarray):

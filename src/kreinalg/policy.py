@@ -7,7 +7,7 @@ lives here, named by the decision it governs, and the other modules ask
 these rules instead of comparing residuals themselves, with three
 exceptions that compare against a constant of this module in place:
 Gram-Schmidt breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``),
-eigenvalue clustering (``eigen.cluster_eigenvalues``, ``CLUSTER_TOL``) and
+eigenvalue clustering (``eigen._clusters``, ``CLUSTER_TOL``) and
 the stop rule of the Jacobi oracle (``eigen.jacobi_hermitian``,
 ``JACOBI_TOL``).  Norms are
 Frobenius norms computed by :func:`norm`, which neither overflows nor
@@ -28,9 +28,9 @@ from .errors import NonFiniteError, SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric",
+    "norm", "scale_free_norm", "scale_of", "selfadjoint", "selfadjoint_scale", "isometric",
     "asymmetry_error", "clears_form_floor",
-    "unit_scaled", "singular_rank", "numerical_rank", "is_singular",
+    "unit_scaled", "singular_rank", "numerical_rank", "nonsingular_scaled", "is_singular",
 ]
 
 # Self-adjointness and isometry, relative to the operators involved.
@@ -97,7 +97,7 @@ def scale_free_norm(a, measure) -> float:
         return plain
     if not a.size:
         return 0.0
-    peak = float(np.max(np.abs(a)))
+    peak = float(np.abs(a).max())
     if peak == 0.0 or not math.isfinite(peak):
         return peak
     scale = scale_of(peak)
@@ -126,19 +126,37 @@ def _holds(residual, scale) -> bool:
 def selfadjoint(f, sharp) -> bool:
     """f# = f: ``||f# - f|| <= TOL ||f||``, for the adjoint ``f# = sharp(f)``.
 
-    The test runs on ``g = f / s``, with ``s`` the power of two of
-    :func:`_scale_exponent` for ``||f||``, as ``||g# - g|| <= TOL ||f|| / s``:
-    ``sharp`` is linear, so that is the same test scaled exactly by ``1/s``,
-    and ``||g||`` is below 2, so ``g#`` stays finite where ``f#`` would
-    overflow.  ``||f||`` is non-finite when any entry is, so the norm the
-    test needs anyway rejects non-finite ``f`` before ``sharp`` runs.
+    The test runs on ``g = f / s`` (see :func:`selfadjoint_scale`), so it
+    gives the same answer for ``c f`` as for ``f`` at any scale ``c``.
+    """
+    return selfadjoint_scale(f, sharp) > 0.0
+
+
+def selfadjoint_scale(f, sharp) -> float:
+    """The power of two ``s`` by which :func:`selfadjoint` scaled ``f``; 0.0 when it rejects.
+
+    The test runs on ``g = f / s`` as ``||g# - g|| <= TOL ||g||``:
+    ``sharp`` is linear, so that is the same test scaled exactly by
+    ``1/s``, and ``||g||`` is below 2, so ``g#`` stays finite where ``f#``
+    would overflow.  ``s`` is the power of two of :func:`_scale_exponent`
+    for ``||f||``, or for ``max |f_ij|`` when ``||f||`` is beyond the
+    double range.  ``max |f_ij|`` is non-finite when any entry is, so
+    non-finite ``f`` is rejected before ``sharp`` runs.  A caller that
+    goes on to work with ``f`` can divide by ``s`` without overflow.
     """
     size = norm(f)
-    if not size < math.inf:
-        return False
-    scale = scale_of(size)
-    g = f / scale
-    return _holds(norm(sharp(g) - g), size / scale)
+    if size < math.inf:
+        scale = scale_of(size)
+        g = f / scale
+        size = size / scale
+    else:
+        peak = float(np.abs(f).max())
+        if not peak < math.inf:
+            return 0.0
+        scale = scale_of(peak)
+        g = f / scale
+        size = norm(g)
+    return scale if _holds(norm(sharp(g) - g), size) else 0.0
 
 
 def isometric(f, sharp) -> bool:
@@ -154,15 +172,17 @@ def isometric(f, sharp) -> bool:
     ``s**-2``, and ``g# g`` cannot overflow even for a boost at rapidity
     700.  ``max |f_ij|`` is NaN or infinite when any entry is, so it
     rejects non-finite ``f`` before ``sharp`` or any other arithmetic runs.
+    When ``sharp`` hands back ``g`` itself, ``||g||`` is measured once.
     """
-    peak = float(np.max(np.abs(f), initial=0.0))
+    peak = float(np.abs(f).max(initial=0.0))
     if not peak < math.inf:
         return False
     exponent = _scale_exponent(peak, -511)
     g = f / math.ldexp(1.0, exponent)
     g_sharp = sharp(g)
     residual = norm(g_sharp @ g - math.ldexp(1.0, -2 * exponent) * np.eye(f.shape[1]))
-    return _holds(residual, norm(g_sharp) * norm(g))
+    size = norm(g)
+    return _holds(residual, (size if g_sharp is g else norm(g_sharp)) * size)
 
 
 def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
@@ -188,7 +208,7 @@ def clears_form_floor(values, k) -> bool:
     The values are the eigenvalues of the form ``k`` (their moduli, for
     an indefinite form), or lower bounds on those moduli.
     """
-    return bool(np.min(values) > FORM_TOL * norm(k))
+    return bool(values.min() > FORM_TOL * norm(k))
 
 
 def unit_scaled(a: np.ndarray) -> tuple:
@@ -199,7 +219,7 @@ def unit_scaled(a: np.ndarray) -> tuple:
     (unless ``a`` is zero or subnormal): no singular value or pivot of
     ``a / s`` overflows or underflows.
     """
-    peak = float(np.max(np.abs(a), initial=0.0))
+    peak = float(np.abs(a).max(initial=0.0))
     if not peak < math.inf:
         raise NonFiniteError(_non_finite_message(a, "matrix"))
     scale = scale_of(peak)
@@ -220,9 +240,24 @@ def numerical_rank(a: np.ndarray) -> int:
     return singular_rank(np.linalg.svd(unit_scaled(a)[0], compute_uv=False))
 
 
+def nonsingular_scaled(a: np.ndarray):
+    """:func:`unit_scaled` ``a`` when it has numerical rank n, else None.
+
+    The rank rule runs on the scaled matrix it hands back, so a caller
+    that factors ``a`` scales it once.  A zero or non-finite ``a`` counts
+    as singular.
+    """
+    if not np.all(np.isfinite(a)):
+        return None
+    scaled, scale = unit_scaled(a)
+    if singular_rank(np.linalg.svd(scaled, compute_uv=False)) < a.shape[0]:
+        return None
+    return scaled, scale
+
+
 def is_singular(a: np.ndarray) -> bool:
     """Numerical rank below n, free of scale and dimension.
 
     A zero or non-finite matrix counts as singular.
     """
-    return not np.all(np.isfinite(a)) or numerical_rank(a) < a.shape[0]
+    return nonsingular_scaled(a) is None

@@ -19,6 +19,7 @@ from . import policy
 from .errors import DegenerateFormError, DependentSetError, ShapeError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
+    _descending,
     _eigh,
     _hermitian_form,
     _spectral_decomposition,
@@ -73,7 +74,7 @@ class InnerProduct:
         self.space = space
         self.gram = g
         self.gram_inv = np.linalg.inv(g)
-        self.min_eigenvalue = float(np.min(w))
+        self.min_eigenvalue = float(w.min())
         self.frame = vectors / root
         self.frame_inv = hermitian_conjugate(vectors) * root[:, np.newaxis]
 
@@ -143,11 +144,16 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
 
 def adjoint(f, ip: InnerProduct) -> np.ndarray:
     """G^{-1} f^+ G, the operator with (adjoint(f) x, y) = (x, f y)."""
-    return ip.gram_inv @ hermitian_conjugate(ip.space.operator(f)) @ ip.gram
+    return _adjoint(ip.space.operator(f), ip)
+
+
+def _adjoint(f: np.ndarray, ip: InnerProduct) -> np.ndarray:
+    """:func:`adjoint` of an ``f`` already coerced to the space: the sharp of the decision rules."""
+    return ip.gram_inv @ hermitian_conjugate(f) @ ip.gram
 
 
 def _g_selfadjoint_eigh(f: np.ndarray, ip: InnerProduct):
-    """Descending eigenvalues and orthonormal eigenvectors of ``W^{-1} f W``.
+    """Eigenvalues and orthonormal eigenvectors of ``W^{-1} f W``, in the seam's ascending order.
 
     For a G-selfadjoint ``f`` and the frame ``W`` of ``ip`` that matrix
     equals ``W^+ G f W``, Hermitian up to roundoff, so its Hermitian part
@@ -158,8 +164,7 @@ def _g_selfadjoint_eigh(f: np.ndarray, ip: InnerProduct):
     f, scale = policy.unit_scaled(f)
     work = ip.frame_inv @ f @ ip.frame
     w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
-    order = np.argsort(-w)
-    return scale * w[order], u[:, order]
+    return scale * w, u
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):
@@ -173,7 +178,7 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
     f = ip.space.operator(f)
     if not np.all(np.isfinite(f)):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, u = _g_selfadjoint_eigh(f, ip)
+    w, u = _descending(*_g_selfadjoint_eigh(f, ip))
     return w, ip.frame @ u
 
 
@@ -182,7 +187,7 @@ def is_selfadjoint(f, ip: InnerProduct) -> bool:
 
     Non-finite f is never selfadjoint.
     """
-    return policy.selfadjoint(ip.space.operator(f), lambda m: adjoint(m, ip))
+    return policy.selfadjoint(ip.space.operator(f), lambda m: _adjoint(m, ip))
 
 
 def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
@@ -192,9 +197,9 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
     and complete, and distinct eigenspaces are G-orthogonal.
     """
     f = ip.space.operator(f)
-    if not policy.selfadjoint(f, lambda m: adjoint(m, ip)):
+    if not policy.selfadjoint(f, lambda m: _adjoint(m, ip)):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, u = _g_selfadjoint_eigh(f, ip)
+    w, u = _descending(*_g_selfadjoint_eigh(f, ip))
     return _spectral_decomposition(w, ip.frame @ u, ip.gram)
 
 
@@ -203,4 +208,4 @@ def is_unitary_wrt(f, ip: InnerProduct) -> bool:
 
     Non-finite f is never unitary.
     """
-    return policy.isometric(ip.space.operator(f), lambda m: adjoint(m, ip))
+    return policy.isometric(ip.space.operator(f), lambda m: _adjoint(m, ip))

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 from kreinalg import (
     InnerProduct,
     ShapeError,
+    dirac_spectral,
+    minkowski_structure,
+    spectral_representation,
     SymmetryError,
     VectorSpace,
     charpoly_eigenvalues,
@@ -14,7 +17,12 @@ from kreinalg import (
     policy,
     standard_inner_product,
 )
-from kreinalg.eigen import _spectral_decomposition, characteristic_polynomial, cluster_eigenvalues
+from kreinalg.eigen import (
+    _eigh,
+    _spectral_decomposition,
+    characteristic_polynomial,
+    cluster_eigenvalues,
+)
 from kreinalg.generators import (
     random_g_selfadjoint,
     random_hermitian,
@@ -24,7 +32,7 @@ from kreinalg.generators import (
 )
 from kreinalg.matrices import hermitian_conjugate
 from kreinalg.policy import CLUSTER_TOL, JACOBI_TOL
-from kreinalg.unitary import g_selfadjoint_eigen
+from kreinalg.unitary import _g_selfadjoint_eigh, g_selfadjoint_eigen
 
 EPS = np.finfo(np.float64).eps
 
@@ -223,8 +231,12 @@ def _bits(clustering):
 
 
 def _projectors_per_cluster(w, vectors, real, gram):
-    """``(V_g V_g^+) G`` for each cluster g, one full product each: the reference assembly."""
+    """``(V_g V_g^+) G`` for each cluster g, one full product each: the reference assembly.
+
+    ``w`` is descending, so each cluster is a run of columns, taken in their order.
+    """
     _, groups = cluster_eigenvalues(w)
+    groups = [sorted(group) for group in groups]
     projectors = []
     for group in groups:
         cols = vectors[:, group]
@@ -268,6 +280,100 @@ class TestProjectorAssembly:
                 g_m, g_n = (len(group) + 2) * EPS, (n + 2) * EPS
                 magnitude = policy.norm(vectors[:, group]) ** 2 * policy.norm(gram)
                 assert policy.norm(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_product_per_distinct_multiplicity(self, field, monkeypatch):
+        # Multiplicities (4, 1, 2, 1): three sizes, so three batched products, not four runs.
+        rng = np.random.default_rng(7450)
+        ip = standard_inner_product(VectorSpace(8, field))
+        f = random_g_selfadjoint(rng, ip, [3.0] * 4 + [1.0] + [-1.0] * 2 + [-2.0])
+        w, vectors = g_selfadjoint_eigen(f, ip)
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args, **kw: products.append(1) or matmul(*args, **kw))
+        dec = _spectral_decomposition(w, vectors)
+        monkeypatch.undo()
+        assert dec.multiplicities == (4, 1, 2, 1) and len(products) == 3
+        groups, reference = _projectors_per_cluster(w, vectors, field == "real", None)
+        assert [p.tobytes() for p in dec.projectors] == [q.tobytes() for q in reference]
+
+
+def _descending_assembly(w, vectors, gram=None):
+    """Projectors as assembled before eigenpairs came in descending order.
+
+    ``cluster_eigenvalues`` sorts ``w`` with ``np.argsort``, and each
+    cluster's projector is the product of its gathered columns.
+    """
+    distinct, groups = cluster_eigenvalues(w)
+    cols = vectors[:, np.concatenate(groups)]
+    rows = hermitian_conjugate(cols)
+    if gram is not None:
+        rows = rows @ gram
+    projectors, start = [], 0
+    for group in groups:
+        end = start + len(group)
+        projectors.append(cols[:, start:end] @ rows[start:end])
+        start = end
+    return tuple(distinct), tuple(len(g) for g in groups), projectors
+
+
+def _frame_assembly(f, ip):
+    """``spectral_representation``'s eigenpairs sorted by ``np.argsort``, then assembled."""
+    w, u = _g_selfadjoint_eigh(f, ip)
+    order = np.argsort(-w)
+    return _descending_assembly(w[order], ip.frame @ u[:, order], ip.gram)
+
+
+def _dirac_assembly(f, ms):
+    """``dirac_spectral``'s eigenpairs sorted by ``np.argsort``, then assembled."""
+    scale = policy.scale_of(policy.norm(f))
+    w, u = _g_selfadjoint_eigh((f / scale) @ ms.h, ms.ip)
+    order = np.argsort(-w)
+    return _descending_assembly(scale * w[order], ms.ip.frame @ u[:, order], ms.ip.gram)
+
+
+class TestExactRepeats:
+    """Spectra with exact repeats keep the bytes of the argsort-and-gather assembly.
+
+    The eigenpairs now arrive descending, reversed from the seam, and each
+    cluster is a run of columns; before, ``np.argsort`` ordered them and
+    each cluster's columns were gathered.  On these spectra the two give
+    the same eigenvalues, multiplicities and projector bytes.
+    """
+
+    @staticmethod
+    def _same(dec, reference):
+        distinct, multiplicities, projectors = reference
+        assert [float(v).hex() for v in dec.eigenvalues] == [float(v).hex() for v in distinct]
+        assert all(type(v) is float for v in dec.eigenvalues)
+        assert dec.multiplicities == multiplicities
+        assert [p.dtype for p in dec.projectors] == [q.dtype for q in projectors]
+        assert [p.tobytes() for p in dec.projectors] == [q.tobytes() for q in projectors]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("signature", [(2, 2), (1, 3), (3, 1), (4, 0)])
+    def test_minkowski(self, field, signature):
+        ms = minkowski_structure(*signature, field)
+        eta = np.diag(ms.eta).astype(ms.h.dtype)
+        self._same(eigen_hermitian(eta), _descending_assembly(*_eigh(eta)))
+        self._same(spectral_representation(eta, ms.ip), _frame_assembly(eta, ms.ip))
+        for f in (eta, eta @ eta, 2.0 * eta):
+            self._same(dirac_spectral(f, ms), _dirac_assembly(f, ms))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_repeated_diagonals(self, field, n):
+        rng = np.random.default_rng(7500 + n)
+        dtype = np.complex128 if field == "complex" else np.float64
+        ms = minkowski_structure(n // 2, n - n // 2, field)
+        for _ in range(5):
+            values = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=n)
+            values[int(rng.integers(1, n))] = values[0]
+            d = np.diag(values).astype(dtype)
+            self._same(eigen_hermitian(d), _descending_assembly(*_eigh(d)))
+            self._same(spectral_representation(d, ms.ip), _frame_assembly(d, ms.ip))
+            # A real diagonal commutes with eta, so it is Dirac-selfadjoint.
+            self._same(dirac_spectral(d, ms), _dirac_assembly(d, ms))
 
 
 def _jacobi_descending(a):

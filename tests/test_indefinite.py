@@ -691,7 +691,9 @@ class TestDecisionCounts:
 
     Counted like the factorizations above: the rules of :mod:`kreinalg.policy`,
     the eigensolver seam, the coercions of :class:`VectorSpace` and the casts
-    to a field (``matrices._on_field``).
+    to a field (``matrices._on_field``).  The self-adjointness rule is counted
+    at ``policy.selfadjoint_scale``, which ``policy.selfadjoint`` calls and
+    ``dirac_spectral`` calls directly for its scale.
     """
 
     @pytest.fixture
@@ -700,17 +702,18 @@ class TestDecisionCounts:
             ("selfadjoint", "isometric", "clears_form_floor", "_eigh", "_coerce", "_on_field"), 0
         )
 
-        def count(owners, name):
+        def count(owners, name, key=None):
             original = getattr(owners[0], name)
 
             def counted(*args, **kwargs):
-                tally[name] += 1
+                tally[key or name] += 1
                 return original(*args, **kwargs)
 
             for owner in owners:
                 monkeypatch.setattr(owner, name, counted)
 
-        for name in ("selfadjoint", "isometric", "clears_form_floor"):
+        count([policy], "selfadjoint_scale", "selfadjoint")
+        for name in ("isometric", "clears_form_floor"):
             count([policy], name)
         modules = [m for key, m in sys.modules.items() if key.startswith("kreinalg")]
         count([m for m in modules if getattr(m, "_eigh", None) is eigen._eigh], "_eigh")
@@ -749,12 +752,35 @@ class TestDecisionCounts:
         for decompose in (lambda: spectral_representation(f, ms.ip), lambda: dirac_spectral(fd, ms)):
             counts.update(dict.fromkeys(counts, 0))
             decompose()
-            coercions = counts["_coerce"]
-            assert coercions <= 2
+            # The operator is coerced once; the rule's sharp takes the coerced matrix.
             assert counts == {
                 "selfadjoint": 1, "isometric": 0, "clears_form_floor": 0, "_eigh": 1,
-                "_coerce": coercions, "_on_field": coercions,
+                "_coerce": 1, "_on_field": 1,
             }
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_each_decision(self, counts, kind, field, n):
+        rng = np.random.default_rng(n)
+        ms = compatible_structure_from_hform(random_nondegenerate_hform(rng, n, field))
+        if kind == "pair":
+            ms = metric_structure_from(ms.ip.gram, ms.hform.matrix)
+        f = random_g_selfadjoint(rng, ms.ip)
+        fd = random_dirac_selfadjoint(rng, ms)
+        frame = ms.frame.basis
+        u = frame.matrix @ random_pseudo_unitary(rng, *ms.signature, field) @ frame.inverse
+        for decide, rule in (
+            (lambda: is_selfadjoint(f, ms.ip), "selfadjoint"),
+            (lambda: is_dirac_selfadjoint(fd, ms), "selfadjoint"),
+            (lambda: is_pseudo_unitary(u, ms), "isometric"),
+        ):
+            counts.update(dict.fromkeys(counts, 0))
+            assert decide()
+            # One rule, one coercion: the rule's sharp takes the coerced matrix.
+            expected = dict.fromkeys(counts, 0)
+            expected.update({rule: 1, "_coerce": 1, "_on_field": 1})
+            assert counts == expected
 
 
 def _boosted_pair(rapidity, n, field):

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import kreinalg.lemmas as lemmas
+from kreinalg import InnerProduct, metric_structure_from
 from kreinalg.cli import main
 from kreinalg.errors import SymmetryError
 from kreinalg.lemmas import REGISTRY, LemmaReport, run_lemma_suite
@@ -63,6 +65,29 @@ class TestRunner:
             run_lemma_suite(1, dims=(13,), instances=1)
         with pytest.raises(ValueError):
             run_lemma_suite(1, dims=(3,), instances=0)
+
+
+class TestRandomStructure:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_pair_structure_is_built_on_the_inner_product_it_drew(self, field, monkeypatch):
+        built = []
+        init = InnerProduct.__init__
+        monkeypatch.setattr(InnerProduct, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        kinds = set()
+        for seed in range(8):
+            built.clear()
+            pair = not np.random.default_rng(seed).integers(0, 2)
+            ms = lemmas._random_structure(np.random.default_rng(seed), 4, field)
+            kinds.add(pair)
+            assert len(built) == pair
+            # Rebuilding the inner product from its own Gram matrix gives its bits.
+            rebuilt = metric_structure_from(ms.ip.gram, ms.hform.matrix)
+            for a, b in (
+                (ms.ip.gram_inv, rebuilt.ip.gram_inv), (ms.ip.frame, rebuilt.ip.frame),
+                (ms.h, rebuilt.h), (ms.frame.basis.matrix, rebuilt.frame.basis.matrix),
+            ):
+                assert not pair or a.tobytes() == b.tobytes()
+        assert kinds == {True, False}
 
 
 class TestNegativeControl:

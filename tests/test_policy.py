@@ -23,6 +23,8 @@ from kreinalg import (
     VectorSpace,
     canonical_form_bases,
     classify,
+    cluster_eigenvalues,
+    dirac_spectral,
     eigen_hermitian,
     is_dirac_selfadjoint,
     is_orthogonal,
@@ -41,7 +43,13 @@ from kreinalg import (
     tensor_from_ket,
     transform_tensor,
 )
-from kreinalg.generators import lorentz_boost, random_hermitian, random_matrix, random_unitary
+from kreinalg.generators import (
+    lorentz_boost,
+    random_hermitian,
+    random_matrix,
+    random_unitary,
+    separated_eigenvalues,
+)
 from kreinalg.unitary import g_selfadjoint_eigen
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kreinalg"
@@ -90,6 +98,16 @@ class TestSingularIsRankBelowN:
     def test_zero_and_non_finite_are_singular(self, fill):
         with pytest.raises(SingularBasisError):
             Basis(VectorSpace(2), np.full((2, 2), fill))
+
+    def test_a_basis_is_scaled_once(self, monkeypatch):
+        # The rank rule hands the LU the matrix it scaled; the inverse keeps the bits of inv(m).
+        m = random_unitary(np.random.default_rng(3), 3, "real") * 3.0
+        scalings = []
+        unit_scaled = policy.unit_scaled
+        monkeypatch.setattr(policy, "unit_scaled", lambda a: scalings.append(a) or unit_scaled(a))
+        basis = Basis(VectorSpace(3), m)
+        assert len(scalings) == 1
+        assert basis.inverse.tobytes() == np.linalg.inv(m).tobytes()
 
     def test_natural_basis_beyond_dimension_18(self):
         assert natural_basis(VectorSpace(19)).matrix.shape == (19, 19)
@@ -190,6 +208,73 @@ class TestNonFiniteInputRejected:
             with pytest.raises(SymmetryError, match="non-finite entries") as info:
                 entry(a)
             assert f"({i}, {j})" in str(info.value) or f"({j}, {i})" in str(info.value), name
+
+
+class TestNormBeyondTheDoubleRange:
+    """A finite operator whose Frobenius norm overflows is decided and clustered as at any other scale.
+
+    ``F`` has entries 1e308, norm 2e308 and eigenvalues ``+-sqrt(2) 1e308``,
+    all but the norm inside the double range.
+    """
+
+    F = np.array([[1e308, 1e308], [1e308, -1e308]])
+
+    def test_selfadjointness_is_decided_as_at_a_smaller_scale(self):
+        ip = standard_inner_product(VectorSpace(2))
+        skew = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_selfadjoint(self.F, ip) and is_selfadjoint(self.F / 2.0**1000, ip)
+            assert not is_selfadjoint(skew, ip) and not is_selfadjoint(skew / 2.0**1000, ip)
+            assert classify(self.F) >= {"hermitian", "symmetric"}
+
+    def test_opposite_eigenvalues_are_two_clusters(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cluster_eigenvalues([1.414e308, -1.414e308]) == ([1.414e308, -1.414e308], [[0], [1]])
+            assert cluster_eigenvalues([1.7e308, 1.7e308]) == ([1.7e308], [[1, 0]])
+
+    def test_every_decomposition_splits_the_spectrum(self):
+        ip = standard_inner_product(VectorSpace(2))
+        ms = minkowski_structure(1, 1)
+        root2 = math.sqrt(2.0) * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dec in (eigen_hermitian(self.F), spectral_representation(self.F, ip)):
+                assert dec.multiplicities == (1, 1)
+                assert dec.eigenvalues == pytest.approx((root2, -root2), rel=4 * np.finfo(float).eps)
+                reference = eigen_hermitian(self.F / 2.0**1000).projectors
+                for p, q in zip(dec.projectors, reference):
+                    assert policy.norm(p - q) <= 16 * np.finfo(float).eps
+            # f h = diag(1.5e308, -1e308): norm 1.8e308.
+            dec = dirac_spectral(np.diag([1.5e308, 1e308]), ms)
+            assert dec.eigenvalues == (1.5e308, -1e308) and dec.multiplicities == (1, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        field=st.sampled_from(["real", "complex"]),
+        repeats=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_answers_as_at_unit_scale(self, n, field, repeats, seed):
+        # Eigenvalues in [-2, 2] times 2**1022 stay finite; the norm of most such
+        # operators does not.
+        rng = np.random.default_rng(seed)
+        lam = separated_eigenvalues(rng, n, multiplicities=repeats)
+        u = random_unitary(rng, n, field)
+        a = u @ np.diag(lam).astype(u.dtype) @ np.conj(u).T
+        a = (a + np.conj(a).T) / 2.0
+        c = 2.0**1022
+        ip = standard_inner_product(VectorSpace(n, field))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_selfadjoint(c * a, ip) == is_selfadjoint(a, ip)
+            assert cluster_eigenvalues(c * lam)[1] == cluster_eigenvalues(lam)[1]
+            big, unit = eigen_hermitian(c * a), eigen_hermitian(a)
+        assert big.multiplicities == unit.multiplicities
+        scale = np.finfo(float).eps * n * np.max(np.abs(lam))
+        assert np.max(np.abs(np.array(big.eigenvalues) / c - unit.eigenvalues)) <= 64 * scale
 
 
 class TestScaledNorm:
