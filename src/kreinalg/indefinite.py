@@ -232,9 +232,9 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     mag = np.abs(lam)
     if not policy.clears_form_floor(mag, hf.matrix):
         raise _degenerate("min |eigenvalue|", mag)
-    g = _spectral_function(u, mag)
+    half = _spectral_function(u, mag) / 2.0
     ip = InnerProduct.__new__(InnerProduct)
-    ip._init(space, (g + hermitian_conjugate(g)) / 2.0, mag, u)
+    ip._init(space, half + hermitian_conjugate(half), mag, u)
     h = _spectral_function(u, np.sign(lam))
     signature = _signature_of(lam)
     order = np.argsort(lam < 0, kind="stable")

@@ -5,12 +5,17 @@ sub-stream and reports the worst residual it saw, together with the
 tolerance it must stay under.  Sub-seeds are derived by hashing
 ``(seed, lemma_id, dim, instance)`` with SHA-256 and feeding 64 bits to
 ``numpy.random.default_rng`` (PCG64), so the suite is reproducible
-instance by instance and safe to evaluate in parallel.
+instance by instance, in any order.  :func:`run_lemma_suite` splits these
+units over the CPUs the process may use: it runs one share itself and
+forks a child for each other share.  With one CPU, or without
+``os.fork``, the run is serial; the output bytes do not depend on the CPU
+count.  Each forked share costs a few milliseconds, which tiny suites
+pay.
 
 A check is ``check(rng, n, field)``: it draws one instance over one field
 and returns its residual, or a short sequence of residuals, without
-reducing them.  :func:`run_lemma_suite` alone loops over the fields (real
-first, then complex, on the same generator) and takes the worst case with
+reducing them.  The runner alone loops over the fields (real first, then
+complex, on the same generator) and takes the worst case with
 NaN-sticky ``np.max`` / ``np.maximum`` from 0.0, so a NaN residual fails
 its lemma and a negative margin counts as 0.  A ``KreinAlgError`` raised
 in either field scores the instance ``inf``.
@@ -24,6 +29,8 @@ point for the dyadic-rational instances generated for them.
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -660,33 +667,42 @@ def run_lemma_suite(seed: int, dims=None, instances: int = 5):
     """Evaluate every registered lemma on seeded random instances.
 
     ``dims`` must be a subset of 1 to ``_MAX_DIM``.  Each (lemma, dim, instance)
-    triple draws from its own derived sub-stream, so the result is
+    unit draws from its own derived sub-stream, so the result is
     independent of evaluation order; both fields of an instance share it.
+
+    The units are split over the CPUs this process may use: with k of
+    them, share j is ``units[j::k]``.  This process runs share 0 and one
+    forked child runs each other share, returning its worst residual per
+    lemma through a pipe; the shares merge with the NaN-sticky
+    ``np.maximum``, so the reports do not depend on the CPU count, byte for
+    byte.  With one CPU, or without ``os.fork``, the run is serial.  Each
+    forked share costs a few milliseconds, which a tiny suite pays.  An
+    exception other than a ``KreinAlgError`` propagates from the earliest
+    unit that raised, as in a serial run; a child that ends without
+    reporting raises RuntimeError.  No child outlives the call.
     """
     dims = tuple(dims) if dims is not None else DEFAULT_DIMS
     if not dims or any(d < 1 or d > _MAX_DIM for d in dims):
         raise ValueError(f"dims must be a non-empty subset of 1..{_MAX_DIM}")
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    usable = [[d for d in dims if lemma.min_dim <= d <= lemma.max_dim] for lemma in REGISTRY]
+    units = [(index, dim, instance)
+             for index, ds in enumerate(usable) for dim in ds for instance in range(instances)]
+    shares = _run_shares(seed, units, _share_count(len(units)))
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     reports = []
-    for lemma in REGISTRY:
-        usable = [d for d in dims if lemma.min_dim <= d <= lemma.max_dim]
+    for index, lemma in enumerate(REGISTRY):
         worst = 0.0
-        for dim in usable:
-            for k in range(instances):
-                rng = np.random.default_rng(_subseed(seed, lemma.lemma_id, dim, k))
-                try:
-                    for field in _FIELDS:
-                        worst = np.maximum(worst, np.max(lemma.check(rng, dim, field), initial=0.0))
-                except KreinAlgError:
-                    # A domain error while checking counts as a failed
-                    # instance, never as a crashed run.
-                    worst = np.maximum(worst, np.inf)
+        for share, _ in shares:
+            worst = np.maximum(worst, share.get(index, 0.0))
         worst = float(worst)
         reports.append(
             LemmaReport(
                 lemma_id=lemma.lemma_id,
-                instances=len(usable) * instances,
+                instances=len(usable[index]) * instances,
                 max_error=worst,
                 tolerance=lemma.tolerance,
                 status="pass" if worst <= lemma.tolerance else "fail",
@@ -694,3 +710,99 @@ def run_lemma_suite(seed: int, dims=None, instances: int = 5):
             )
         )
     return reports
+
+
+def _share_count(units: int) -> int:
+    """Shares for ``units`` units: the usable CPUs, at most ``units``; 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, units))
+
+
+def _run_share(seed: int, units, first: int, step: int):
+    """``({lemma index: worst residual}, failure)`` over ``units[first::step]``.
+
+    A ``KreinAlgError`` scores its instance ``inf``.  Any other exception
+    ends the share: ``failure`` is then ``(position in units, exception)``,
+    and None otherwise.
+    """
+    worst = {}
+    for position in range(first, len(units), step):
+        index, dim, instance = units[position]
+        lemma = REGISTRY[index]
+        rng = np.random.default_rng(_subseed(seed, lemma.lemma_id, dim, instance))
+        residual = worst.get(index, 0.0)
+        try:
+            for field in _FIELDS:
+                residual = np.maximum(residual, np.max(lemma.check(rng, dim, field), initial=0.0))
+        except KreinAlgError:
+            # A domain error while checking counts as a failed
+            # instance, never as a crashed run.
+            residual = np.maximum(residual, np.inf)
+        except Exception as exc:
+            return worst, (position, exc)
+        worst[index] = residual
+    return worst, None
+
+
+def _run_shares(seed: int, units, count: int) -> list:
+    """:func:`_run_share` of each of ``count`` shares, share 0 in this process.
+
+    Every other share runs in a forked child and comes back as a pickle
+    through a pipe.  Each child is reaped here; if this process's share or
+    the reading raises (KeyboardInterrupt included), the children left are
+    killed first.
+    """
+    children = {}  # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        for share in range(1, count):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _report_share(write, seed, units, share, count)
+            os.close(write)
+            children[pid] = read
+        results = [_run_share(seed, units, 0, count)]
+        for share, pid in enumerate(list(children), 1):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status:
+                raise RuntimeError(
+                    f"lemma suite share {share} of {count} ended with exit status {status} "
+                    "before reporting"
+                )
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        if children:
+            import signal  # only on this path: ``python -m kreinalg.cli`` does not load it
+
+            for pid, read in children.items():
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _report_share(write: int, seed: int, units, share: int, count: int) -> None:
+    """In a forked child: write the pickled result of one share, then end the process.
+
+    ``os._exit`` never returns into the caller, runs no ``atexit`` hook
+    and flushes no inherited buffer; it exits 1 unless the whole pickle
+    was written.
+    """
+    status = 1
+    try:
+        data = memoryview(pickle.dumps(_run_share(seed, units, share, count)))
+        while data:
+            data = data[os.write(write, data):]
+        status = 0
+    finally:
+        os._exit(status)

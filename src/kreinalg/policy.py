@@ -206,9 +206,16 @@ def clears_form_floor(values, k) -> bool:
     """Every value exceeds ``FORM_TOL ||k||``.
 
     The values are the eigenvalues of the form ``k`` (their moduli, for
-    an indefinite form), or lower bounds on those moduli.
+    an indefinite form), or lower bounds on those moduli.  When ``||k||``
+    is beyond the double range, both sides are compared in units of the
+    power of two of :func:`scale_of` for ``max |k_ij|``, so a finite ``k``
+    is decided as at any other scale.
     """
-    return bool(values.min() > FORM_TOL * norm(k))
+    size = norm(k)
+    if size < math.inf:
+        return bool(values.min() > FORM_TOL * size)
+    scale = scale_of(float(np.abs(k).max()))
+    return bool((values / scale).min() > FORM_TOL * norm(k / scale))
 
 
 def unit_scaled(a: np.ndarray) -> tuple:

@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -125,7 +129,7 @@ def _replace_check(monkeypatch, lemma_id, complex_half):
 
     monkeypatch.setattr(lemmas, "REGISTRY", tuple(
         dataclasses.replace(lemma, check=wrap(lemma.check)) if lemma.lemma_id == lemma_id else lemma
-        for lemma in REGISTRY
+        for lemma in lemmas.REGISTRY
     ))
 
 
@@ -168,3 +172,126 @@ class TestNonFiniteResiduals:
         assert code == 1 and doc["status"] == "fail"
         report = next(r for r in doc["reports"] if r["lemma_id"] == "metric.compatibility")
         assert report["status"] == "fail" and report["max_error"] == LARGEST_DOUBLE
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_child(action, otherwise):
+    """A complex half that runs ``action()`` in a forked share and ``otherwise()`` here."""
+    parent = os.getpid()
+    return lambda: action() if os.getpid() != parent else otherwise()
+
+
+def _raise(exc):
+    raise exc
+
+
+def _documents(reports):
+    return json.dumps([r.to_dict() for r in reports]).encode()
+
+
+# With dims=(3,) and one instance, unit i is lemma i, and k shares give
+# unit i to share i % k; share 0 runs in this process.
+SHARE_DIMS = (3,)
+
+
+class TestShares:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def shares(monkeypatch, count):
+        monkeypatch.setattr(lemmas, "_share_count", lambda units: count)
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("dims", [None, (7, 12)])
+    def test_reports_do_not_depend_on_the_share_count(self, monkeypatch, seed, dims):
+        runs = []
+        for count in (1, 2, 3):
+            self.shares(monkeypatch, count)
+            runs.append(run_lemma_suite(seed, dims=dims, instances=1))
+        assert runs[0] == runs[1] == runs[2]
+        assert _documents(runs[0]) == _documents(runs[1]) == _documents(runs[2])
+
+    @pytest.mark.parametrize("value, check", [
+        (math.nan, math.isnan),
+        (SymmetryError("complex half only"), math.isinf),
+    ])
+    def test_a_non_finite_residual_in_a_child_fails_its_lemma_as_serially(self, monkeypatch, value, check):
+        lemma_id = REGISTRY[1].lemma_id
+        half = (lambda: _raise(value)) if isinstance(value, Exception) else (lambda: value)
+        _replace_check(monkeypatch, lemma_id, _in_child(half, lambda: 0.0))
+        self.shares(monkeypatch, 2)
+        forked = run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+        report = forked[1]
+        assert report.status == "fail" and check(report.max_error)
+        _replace_check(monkeypatch, lemma_id, half)
+        self.shares(monkeypatch, 1)
+        assert _documents(forked) == _documents(run_lemma_suite(42, dims=SHARE_DIMS, instances=1))
+
+    def test_an_exception_in_a_child_propagates(self, monkeypatch):
+        _replace_check(monkeypatch, REGISTRY[3].lemma_id,
+                       _in_child(lambda: _raise(ValueError("bad draw")), lambda: 0.0))
+        self.shares(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^bad draw$"):
+            run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+
+    @pytest.mark.parametrize("count, first, second", [
+        (2, 3, 6),  # a child's unit before this process's
+        (2, 2, 5),  # this process's unit before a child's
+        (3, 4, 2),  # two children, the later share's unit first
+    ])
+    def test_the_earliest_unit_raises_when_two_shares_do(self, monkeypatch, count, first, second):
+        early, late = sorted((first, second))
+        for index in (first, second):
+            _replace_check(monkeypatch, REGISTRY[index].lemma_id,
+                           lambda index=index: _raise(ValueError(f"unit {index}")))
+        self.shares(monkeypatch, count)
+        with pytest.raises(ValueError, match=f"^unit {early}$"):
+            run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+
+    def test_a_child_that_dies_raises(self, monkeypatch):
+        _replace_check(monkeypatch, REGISTRY[1].lemma_id, _in_child(lambda: os._exit(3), lambda: 0.0))
+        self.shares(monkeypatch, 2)
+        with _deadline(60), pytest.raises(RuntimeError, match="share 1 of 2 ended with exit status 3"):
+            run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+
+    def test_an_interrupt_here_kills_the_children(self, monkeypatch):
+        _replace_check(monkeypatch, REGISTRY[1].lemma_id, _in_child(lambda: time.sleep(60), lambda: 0.0))
+        _replace_check(monkeypatch, REGISTRY[2].lemma_id,
+                       _in_child(lambda: 0.0, lambda: _raise(KeyboardInterrupt())))
+        self.shares(monkeypatch, 2)
+        with _deadline(30), pytest.raises(KeyboardInterrupt):
+            run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
+        assert lemmas._share_count(100) == 1
+        reports = run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+        assert all(r.status == "pass" for r in reports)
+
+    def test_no_fork_means_one_share(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert lemmas._share_count(100) == 1
+
+    def test_shares_are_capped_at_the_units(self):
+        assert lemmas._share_count(1) == 1
+        assert 1 <= lemmas._share_count(10**6) <= max(1, os.cpu_count() or 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kreinalg import (
     Basis,
@@ -21,9 +21,11 @@ from kreinalg import (
     SingularBasisError,
     SymmetryError,
     VectorSpace,
+    DegenerateFormError,
     canonical_form_bases,
     classify,
     cluster_eigenvalues,
+    compatible_structure_from_hform,
     dirac_spectral,
     eigen_hermitian,
     is_dirac_selfadjoint,
@@ -277,6 +279,50 @@ class TestNormBeyondTheDoubleRange:
         assert np.max(np.abs(np.array(big.eigenvalues) / c - unit.eigenvalues)) <= 64 * scale
 
 
+class TestFormFloorBeyondTheDoubleRange:
+    """A finite form whose Frobenius norm overflows clears the floor as at any other scale."""
+
+    def test_overflowing_forms_build(self):
+        big = np.diag([1.5e308, 1.5e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = compatible_structure_from_hform(TestNormBeyondTheDoubleRange.F)
+            ip = InnerProduct(VectorSpace(2), big)
+            pair = metric_structure_from(big, np.diag([1.5e308, -1.5e308]))
+        assert ms.signature == pair.signature == (1, 1)
+        assert np.all(np.isfinite(ms.ip.gram)) and ip.min_eigenvalue == 1.5e308
+        assert policy.norm(pair.h - np.diag([1.0, -1.0])) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        entries=st.lists(st.integers(-8, 8), min_size=18, max_size=18),
+        n=st.integers(1, 3),
+        exponent=st.floats(-300.0, 308.0),
+    )
+    @example(field="real", entries=[8, 8, 8, -8] + [0] * 14, n=2, exponent=308.0)
+    @example(field="complex", entries=[8, 0, 0, -8, 0, 8, -8, 0] + [0] * 10, n=2, exponent=308.0)
+    @example(field="real", entries=[8, 8, 8, 8] + [0] * 14, n=2, exponent=307.0)
+    def test_c_k_is_decided_as_k(self, field, entries, n, exponent):
+        # Dyadic K: min |eigenvalue| is either round-off or far above the floor.
+        parts = np.array(entries[: 2 * n * n], dtype=float).reshape(2, n, n) / 8.0
+        p = parts[0] + 1j * parts[1] if field == "complex" else parts[0]
+        k = (p + np.conj(p).T) / 2.0
+        c = 10.0**exponent
+        assume(c * np.abs(np.linalg.eigvalsh(k)).max(initial=0.0) < 1.7e308)
+
+        def degenerate(form):
+            try:
+                compatible_structure_from_hform(form)
+            except DegenerateFormError:
+                return True
+            return False
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert degenerate(c * k) == degenerate(k)
+
+
 class TestScaledNorm:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -497,8 +543,8 @@ class TestPolicyGuard:
         assert not offenders
 
     def test_only_the_runner_loops_over_fields(self):
-        # A lemma check answers for one field; run_lemma_suite alone reads
-        # _FIELDS, loops over it and reduces the residuals.
+        # A lemma check answers for one field; the runner's _run_share alone
+        # reads _FIELDS, loops over it and reduces the residuals.
         tree = ast.parse((SRC / "lemmas.py").read_text())
         owner = {}
         for fn in ast.walk(tree):
@@ -509,7 +555,7 @@ class TestPolicyGuard:
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "_FIELDS" and isinstance(node.ctx, ast.Load)
         )
-        assert readers == ["run_lemma_suite"]
+        assert readers == ["_run_share"]
 
     def test_every_check_takes_one_field(self):
         from kreinalg.lemmas import REGISTRY
