@@ -5,6 +5,11 @@ compact JSON on standard output (or the ``--out`` file).  Exit codes:
 0 on success, 1 on a domain error (bad mathematics in the input), 2 on a
 usage error.  All output is deterministic: identical inputs and seeds
 produce byte-identical documents.
+
+Only ``errors``, ``io`` and ``matrices`` run at import.  The other layers
+are bound as modules and read by the handlers at request time, so each
+request runs the bodies of the layers its subcommand uses, and a rebinding
+of a layer's attribute (a span tracer's) is the one that runs.
 """
 
 from __future__ import annotations
@@ -15,30 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lemmas
+from . import eigen, indefinite, lemmas, spaces, tensors, unitary
 from .errors import KreinAlgError, ShapeError
-from .eigen import eigen_hermitian
-from .indefinite import (
-    canonical_projectors,
-    compatible_structure_from_hform,
-    dirac_adjoint_covector,
-    dirac_adjoint_operator,
-    dirac_adjoint_vector,
-    dirac_spectral,
-    h_orthonormal_basis,
-    is_dirac_selfadjoint,
-    is_orthogonal,
-    is_pseudo_orthogonal,
-    is_pseudo_unitary,
-    metric_structure_from,
-)
 from .io import dumps, matrix_document, parse_matrix_document, scalar_pair
 from .matrices import classify, determinant, field_of, kronecker_product
-from .spaces import Basis, LinearMapRep, VectorSpace, change_of_basis, conjugate_representation
-from .tensors import contract, kron_flatten, sort_slots, tensor_product
-from .tensors import tensor_from_bra, tensor_from_ket, tensor_from_operator
-from .unitary import InnerProduct, adjoint, is_selfadjoint, is_unitary_wrt
-from .unitary import spectral_representation, standard_inner_product
 
 __all__ = ["main", "OPERATION_COVERAGE", "SUBCOMMANDS"]
 
@@ -154,16 +139,16 @@ def _load(path: str) -> np.ndarray:
 def _structure(args):
     k = _load(args.hform)
     if args.gram:
-        return metric_structure_from(_load(args.gram), k)
-    return compatible_structure_from_hform(k)
+        return indefinite.metric_structure_from(_load(args.gram), k)
+    return indefinite.compatible_structure_from_hform(k)
 
 
-def _inner_product(args, matrix: np.ndarray) -> InnerProduct:
+def _inner_product(args, matrix: np.ndarray) -> unitary.InnerProduct:
     n = matrix.shape[0]
     if args.gram:
         g = _load(args.gram)
-        return InnerProduct(VectorSpace(g.shape[0], field_of(g), "V"), g)
-    return standard_inner_product(VectorSpace(n, field_of(matrix), "V"))
+        return unitary.InnerProduct(spaces.VectorSpace(g.shape[0], field_of(g), "V"), g)
+    return unitary.standard_inner_product(spaces.VectorSpace(n, field_of(matrix), "V"))
 
 
 def _decomposition_result(dec) -> dict:
@@ -179,29 +164,29 @@ def _cmd_det(args, matrix) -> dict:
 
 
 def _cmd_eig(args, matrix) -> dict:
-    return _decomposition_result(eigen_hermitian(matrix))
+    return _decomposition_result(eigen.eigen_hermitian(matrix))
 
 
 def _cmd_spectral(args, f) -> dict:
     if args.hform:
-        dec = dirac_spectral(f, _structure(args))
+        dec = indefinite.dirac_spectral(f, _structure(args))
         out = _decomposition_result(dec)
         out["metric"] = matrix_document(dec.metric)
         return out
-    return _decomposition_result(spectral_representation(f, _inner_product(args, f)))
+    return _decomposition_result(unitary.spectral_representation(f, _inner_product(args, f)))
 
 
 def _cmd_adjoint(args, f) -> dict:
-    return {"matrix": matrix_document(adjoint(f, _inner_product(args, f)))}
+    return {"matrix": matrix_document(unitary.adjoint(f, _inner_product(args, f)))}
 
 
 def _cmd_dirac_adjoint(args, x) -> dict:
     ms = _structure(args)
     if x.shape == (ms.space.dim, 1):
-        return {"bra": matrix_document(dirac_adjoint_vector(x, ms))}
+        return {"bra": matrix_document(indefinite.dirac_adjoint_vector(x, ms))}
     if x.shape == (1, ms.space.dim):
-        return {"ket": matrix_document(dirac_adjoint_covector(x, ms))}
-    return {"matrix": matrix_document(dirac_adjoint_operator(x, ms))}
+        return {"ket": matrix_document(indefinite.dirac_adjoint_covector(x, ms))}
+    return {"matrix": matrix_document(indefinite.dirac_adjoint_operator(x, ms))}
 
 
 def _cmd_signature(args) -> dict:
@@ -210,22 +195,22 @@ def _cmd_signature(args) -> dict:
 
 
 def _cmd_canonical_basis(args) -> dict:
-    hb = h_orthonormal_basis(_structure(args))
+    hb = indefinite.h_orthonormal_basis(_structure(args))
     return {"basis": matrix_document(hb.basis.matrix), "eta": [int(e) for e in hb.eta_diag]}
 
 
 def _cmd_projectors(args) -> dict:
-    p_plus, p_minus = canonical_projectors(_structure(args))
+    p_plus, p_minus = indefinite.canonical_projectors(_structure(args))
     return {"p_plus": matrix_document(p_plus), "p_minus": matrix_document(p_minus)}
 
 
 def _as_tensor(matrix: np.ndarray, dim: int):
     if matrix.shape == (dim, 1):
-        return tensor_from_ket(VectorSpace(dim, field_of(matrix), "V"), matrix)
+        return tensors.tensor_from_ket(spaces.VectorSpace(dim, field_of(matrix), "V"), matrix)
     if matrix.shape == (1, dim):
-        return tensor_from_bra(VectorSpace(dim, field_of(matrix), "V"), matrix)
+        return tensors.tensor_from_bra(spaces.VectorSpace(dim, field_of(matrix), "V"), matrix)
     if matrix.shape == (dim, dim):
-        return tensor_from_operator(VectorSpace(dim, field_of(matrix), "V"), matrix)
+        return tensors.tensor_from_operator(spaces.VectorSpace(dim, field_of(matrix), "V"), matrix)
     raise ShapeError(
         f"cannot interpret a {matrix.shape} document as a tensor over dimension {dim}"
     )
@@ -242,10 +227,10 @@ def _tensor_dim(matrix: np.ndarray) -> int:
 
 def _cmd_tensor_product(args, a, b) -> dict:
     dim = _tensor_dim(a)
-    product = tensor_product(_as_tensor(a, dim), _as_tensor(b, dim))
-    sorted_tensor, permutation = sort_slots(product)
+    product = tensors.tensor_product(_as_tensor(a, dim), _as_tensor(b, dim))
+    sorted_tensor, permutation = tensors.sort_slots(product)
     return {
-        "result": matrix_document(kron_flatten(sorted_tensor)),
+        "result": matrix_document(tensors.kron_flatten(sorted_tensor)),
         "signature": list(sorted_tensor.variance),
         "slot_permutation": list(permutation),
     }
@@ -255,7 +240,7 @@ def _cmd_contract(args, f) -> dict:
     t = _as_tensor(f, _tensor_dim(f))
     if t.rank != 2:
         raise ShapeError("contract expects a square operator document")
-    return {"result": scalar_pair(contract(t, 1, 2).components[()])}
+    return {"result": scalar_pair(tensors.contract(t, 1, 2).components[()])}
 
 
 def _cmd_kron(args, a, b) -> dict:
@@ -263,13 +248,13 @@ def _cmd_kron(args, a, b) -> dict:
 
 
 def _cmd_change_basis(args, old_m, new_m, f=None) -> dict:
-    space = VectorSpace(old_m.shape[0], field_of(old_m), "V")
-    old = Basis(space, old_m)
-    new = Basis(space, new_m)
-    out = {"matrix": matrix_document(change_of_basis(old, new))}
+    space = spaces.VectorSpace(old_m.shape[0], field_of(old_m), "V")
+    old = spaces.Basis(space, old_m)
+    new = spaces.Basis(space, new_m)
+    out = {"matrix": matrix_document(spaces.change_of_basis(old, new))}
     if f is not None:
-        rep = LinearMapRep(old, old, f)
-        out["operator"] = matrix_document(conjugate_representation(rep, new).matrix)
+        rep = spaces.LinearMapRep(old, old, f)
+        out["operator"] = matrix_document(spaces.conjugate_representation(rep, new).matrix)
     return out
 
 
@@ -281,20 +266,20 @@ def _cmd_check(args, f) -> dict:
         return {"result": "hermitian" in classify(f)}
     if kind == "unitary":
         if args.gram:
-            result = is_unitary_wrt(f, _inner_product(args, f))
+            result = unitary.is_unitary_wrt(f, _inner_product(args, f))
         else:
             result = "unitary" in classify(f)
         return {"result": bool(result), "det": scalar_pair(determinant(f))}
     if kind == "orthogonal":
-        return {"result": is_orthogonal(f), "det": scalar_pair(determinant(f))}
+        return {"result": indefinite.is_orthogonal(f), "det": scalar_pair(determinant(f))}
     if kind == "selfadjoint":
-        return {"result": is_selfadjoint(f, _inner_product(args, f))}
+        return {"result": unitary.is_selfadjoint(f, _inner_product(args, f))}
     ms = _structure(args)
     if kind == "dirac-selfadjoint":
-        return {"result": is_dirac_selfadjoint(f, ms)}
+        return {"result": indefinite.is_dirac_selfadjoint(f, ms)}
     if kind == "pseudo-unitary":
-        return {"result": is_pseudo_unitary(f, ms)}
-    return {"result": is_pseudo_orthogonal(f, ms), "det": scalar_pair(determinant(f))}
+        return {"result": indefinite.is_pseudo_unitary(f, ms)}
+    return {"result": indefinite.is_pseudo_orthogonal(f, ms), "det": scalar_pair(determinant(f))}
 
 
 def _cmd_verify(args) -> dict:

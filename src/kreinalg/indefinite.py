@@ -198,7 +198,7 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
     w, u = _g_selfadjoint_eigh(h, ip)
-    u = u[:, np.argsort(-w)]  # +1 block first; exact +-1 ties keep this order
+    u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
     if not policy.clears_form_floor(bounds, hf.matrix):
         raise _degenerate("lambda_min(G) min |w|", bounds)

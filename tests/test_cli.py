@@ -576,8 +576,49 @@ print(json.dumps(ran))
 """
 
 
+# The kreinalg module bodies (file stems) each golden request runs besides
+# the package's own, the CLI's and the ones every request needs to parse and print.
+_EVERY_REQUEST = {"__init__", "cli", "errors", "io", "matrices"}
+_STRUCTURE = {"policy", "spaces", "tensors", "eigen", "unitary", "indefinite"}
+_GRAM = {"policy", "spaces", "eigen", "unitary"}
+_TENSOR = {"spaces", "tensors"}
+LOADED = {
+    "det.txt": set(),
+    "eig.txt": {"policy", "eigen"},
+    "eig_complex.txt": {"policy", "eigen"},
+    "spectral.txt": _GRAM,
+    "spectral_dirac.txt": _STRUCTURE,
+    "adjoint.txt": _GRAM,
+    "dirac_adjoint_ket.txt": _STRUCTURE,
+    "dirac_adjoint_op.txt": _STRUCTURE,
+    "signature.txt": _STRUCTURE,
+    "canonical_basis.txt": _STRUCTURE,
+    "projectors.txt": _STRUCTURE,
+    "tensor_product.txt": _TENSOR,
+    "contract.txt": _TENSOR,
+    "kron.txt": set(),
+    "change_basis.txt": {"policy", "spaces"},
+    "check_pseudo_orthogonal.txt": _STRUCTURE,
+    "check_hermitian.txt": {"policy"},
+    "verify.txt": _STRUCTURE | {"lemmas", "generators"},
+}
+
+
 class TestLazyLoading:
-    """``lemmas`` and ``generators`` are bound at import but run only when first used."""
+    """Every layer but ``errors`` is bound at import but runs only when first used."""
+
+    def test_every_golden_case_is_pinned(self):
+        assert set(LOADED) == set(GOLDEN_CASES) - {"verify_default.txt"}
+
+    @pytest.mark.parametrize("name", sorted(LOADED))
+    def test_request_runs_only_the_layers_its_subcommand_uses(self, name):
+        proc = _run_cli(*GOLDEN_CASES[name], code=_EXECUTED_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        out, ran = proc.stdout.splitlines()
+        assert golden_differences(name, out + "\n") == []
+        package = pathlib.Path(SRC, "kreinalg")
+        stems = {pathlib.Path(p).stem for p in json.loads(ran) if pathlib.Path(p).parent == package}
+        assert stems == _EVERY_REQUEST | LOADED[name]
 
     def test_import_binds_every_traced_layer_without_running_the_suite(self):
         proc = _run_cli(code=(
@@ -590,19 +631,6 @@ class TestLazyLoading:
         ))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [False, []]
-
-    def test_det_request_never_runs_the_lemma_module(self):
-        proc = _run_cli("det", "--in", inpath("a22.json"), code=_EXECUTED_MODULES)
-        assert proc.returncode == 0, proc.stderr
-        out, ran = proc.stdout.splitlines()
-        assert out + "\n" == (GOLDEN / "expected" / "det.txt").read_text()
-        assert not {"lemmas.py", "generators.py"} & {pathlib.Path(p).name for p in json.loads(ran)}
-
-    def test_verify_request_runs_the_lemma_module(self):
-        proc = _run_cli("verify", "--dims", "1", "--instances", "1", code=_EXECUTED_MODULES)
-        assert proc.returncode == 0, proc.stderr
-        ran = json.loads(proc.stdout.splitlines()[-1])
-        assert "lemmas.py" in {pathlib.Path(p).name for p in ran}
 
     def test_lazy_names_resolve(self):
         proc = _run_cli(code=(

@@ -55,7 +55,7 @@ from kreinalg.generators import (
     random_pseudo_unitary,
     random_unitary,
 )
-from kreinalg.unitary import g_selfadjoint_eigen
+from kreinalg.unitary import _g_selfadjoint_eigh, g_selfadjoint_eigen
 
 
 def _swap_structure():
@@ -566,6 +566,16 @@ class TestCanonicalFrame:
         np.testing.assert_array_equal(frame.basis.matrix, np.eye(4))
         np.testing.assert_array_equal(frame.basis.inverse, np.eye(4))
         assert frame.eta_diag == (1, -1, -1, -1)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n_plus,n_minus", [(1, 3), (2, 2), (3, 3), (4, 4), (2, 5)])
+    def test_pair_frame_keeps_the_solver_order_within_each_sign(self, n_plus, n_minus, field):
+        # Exact +-1 ties: the +1 columns come first, each block in the
+        # solver's order, as Python's stable sort on -w leaves them.
+        ms = minkowski_structure(n_plus, n_minus, field)
+        w, u = _g_selfadjoint_eigh(ms.h, ms.ip)
+        order = sorted(range(len(w)), key=lambda i: -w[i])
+        np.testing.assert_array_equal(ms.frame.basis.matrix, ms.ip.frame @ u[:, order])
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_synthesized_gram_has_the_bits_of_the_constructed_one(self, field):

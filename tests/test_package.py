@@ -1,6 +1,11 @@
 """The package's public surface is the union of its layers' ``__all__``."""
 
 import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +67,42 @@ def test_formerly_listed_names_still_resolve(layer):
     module = importlib.import_module(f"kreinalg.{layer}")
     assert [name for name in LISTED[layer] if getattr(kreinalg, name) is not getattr(module, name)] == []
 
+
+def test_star_import_binds_every_layer_name_to_the_layers_object():
+    namespace = {}
+    exec("from kreinalg import *", namespace)
+    del namespace["__builtins__"]
+    expected = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"kreinalg.{layer}")
+        expected.update((name, getattr(module, name)) for name in module.__all__)
+    assert namespace.keys() == expected.keys()
+    assert [name for name, obj in expected.items() if namespace[name] is not obj] == []
+
+
+def test_dir_lists_every_layer_name_and_submodule():
+    names = set(dir(kreinalg))
+    assert set(kreinalg.__all__) <= names
+    assert {*LAYERS, "policy", "io", "generators", "lemmas"} <= names
+
+
+# Imports the package in a fresh interpreter and prints the JSON list of
+# source files whose module bodies ran, as seen by the "exec" audit event.
+_IMPORT_ONLY = """
+import json, sys
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(args[0].co_filename))
+import kreinalg
+print(json.dumps(ran))
+"""
+
+
+def test_import_runs_no_layer_body_but_errors():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ran = [pathlib.Path(p) for p in json.loads(proc.stdout)]
+    assert sorted(p.stem for p in ran if p.parent == src / "kreinalg") == ["__init__", "errors"]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import kreinalg
 from kreinalg import (
     Basis,
     HForm,
@@ -575,16 +576,23 @@ class TestPolicyGuard:
         sites = _call_sites(checked)
         assert sites and {site.split(":")[0] for site in sites} <= {"cli.py", "lemmas.py"}
 
-    def test_package_binds_layer_names_only_by_star_imports(self):
-        # Each layer's __all__ is the one declaration of what the package exports.
+    def test_package_binds_layer_names_only_through_their_all(self):
+        # Each layer's __all__ is the one declaration of what the package
+        # exports: __init__ imports modules only, never a named symbol of a
+        # layer, and spells none of the layers' public names.
         tree = ast.parse((SRC / "__init__.py").read_text())
         imports = [
             (node.level, node.module, [alias.name for alias in node.names])
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
         ]
+        assert imports == [(1, None, ["errors"])]
         layers = ["errors", "matrices", "spaces", "tensors", "eigen", "unitary", "indefinite"]
-        assert imports == [(1, layer, ["*"]) for layer in layers]
+        exported = {name for layer in layers for name in getattr(kreinalg, layer).__all__}
+        spelled = {getattr(node, "id", None) for node in ast.walk(tree)}
+        spelled |= {getattr(node, "attr", None) for node in ast.walk(tree)}
+        spelled |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not spelled & exported
 
     def test_objects_are_built_by_their_constructors(self):
         # The two back doors: a bare H-form's inner product, cached from K's
