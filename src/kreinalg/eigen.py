@@ -169,12 +169,14 @@ def cluster_eigenvalues(values):
 
     Returns ``(distinct, groups)``: the representative (mean) eigenvalue
     of each cluster and the index groups into the original array, by the
-    rule of :func:`_clusters`.
+    rule of :func:`_clusters`.  Exactly equal values are listed in
+    descending index order on every numpy build (a stable sort, reversed);
+    NaN comes first.
     """
     values = np.asarray(values, dtype=np.float64)
     if not values.size:
         return [], []
-    order = np.argsort(values)[::-1]
+    order = np.argsort(values, kind="stable")[::-1]
     bounds, distinct = _clusters(values[order])
     indices = order.tolist()
     return distinct, [indices[start:end] for start, end in bounds]

@@ -15,9 +15,12 @@ structure on it, from the factorization that factory runs anyway:
 
 Conjugating with ``h`` turns the ordinary adjoint into the Dirac adjoint
 (``hconj(f) = h adjoint(f) h``), under which the form-preserving
-operators are exactly the pseudo-unitary group of the signature.  With
-``h`` equal to the identity the whole apparatus collapses back to the
-Hermitian one.
+operators are exactly the pseudo-unitary group of the signature.  In the
+canonical frame B (``B^+ G B = 1``, ``B^+ K B = eta``) the Dirac adjoint
+of f is ``eta M^+ eta`` for ``M = B^{-1} (f / s) B``, s a power of two, so
+each Dirac property is decided on M by that plain identity, and
+:func:`dirac_spectral` decomposes ``M eta``.  With ``h`` equal to the
+identity the whole apparatus collapses back to the Hermitian one.
 """
 
 from __future__ import annotations
@@ -53,11 +56,7 @@ from .matrices import (
 )
 from .spaces import Basis, VectorSpace
 from .tensors import DOWN, UP, Tensor
-from .unitary import (
-    InnerProduct,
-    _adjoint,
-    _g_selfadjoint_eigh,
-)
+from .unitary import InnerProduct, _in_frame
 
 __all__ = [
     "HForm",
@@ -138,8 +137,7 @@ class MetricStructure:
     @property
     def eta(self) -> np.ndarray:
         """Canonical diagonal of the metric: +1 block, then -1 block."""
-        n_plus, n_minus = self.signature
-        return np.concatenate([np.ones(n_plus), -np.ones(n_minus)])
+        return np.array(self.frame.eta_diag, dtype=float)
 
 
 def _degenerate(label: str, values) -> DegenerateFormError:
@@ -197,7 +195,12 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     space = ip.space
     hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
-    w, u = _g_selfadjoint_eigh(h, ip)
+    framed = _in_frame(h, ip.frame, ip.frame_inv)
+    if framed is None:
+        raise CompatibilityError("metric operator G^{-1} K is not finite")
+    m, scale = framed
+    w, u = _eigh((m + hermitian_conjugate(m)) / 2.0)
+    w = scale * w
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
     if not policy.clears_form_floor(bounds, hf.matrix):
@@ -287,12 +290,12 @@ def dirac_adjoint_covector(y_bra, ms: MetricStructure) -> np.ndarray:
 
 def dirac_adjoint_operator(f, ms: MetricStructure) -> np.ndarray:
     """h adjoint(f) h, satisfying H(x, f y) = H(hconj(f) x, y)."""
-    return _dirac_adjoint(ms.space.operator(f), ms)
+    return ms.h @ (ms.ip.gram_inv @ hermitian_conjugate(ms.space.operator(f)) @ ms.ip.gram) @ ms.h
 
 
-def _dirac_adjoint(f: np.ndarray, ms: MetricStructure) -> np.ndarray:
-    """:func:`dirac_adjoint_operator` of an ``f`` already coerced to the space: the sharp of the rules."""
-    return ms.h @ _adjoint(f, ms.ip) @ ms.h
+def _eta_sharp(eta: np.ndarray):
+    """The Dirac adjoint in the canonical frame, ``M -> eta M^+ eta``: exact, since eta is +-1."""
+    return lambda m: eta[:, np.newaxis] * hermitian_conjugate(m) * eta
 
 
 def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
@@ -300,7 +303,8 @@ def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
 
     Non-finite f is never Dirac-selfadjoint.
     """
-    return policy.selfadjoint(ms.space.operator(f), lambda m: _dirac_adjoint(m, ms))
+    framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
+    return framed is not None and policy.selfadjoint(framed[0], _eta_sharp(ms.eta))
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
@@ -308,7 +312,8 @@ def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
 
     Non-finite f is never pseudo-unitary.
     """
-    return policy.isometric(ms.space.operator(f), lambda m: _dirac_adjoint(m, ms))
+    framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
+    return framed is not None and policy.isometric(framed[1] * framed[0], _eta_sharp(ms.eta))
 
 
 @dataclass(frozen=True)
@@ -329,22 +334,20 @@ class DiracSpectralDecomposition(SpectralDecomposition):
 
 
 def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
-    """Decompose a Dirac-selfadjoint operator through its selfadjoint partner.
+    """Decompose a Dirac-selfadjoint operator through its selfadjoint partner ``f h``.
 
-    Only f's Dirac-selfadjointness is decided (SymmetryError otherwise):
-    ``f h`` is then G-selfadjoint, and a second test, relative to ``||f h||``,
-    would reject valid f at large ``||h||``.  Its projectors times ``h`` give f.
-    ``f h`` is formed from ``f / s``, with ``s`` the power of two by which
-    the decision scaled f (:func:`policy.selfadjoint_scale`), so it cannot
-    overflow; scaling by ``s`` is exact, so only the eigenvalues are
-    multiplied back.
+    With ``M = B^{-1} (f / s) B`` in the canonical frame B, decided
+    Dirac-selfadjoint once (SymmetryError), ``f h = B (M eta) B^{-1}``, so
+    the Hermitian part of ``M eta`` is decomposed and its eigenvectors u
+    give the G-orthonormal ``B u``.  The projectors times ``h`` give f.
     """
-    f = ms.space.operator(f)
-    scale = policy.selfadjoint_scale(f, lambda m: _dirac_adjoint(m, ms))
-    if not scale:
+    f, eta = ms.space.operator(f), ms.eta
+    framed = _in_frame(f, ms.frame.basis.matrix, ms.frame.basis.inverse)
+    if framed is None or not policy.selfadjoint(framed[0], _eta_sharp(eta)):
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    w, u = _descending(*_g_selfadjoint_eigh((f / scale) @ ms.h, ms.ip))
-    dec = _spectral_decomposition(scale * w, ms.ip.frame @ u, ms.ip.gram)
+    m, scale = framed[0] * eta, framed[1]
+    w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))
+    dec = _spectral_decomposition(scale * w, ms.frame.basis.matrix @ u, ms.ip.gram)
     return DiracSpectralDecomposition(
         dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()
     )
@@ -383,4 +386,5 @@ def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
     f = np.asarray(f)
     if field_of(f) != REAL or ms.space.field != REAL:
         raise FieldError("pseudo-orthogonality is a real-field predicate")
-    return policy.isometric(ms.space.operator(f), lambda m: _dirac_adjoint(m, ms))
+    framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
+    return framed is not None and policy.isometric(framed[1] * framed[0], _eta_sharp(ms.eta))

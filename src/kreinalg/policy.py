@@ -2,7 +2,10 @@
 
 Each object of the theory is defined by one identity (G = G^+, h h = 1,
 f## = f, F# F = 1), and deciding whether such an identity holds in
-floating point is the one judgement the package makes.  So every tolerance
+floating point is the one judgement the package makes.  An operator's
+identity is tested on its frame matrix ``M = B^{-1} (f / s) B``
+(``unitary._in_frame``), where its adjoint is ``M^+`` or ``eta M^+ eta``,
+so the residual is not amplified by cond(G).  Every tolerance
 lives here, named by the decision it governs, and the other modules ask
 these rules instead of comparing residuals themselves, with three
 exceptions that compare against a constant of this module in place:
@@ -28,7 +31,7 @@ from .errors import NonFiniteError, SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "scale_free_norm", "scale_of", "selfadjoint", "selfadjoint_scale", "isometric",
+    "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric",
     "asymmetry_error", "clears_form_floor",
     "unit_scaled", "singular_rank", "numerical_rank", "nonsingular_scaled", "is_singular",
 ]
@@ -126,23 +129,14 @@ def _holds(residual, scale) -> bool:
 def selfadjoint(f, sharp) -> bool:
     """f# = f: ``||f# - f|| <= TOL ||f||``, for the adjoint ``f# = sharp(f)``.
 
-    The test runs on ``g = f / s`` (see :func:`selfadjoint_scale`), so it
-    gives the same answer for ``c f`` as for ``f`` at any scale ``c``.
-    """
-    return selfadjoint_scale(f, sharp) > 0.0
-
-
-def selfadjoint_scale(f, sharp) -> float:
-    """The power of two ``s`` by which :func:`selfadjoint` scaled ``f``; 0.0 when it rejects.
-
-    The test runs on ``g = f / s`` as ``||g# - g|| <= TOL ||g||``:
+    The test runs on ``g = f / s`` as ``||g# - g|| <= TOL ||g||``, so it
+    gives the same answer for ``c f`` as for ``f`` at any scale ``c``:
     ``sharp`` is linear, so that is the same test scaled exactly by
     ``1/s``, and ``||g||`` is below 2, so ``g#`` stays finite where ``f#``
     would overflow.  ``s`` is the power of two of :func:`_scale_exponent`
     for ``||f||``, or for ``max |f_ij|`` when ``||f||`` is beyond the
     double range.  ``max |f_ij|`` is non-finite when any entry is, so
-    non-finite ``f`` is rejected before ``sharp`` runs.  A caller that
-    goes on to work with ``f`` can divide by ``s`` without overflow.
+    non-finite ``f`` is rejected before ``sharp`` runs.
     """
     size = norm(f)
     if size < math.inf:
@@ -152,11 +146,10 @@ def selfadjoint_scale(f, sharp) -> float:
     else:
         peak = float(np.abs(f).max())
         if not peak < math.inf:
-            return 0.0
-        scale = scale_of(peak)
-        g = f / scale
+            return False
+        g = f / scale_of(peak)
         size = norm(g)
-    return scale if _holds(norm(sharp(g) - g), size) else 0.0
+    return _holds(norm(sharp(g) - g), size)
 
 
 def isometric(f, sharp) -> bool:

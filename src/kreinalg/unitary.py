@@ -3,10 +3,14 @@
 An inner product is carried by its Gram matrix ``G`` in the natural
 frame: ``(x, y) = x^+ G y``, antilinear in the first argument.  Its frame
 ``W``, with ``W^+ G W = 1`` and ``W^{-1}`` in closed form (both cached at
-construction), turns every G-selfadjoint eigenproblem into an ordinary
-Hermitian one, which the eigensolver seam handles; eigenvectors come back
-G-orthonormal and the spectral projectors are G-selfadjoint.  Every
-tolerance is a rule of :mod:`kreinalg.policy`.
+construction), makes the adjoint of f the conjugate transpose of ``M =
+W^{-1} (f / s) W``, for a power of two s.  So each operator property is
+decided on M by its plain identity (``M^+ = M``, ``M^+ M = 1``), and the
+G-selfadjoint eigenproblem is the Hermitian one of M, which the
+eigensolver seam handles; eigenvectors come back G-orthonormal and the
+spectral projectors are G-selfadjoint.  Only :func:`adjoint` and
+:func:`riesz_inverse` read ``G^{-1}``.  Every tolerance is a rule of
+:mod:`kreinalg.policy`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import numpy as np
 
 from . import policy
-from .errors import DegenerateFormError, DependentSetError, ShapeError
+from .errors import DegenerateFormError, DependentSetError, NonFiniteError, ShapeError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _descending,
@@ -144,27 +148,19 @@ def orthonormalize(vectors, ip: InnerProduct) -> Basis:
 
 def adjoint(f, ip: InnerProduct) -> np.ndarray:
     """G^{-1} f^+ G, the operator with (adjoint(f) x, y) = (x, f y)."""
-    return _adjoint(ip.space.operator(f), ip)
+    return ip.gram_inv @ hermitian_conjugate(ip.space.operator(f)) @ ip.gram
 
 
-def _adjoint(f: np.ndarray, ip: InnerProduct) -> np.ndarray:
-    """:func:`adjoint` of an ``f`` already coerced to the space: the sharp of the decision rules."""
-    return ip.gram_inv @ hermitian_conjugate(f) @ ip.gram
+def _in_frame(f: np.ndarray, b: np.ndarray, b_inv: np.ndarray):
+    """``(M, s)``, ``M = B^{-1} (f / s) B`` for s the power of two of :func:`policy.unit_scaled`.
 
-
-def _g_selfadjoint_eigh(f: np.ndarray, ip: InnerProduct):
-    """Eigenvalues and orthonormal eigenvectors of ``W^{-1} f W``, in the seam's ascending order.
-
-    For a G-selfadjoint ``f`` and the frame ``W`` of ``ip`` that matrix
-    equals ``W^+ G f W``, Hermitian up to roundoff, so its Hermitian part
-    goes to the eigensolver seam.  It is formed from :func:`policy.unit_scaled`
-    ``f / s``, so it cannot overflow; scaling by the power of two ``s`` is
-    exact, so only the eigenvalues are multiplied back.
+    None for a non-finite f, before any arithmetic runs on it.
     """
-    f, scale = policy.unit_scaled(f)
-    work = ip.frame_inv @ f @ ip.frame
-    w, u = _eigh((work + hermitian_conjugate(work)) / 2.0)
-    return scale * w, u
+    try:
+        g, scale = policy.unit_scaled(f)
+    except NonFiniteError:
+        return None
+    return b_inv @ g @ b, scale
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):
@@ -176,10 +172,12 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
     to G-orthonormal ones.  Non-finite input raises SymmetryError.
     """
     f = ip.space.operator(f)
-    if not np.all(np.isfinite(f)):
+    framed = _in_frame(f, ip.frame, ip.frame_inv)
+    if framed is None:
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, u = _descending(*_g_selfadjoint_eigh(f, ip))
-    return w, ip.frame @ u
+    m, scale = framed
+    w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))
+    return scale * w, ip.frame @ u
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:
@@ -187,7 +185,8 @@ def is_selfadjoint(f, ip: InnerProduct) -> bool:
 
     Non-finite f is never selfadjoint.
     """
-    return policy.selfadjoint(ip.space.operator(f), lambda m: _adjoint(m, ip))
+    framed = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
+    return framed is not None and policy.selfadjoint(framed[0], hermitian_conjugate)
 
 
 def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
@@ -197,10 +196,12 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
     and complete, and distinct eigenspaces are G-orthogonal.
     """
     f = ip.space.operator(f)
-    if not policy.selfadjoint(f, lambda m: _adjoint(m, ip)):
+    framed = _in_frame(f, ip.frame, ip.frame_inv)
+    if framed is None or not policy.selfadjoint(framed[0], hermitian_conjugate):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, u = _descending(*_g_selfadjoint_eigh(f, ip))
-    return _spectral_decomposition(w, ip.frame @ u, ip.gram)
+    m, scale = framed
+    w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))
+    return _spectral_decomposition(scale * w, ip.frame @ u, ip.gram)
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:
@@ -208,4 +209,5 @@ def is_unitary_wrt(f, ip: InnerProduct) -> bool:
 
     Non-finite f is never unitary.
     """
-    return policy.isometric(ip.space.operator(f), lambda m: _adjoint(m, ip))
+    framed = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
+    return framed is not None and policy.isometric(framed[1] * framed[0], hermitian_conjugate)

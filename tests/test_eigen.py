@@ -32,7 +32,7 @@ from kreinalg.generators import (
 )
 from kreinalg.matrices import hermitian_conjugate
 from kreinalg.policy import CLUSTER_TOL, JACOBI_TOL
-from kreinalg.unitary import _g_selfadjoint_eigh, g_selfadjoint_eigen
+from kreinalg.unitary import _in_frame, g_selfadjoint_eigen
 
 EPS = np.finfo(np.float64).eps
 
@@ -191,6 +191,19 @@ class TestClustering:
     def test_matches_the_loop(self, values):
         assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, _policy_tol(values)))
 
+    @pytest.mark.parametrize(
+        "values,groups",
+        [
+            ([1.0] * 6 + [-1.0] * 6, [[5, 4, 3, 2, 1, 0], [11, 10, 9, 8, 7, 6]]),
+            ([2.0] * 20, [list(range(19, -1, -1))]),
+        ],
+        ids=["two-exact-blocks", "twenty-ties"],
+    )
+    def test_exact_ties_list_in_descending_index_order(self, values, groups):
+        # An unstable sort ordered ties by the numpy build's sorting kernel.
+        assert cluster_eigenvalues(values)[1] == groups
+        assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, _policy_tol(values)))
+
     def test_matches_the_loop_on_random_spectra(self):
         rng = np.random.default_rng(7300)
         for _ in range(200):
@@ -211,7 +224,7 @@ def _policy_tol(values):
 def _cluster_loop(values, tol):
     """The one-value-at-a-time clustering, kept as the reference."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values)[::-1]
+    order = np.argsort(values, kind="stable")[::-1]
     distinct: list[float] = []
     groups: list[list[int]] = []
     for idx in order:
@@ -317,19 +330,26 @@ def _descending_assembly(w, vectors, gram=None):
     return tuple(distinct), tuple(len(g) for g in groups), projectors
 
 
+def _frame_eigh(m, scale):
+    """Ascending eigenpairs of the Hermitian part of a frame matrix, eigenvalues times ``scale``."""
+    w, u = _eigh((m + hermitian_conjugate(m)) / 2.0)
+    return scale * w, u
+
+
 def _frame_assembly(f, ip):
     """``spectral_representation``'s eigenpairs sorted by ``np.argsort``, then assembled."""
-    w, u = _g_selfadjoint_eigh(f, ip)
+    w, u = _frame_eigh(*_in_frame(f, ip.frame, ip.frame_inv))
     order = np.argsort(-w)
     return _descending_assembly(w[order], ip.frame @ u[:, order], ip.gram)
 
 
 def _dirac_assembly(f, ms):
     """``dirac_spectral``'s eigenpairs sorted by ``np.argsort``, then assembled."""
-    scale = policy.scale_of(policy.norm(f))
-    w, u = _g_selfadjoint_eigh((f / scale) @ ms.h, ms.ip)
+    frame = ms.frame.basis
+    m, scale = _in_frame(f, frame.matrix, frame.inverse)
+    w, u = _frame_eigh(m * ms.eta, scale)
     order = np.argsort(-w)
-    return _descending_assembly(scale * w[order], ms.ip.frame @ u[:, order], ms.ip.gram)
+    return _descending_assembly(w[order], frame.matrix @ u[:, order], ms.ip.gram)
 
 
 class TestExactRepeats:

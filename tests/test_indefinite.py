@@ -55,7 +55,7 @@ from kreinalg.generators import (
     random_pseudo_unitary,
     random_unitary,
 )
-from kreinalg.unitary import _g_selfadjoint_eigh, g_selfadjoint_eigen
+from kreinalg.unitary import _in_frame, g_selfadjoint_eigen
 
 
 def _swap_structure():
@@ -573,7 +573,8 @@ class TestCanonicalFrame:
         # Exact +-1 ties: the +1 columns come first, each block in the
         # solver's order, as Python's stable sort on -w leaves them.
         ms = minkowski_structure(n_plus, n_minus, field)
-        w, u = _g_selfadjoint_eigh(ms.h, ms.ip)
+        m, _ = _in_frame(ms.h, ms.ip.frame, ms.ip.frame_inv)
+        w, u = eigen._eigh((m + hermitian_conjugate(m)) / 2.0)
         order = sorted(range(len(w)), key=lambda i: -w[i])
         np.testing.assert_array_equal(ms.frame.basis.matrix, ms.ip.frame @ u[:, order])
 
@@ -701,9 +702,7 @@ class TestDecisionCounts:
 
     Counted like the factorizations above: the rules of :mod:`kreinalg.policy`,
     the eigensolver seam, the coercions of :class:`VectorSpace` and the casts
-    to a field (``matrices._on_field``).  The self-adjointness rule is counted
-    at ``policy.selfadjoint_scale``, which ``policy.selfadjoint`` calls and
-    ``dirac_spectral`` calls directly for its scale.
+    to a field (``matrices._on_field``).
     """
 
     @pytest.fixture
@@ -722,8 +721,7 @@ class TestDecisionCounts:
             for owner in owners:
                 monkeypatch.setattr(owner, name, counted)
 
-        count([policy], "selfadjoint_scale", "selfadjoint")
-        for name in ("isometric", "clears_form_floor"):
+        for name in ("selfadjoint", "isometric", "clears_form_floor"):
             count([policy], name)
         modules = [m for key, m in sys.modules.items() if key.startswith("kreinalg")]
         count([m for m in modules if getattr(m, "_eigh", None) is eigen._eigh], "_eigh")
@@ -875,6 +873,72 @@ class TestDiracSpectralUnderStrongBoosts:
         assert np.linalg.norm(unit.reconstruct() - f / s) <= bound
 
 
+_BOOSTED = dict(
+    n=st.integers(2, 8),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+    rapidity=st.floats(0.0, 4.0),
+)
+
+
+def _of_relative_size(x, y, size=1e-6):
+    """``x`` rescaled to ``size ||y||``."""
+    return x * (size * np.linalg.norm(y) / np.linalg.norm(x))
+
+
+class TestConditionedDiracStructures:
+    """The Dirac rules and ``dirac_spectral`` hold under boosts up to rapidity 4.
+
+    ``_boosted_pair`` has ``cond(G) = e^{4 rapidity}``, about 8.9e6 at
+    rapidity 4.  Members are built in the canonical frame B: ``B (M eta)
+    B^{-1}`` for a Hermitian M and ``B L B^{-1}`` for L from
+    :func:`random_pseudo_unitary`.  The non-members move M by an
+    anti-Hermitian and L by ``L S eta`` for a Hermitian S, each of relative
+    size 1e-6 (1000 TOL).  The reconstruction is bounded to first order by
+    ``4 n eps cond(G) ||f||``.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_BOOSTED)
+    @example(n=8, field="real", seed=3, rapidity=4.0)
+    @example(n=8, field="complex", seed=3, rapidity=4.0)
+    def test_frame_members_accepted_and_perturbations_rejected(self, n, field, seed, rapidity):
+        rng = np.random.default_rng(seed)
+        ms = metric_structure_from(*_boosted_pair(rapidity, n, field))
+        frame, eta = ms.frame.basis, ms.eta
+        m = random_hermitian(rng, n, field)
+        lam = random_pseudo_unitary(rng, *ms.signature, field)
+        a = random_matrix(rng, n, n, field)
+        s = random_hermitian(rng, n, field)
+
+        cases = [
+            (is_dirac_selfadjoint, m * eta, (m + _of_relative_size(a - hermitian_conjugate(a), m)) * eta),
+            (is_pseudo_unitary, lam, lam + lam @ (_of_relative_size(s, lam) * eta)),
+        ]
+        if field == "real":
+            cases.append((is_pseudo_orthogonal, *cases[1][1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule, member, other in cases:
+                assert rule(frame.matrix @ member @ frame.inverse, ms)
+                assert not rule(frame.matrix @ other @ frame.inverse, ms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_BOOSTED)
+    @example(n=8, field="real", seed=3, rapidity=4.0)
+    @example(n=8, field="complex", seed=3, rapidity=4.0)
+    def test_dirac_spectral_reconstructs(self, n, field, seed, rapidity):
+        rng = np.random.default_rng(seed)
+        ms = metric_structure_from(*_boosted_pair(rapidity, n, field))
+        frame = ms.frame.basis
+        f = frame.matrix @ (random_hermitian(rng, n, field) * ms.eta) @ frame.inverse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = dirac_spectral(f, ms).reconstruct()
+        bound = 4 * n * np.finfo(float).eps * np.linalg.cond(ms.ip.gram) * np.linalg.norm(f)
+        assert np.linalg.norm(rec - f) <= bound
+
+
 class TestSelfAdjointnessAtAnyScale:
     """The self-adjointness rules decide ``c f`` as they decide ``f``, at any scale.
 
@@ -912,6 +976,12 @@ class TestSelfAdjointnessAtAnyScale:
             assert is_selfadjoint(at_scale(g_self), ms.ip)
             assert not is_dirac_selfadjoint(at_scale(perturbed(dirac)), ms)
             assert not is_selfadjoint(at_scale(perturbed(g_self)), ms.ip)
+
+
+def test_overflowing_metric_operator_is_incompatible():
+    # h = G^{-1} K overflows here; a compatible pair has ||h||_2 = cond(B), far below that.
+    with np.errstate(over="ignore"), pytest.raises(CompatibilityError, match="not finite"):
+        metric_structure_from(1e-300 * np.eye(2), 1e10 * np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("value", [1.0, np.ones(3)], ids=["0-D", "1-D"])

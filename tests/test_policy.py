@@ -509,8 +509,8 @@ def _registry_node(tree):
     return None
 
 
-def _call_sites(names):
-    """``module:function`` of every call, in a production module, to a function in ``names``."""
+def _sites(matches):
+    """``module:function`` of every node of a production module for which ``matches`` holds."""
     sites = []
     for path in _production_modules():
         tree = ast.parse(path.read_text())
@@ -518,12 +518,15 @@ def _call_sites(names):
         for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer
             if isinstance(fn, ast.FunctionDef):
                 owner.update((id(node), fn.name) for node in ast.walk(fn))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and not names.isdisjoint(
-                (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-            ):
-                sites.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+        sites += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree) if matches(node)]
     return sorted(sites)
+
+
+def _call_sites(names):
+    """``module:function`` of every call, in a production module, to a function in ``names``."""
+    return _sites(lambda node: isinstance(node, ast.Call) and not names.isdisjoint(
+        (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ))
 
 
 class TestPolicyGuard:
@@ -602,8 +605,21 @@ class TestPolicyGuard:
         ]
         # Each Hermitian eigenproblem is solved where its result is consumed.
         assert _call_sites({"_eigh"}) == [
-            "eigen.py:eigen_hermitian", "indefinite.py:compatible_structure_from_hform",
-            "unitary.py:__init__", "unitary.py:_g_selfadjoint_eigh",
+            "eigen.py:eigen_hermitian", "indefinite.py:_structure_on",
+            "indefinite.py:compatible_structure_from_hform", "indefinite.py:dirac_spectral",
+            "unitary.py:__init__", "unitary.py:g_selfadjoint_eigen", "unitary.py:spectral_representation",
+        ]
+
+    def test_only_the_natural_frame_formulas_read_the_inverse_gram(self):
+        # Every operator property is decided in a frame, on the plain identity
+        # it satisfies there.  G^{-1} enters only the public natural-frame
+        # formulas and the metric operator h = G^{-1} K, so no decision can
+        # bring back a natural-frame sharp.
+        reads = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "gram_inv"
+                       and isinstance(node.ctx, ast.Load))
+        assert reads == [
+            "indefinite.py:_structure_on", "indefinite.py:dirac_adjoint_operator",
+            "unitary.py:adjoint", "unitary.py:riesz_inverse",
         ]
 
     def test_eigensolver_call_sites(self):

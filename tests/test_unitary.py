@@ -15,6 +15,7 @@ from kreinalg import (
     change_of_basis,
     hermitian_conjugate,
     inner_product,
+    is_selfadjoint,
     is_unitary_wrt,
     norm,
     orthonormalize,
@@ -26,8 +27,10 @@ from kreinalg import (
 from kreinalg.generators import (
     lorentz_boost,
     random_g_selfadjoint,
+    random_hermitian,
     random_invertible,
     random_ket,
+    random_matrix,
     random_positive_definite,
     random_unitary,
 )
@@ -385,3 +388,73 @@ class TestUnitaryMembership:
     def test_non_unitary(self):
         _, ip = _random_ip(93)
         assert not is_unitary_wrt(2.0 * np.eye(3, dtype=complex), ip)
+
+
+def _conditioned_ip(rng, n, field, cond):
+    """The inner product of ``G = U diag(geomspace(1, cond, n)) U^+``, U random unitary."""
+    u = random_unitary(rng, n, field)
+    g = (u * np.geomspace(1.0, cond, n)) @ hermitian_conjugate(u)
+    return InnerProduct(VectorSpace(n, field), (g + hermitian_conjugate(g)) / 2.0)
+
+
+def _of_relative_size(x, y, size=1e-6):
+    """``x`` rescaled to ``size ||y||``."""
+    return x * (size * np.linalg.norm(y) / np.linalg.norm(x))
+
+
+_CONDITIONED = dict(
+    n=st.integers(2, 8),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 7.0),
+)
+
+
+class TestConditionedGram:
+    """The G-rules and the spectral solve hold up to cond(G) = 1e7.
+
+    Members are built in the frame W of G: ``W M W^{-1}`` for a Hermitian M
+    and ``W Q W^{-1}`` for a unitary Q.  The non-members move M by an
+    anti-Hermitian and Q by ``Q S`` for a Hermitian S, each of relative size
+    1e-6 (1000 TOL).  Building f in floating point leaves an error of about
+    ``eps cond(G) ||f||``, still below TOL at cond(G) = 1e7; measured in the
+    frame, that is all the rules see.  The reconstruction is bounded to first
+    order by ``4 n eps cond(G) ||f||``.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_CONDITIONED)
+    @example(n=3, field="real", seed=3, log_cond=7.0)
+    @example(n=3, field="complex", seed=0, log_cond=7.0)
+    @example(n=8, field="real", seed=36, log_cond=6.0)
+    def test_frame_members_accepted_and_perturbations_rejected(self, n, field, seed, log_cond):
+        rng = np.random.default_rng(seed)
+        ip = _conditioned_ip(rng, n, field, 10.0**log_cond)
+        m = random_hermitian(rng, n, field)
+        q = random_unitary(rng, n, field)
+        a = random_matrix(rng, n, n, field)
+        s = random_hermitian(rng, n, field)
+
+        def in_frame(x):
+            return ip.frame @ x @ ip.frame_inv
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_selfadjoint(in_frame(m), ip)
+            assert is_unitary_wrt(in_frame(q), ip)
+            assert not is_selfadjoint(in_frame(m + _of_relative_size(a - hermitian_conjugate(a), m)), ip)
+            assert not is_unitary_wrt(in_frame(q + q @ _of_relative_size(s, q)), ip)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_CONDITIONED)
+    @example(n=3, field="real", seed=3, log_cond=7.0)
+    @example(n=3, field="complex", seed=0, log_cond=7.0)
+    def test_spectral_representation_reconstructs(self, n, field, seed, log_cond):
+        rng = np.random.default_rng(seed)
+        ip = _conditioned_ip(rng, n, field, 10.0**log_cond)
+        f = ip.frame @ random_hermitian(rng, n, field) @ ip.frame_inv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = spectral_representation(f, ip).reconstruct()
+        bound = 4 * n * np.finfo(float).eps * np.linalg.cond(ip.gram) * np.linalg.norm(f)
+        assert np.linalg.norm(rec - f) <= bound
