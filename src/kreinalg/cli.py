@@ -10,9 +10,22 @@ Only ``errors``, ``io`` and ``matrices`` run at import.  The other layers
 are bound as modules and read by the handlers at request time, so each
 request runs the bodies of the layers its subcommand uses, and a rebinding
 of a layer's attribute (a span tracer's) is the one that runs.
+
+A request process runs without the cyclic garbage collector: ``python -m
+kreinalg.cli`` turns it off before this module imports numpy and the
+layers, and the process entry :func:`run` (the installed ``kreinalg``
+command) turns it off, runs :func:`main` and freezes the heap before it
+exits, so the interpreter's exit collection has nothing to scan.
+``import kreinalg.cli`` and in-process ``main(argv)`` leave the collector
+as they found it.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()
 
 import argparse
 import sys
@@ -25,7 +38,7 @@ from .errors import KreinAlgError, ShapeError
 from .io import dumps, matrix_document, parse_matrix_document, scalar_pair
 from .matrices import classify, determinant, field_of, kronecker_product
 
-__all__ = ["main", "OPERATION_COVERAGE", "SUBCOMMANDS"]
+__all__ = ["main", "run", "OPERATION_COVERAGE", "SUBCOMMANDS"]
 
 
 class _Command(NamedTuple):
@@ -384,5 +397,18 @@ def main(argv=None) -> int:
     return 1 if result.get("status") == "fail" else 0
 
 
+def run() -> None:
+    """The process entry: :func:`main` on ``sys.argv``, then exit with its code.
+
+    A request makes no reference cycles worth collecting, so the cyclic
+    collector stays off, and every object is frozen before the exit, so
+    the interpreter's final collection has nothing left to scan.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

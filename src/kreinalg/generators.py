@@ -145,8 +145,19 @@ def random_g_selfadjoint(
 
 
 def random_dirac_selfadjoint(rng: np.random.Generator, ms) -> np.ndarray:
-    """Dirac-selfadjoint operator: a G-selfadjoint one composed with the metric."""
-    return random_g_selfadjoint(rng, ms.ip) @ ms.h
+    """Dirac-selfadjoint operator with a separated real spectrum.
+
+    Built in the canonical frame B of ``ms`` as ``B (A eta) B^{-1}`` for a
+    Hermitian ``A = U diag(eigenvalues) U^+``.  In that frame the Dirac
+    rule reads ``eta M^+ eta = M``, which ``M = A eta`` meets up to the
+    roundoff of A alone, however large cond(G) and ``||h||`` are.
+    """
+    n = ms.space.dim
+    eigenvalues = separated_eigenvalues(rng, n)
+    u = random_unitary(rng, n, ms.space.field)
+    a = u @ np.diag(eigenvalues).astype(u.dtype) @ hermitian_conjugate(u)
+    frame = ms.frame.basis
+    return frame.matrix @ (a * ms.eta) @ frame.inverse
 
 
 def random_pseudo_unitary(

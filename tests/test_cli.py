@@ -1,4 +1,6 @@
 import argparse
+import ast
+import importlib
 import json
 import os
 import pathlib
@@ -562,9 +564,10 @@ class TestUsageBytes:
 
 
 # Runs ``python -m kreinalg.cli ARGV`` and prints, after its output, the JSON
-# list of source files whose module bodies ran, as seen by the "exec" audit event.
+# list of source files whose module bodies ran, as seen by the "exec" audit
+# event, and then the JSON pair [gc.isenabled(), gc.get_freeze_count()].
 _EXECUTED_MODULES = """
-import json, runpy, sys
+import gc, json, runpy, sys
 ran = []
 sys.addaudithook(lambda event, args: event == "exec" and ran.append(args[0].co_filename))
 sys.argv[0] = "kreinalg"
@@ -573,6 +576,7 @@ try:
 except SystemExit:
     pass
 print(json.dumps(ran))
+print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))
 """
 
 
@@ -614,11 +618,14 @@ class TestLazyLoading:
     def test_request_runs_only_the_layers_its_subcommand_uses(self, name):
         proc = _run_cli(*GOLDEN_CASES[name], code=_EXECUTED_MODULES)
         assert proc.returncode == 0, proc.stderr
-        out, ran = proc.stdout.splitlines()
+        out, ran, collector = proc.stdout.splitlines()
         assert golden_differences(name, out + "\n") == []
         package = pathlib.Path(SRC, "kreinalg")
         stems = {pathlib.Path(p).stem for p in json.loads(ran) if pathlib.Path(p).parent == package}
         assert stems == _EVERY_REQUEST | LOADED[name]
+        # The request ran with the cyclic collector off and froze its heap before exit.
+        enabled, frozen = json.loads(collector)
+        assert enabled is False and frozen > 0
 
     def test_import_binds_every_traced_layer_without_running_the_suite(self):
         proc = _run_cli(code=(
@@ -652,6 +659,75 @@ class TestLazyLoading:
         proc = _run_cli("verify", "--seed", "42")
         assert proc.returncode == 0, proc.stderr
         assert golden_differences("verify_default.txt", proc.stdout) == []
+
+
+def _is_main_guard(node) -> bool:
+    """Whether ``node`` is an ``if __name__ == "__main__":`` statement."""
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+
+
+def _gc_attributes(node) -> list:
+    """The ``gc.<name>`` attributes read under ``node``, in source order."""
+    found = [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "gc"]
+    return [n.attr for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+class TestPolicyGuard:
+    """Only a request process turns the cyclic collector off; library use
+    (``import kreinalg.cli``, in-process ``main(argv)``) leaves it as it found it."""
+
+    def test_gc_is_used_only_by_the_main_guard_and_the_entry(self):
+        found = []
+        for path in sorted(pathlib.Path(SRC, "kreinalg").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert path.name == "cli.py" or not any(
+                "gc" in (getattr(n, "module", None), *(a.name for a in n.names)) for n in imports
+            ), f"{path.name} imports gc"
+            for stmt in tree.body:
+                where = "guard" if _is_main_guard(stmt) else getattr(stmt, "name", None)
+                found += [(path.stem, where, attr) for attr in _gc_attributes(stmt)]
+        assert found == [("cli", "guard", "disable"), ("cli", "run", "disable"), ("cli", "run", "freeze")]
+
+    def test_collector_is_off_before_the_imports_and_frozen_before_the_exit(self):
+        tree = ast.parse(pathlib.Path(SRC, "kreinalg", "cli.py").read_text(encoding="utf-8"))
+        guards = [i for i, stmt in enumerate(tree.body) if _is_main_guard(stmt)]
+        first, last = (tree.body[i] for i in (guards[0], guards[-1]))
+        head = [ast.unparse(stmt) for stmt in tree.body[1:guards[0]]]  # after the docstring
+        assert head == ["from __future__ import annotations", "import gc"]
+        assert ast.unparse(first.body) == "gc.disable()"
+        assert guards[-1] == len(tree.body) - 1 and ast.unparse(last.body) == "run()"
+        entry = next(stmt for stmt in tree.body if getattr(stmt, "name", None) == "run")
+        assert [ast.unparse(stmt) for stmt in entry.body[1:]] == [  # after the docstring
+            "gc.disable()", "code = main()", "gc.freeze()", "sys.exit(code)"
+        ]
+
+    def test_library_use_leaves_the_collector_and_the_entry_turns_it_off(self):
+        doc = inpath("a22.json")
+        proc = _run_cli(code=(
+            "import gc, json, sys\n"
+            "import kreinalg, kreinalg.cli as cli\n"
+            "states = [[gc.isenabled(), gc.get_freeze_count()]]\n"
+            f"code = cli.main(['det', '--in', {doc!r}])\n"
+            "states.append([gc.isenabled(), gc.get_freeze_count(), code])\n"
+            f"sys.argv = ['kreinalg', 'det', '--in', {doc!r}]\n"
+            "try:\n"
+            "    cli.run()\n"
+            "except SystemExit as exc:\n"
+            "    states.append([gc.isenabled(), gc.get_freeze_count() > 0, exc.code])\n"
+            "print(json.dumps(states))\n"
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        *outs, states = proc.stdout.split("\n")[:-1]
+        assert "\n".join(outs) + "\n" == 2 * (GOLDEN / "expected" / "det.txt").read_text()
+        assert json.loads(states) == [[True, 0], [True, 0, 0], [False, True, 0]]
+
+    def test_installed_command_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, attr = scripts["kreinalg"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.run
 
 
 class TestDispatch:

@@ -938,6 +938,21 @@ class TestConditionedDiracStructures:
         bound = 4 * n * np.finfo(float).eps * np.linalg.cond(ms.ip.gram) * np.linalg.norm(f)
         assert np.linalg.norm(rec - f) <= bound
 
+    def test_random_dirac_selfadjoint_gives_members(self):
+        # Built as (G-selfadjoint) @ h in the natural frame, with roundoff
+        # growing with cond(G) ||h||, 21 of these 42 were rejected.
+        rejected = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(2, 9):
+                for field in ("real", "complex"):
+                    ms = metric_structure_from(*_boosted_pair(4.0, n, field))
+                    rejected += [
+                        (n, field, seed) for seed in range(3)
+                        if not is_dirac_selfadjoint(random_dirac_selfadjoint(np.random.default_rng(seed), ms), ms)
+                    ]
+        assert rejected == []
+
 
 class TestSelfAdjointnessAtAnyScale:
     """The self-adjointness rules decide ``c f`` as they decide ``f``, at any scale.
