@@ -3,7 +3,7 @@
 An indefinite structure pairs a positive-definite inner product ``G``
 with a non-degenerate Hermitian form ``K`` on the same space.  The metric
 operator ``h = G^{-1} K`` is G-selfadjoint; the pair is *compatible* when
-``h @ h`` is the identity, which forces every eigenvalue of ``h`` to be
+``h h`` is the identity, which forces every eigenvalue of ``h`` to be
 +1 or -1 and splits the space into two G-orthogonal subspaces.  The
 counts of +1 and -1 eigenvalues form the signature.
 
@@ -176,8 +176,9 @@ def metric_structure_from(gram, hform_matrix) -> MetricStructure:
     bound exceeds ``FORM_TOL ||K||``, otherwise DegenerateFormError is
     raised; this accepts no K that the eigenvalue floor of
     :func:`compatible_structure_from_hform` rejects.
-    Only then must the pair be compatible: h has to square to the
-    identity, otherwise CompatibilityError is raised.
+    Only then must the pair be compatible: h is similar to the Hermitian
+    ``W^+ K W``, so it squares to the identity when every ``|w|`` is 1
+    (:func:`policy.involutory`), otherwise CompatibilityError is raised.
     """
     gram = _matrix_view(gram)
     hform_matrix = _matrix_view(hform_matrix)
@@ -195,22 +196,17 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     space = ip.space
     hf = HForm(space, hform_matrix)
     h = ip.gram_inv @ hf.matrix
-    framed = _in_frame(h, ip.frame, ip.frame_inv)
-    if framed is None:
+    m = hermitian_conjugate(ip.frame) @ hf.matrix @ ip.frame
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(m))):
         raise CompatibilityError("metric operator G^{-1} K is not finite")
-    m, scale = framed
     w, u = _eigh((m + hermitian_conjugate(m)) / 2.0)
-    w = scale * w
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
     if not policy.clears_form_floor(bounds, hf.matrix):
         raise _degenerate("lambda_min(G) min |w|", bounds)
-    # h is G-selfadjoint, so h# = h and compatibility is the isometry rule.
-    if not policy.isometric(h, lambda m: m):
-        residual = policy.norm(h @ h - np.eye(space.dim))
-        raise CompatibilityError(
-            f"metric operator does not square to the identity (residual {residual:.3e})"
-        )
+    if not policy.involutory(w):
+        residual = np.max(np.abs(np.abs(w) - 1.0))
+        raise CompatibilityError(f"metric operator is not an involution (max ||w| - 1| = {residual:.3e})")
     signature = _signature_of(w)
     frame = _frame(space, ip.frame @ u, hermitian_conjugate(u) @ ip.frame_inv, signature)
     return MetricStructure(ip=ip, hform=hf, h=h, signature=signature, frame=frame)

@@ -5,14 +5,15 @@ f## = f, F# F = 1), and deciding whether such an identity holds in
 floating point is the one judgement the package makes.  An operator's
 identity is tested on its frame matrix ``M = B^{-1} (f / s) B``
 (``unitary._in_frame``), where its adjoint is ``M^+`` or ``eta M^+ eta``,
-so the residual is not amplified by cond(G).  Every tolerance
-lives here, named by the decision it governs, and the other modules ask
-these rules instead of comparing residuals themselves, with three
-exceptions that compare against a constant of this module in place:
-Gram-Schmidt breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``),
-eigenvalue clustering (``eigen._clusters``, ``CLUSTER_TOL``) and
-the stop rule of the Jacobi oracle (``eigen.jacobi_hermitian``,
-``JACOBI_TOL``).  Norms are
+and ``h h = 1`` on the eigenvalues of h's frame matrix ``W^+ K W``, so
+no residual is amplified by cond(G).  Every tolerance lives here, named
+by the decision it governs, and the other modules ask these rules
+instead of comparing residuals themselves, with four exceptions that
+compare against a constant of this module in place: Gram-Schmidt
+breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``), eigenvalue
+clustering (``eigen._clusters``, ``CLUSTER_TOL``), the stop rule of the
+Jacobi oracle (``eigen.jacobi_hermitian``, ``JACOBI_TOL``) and the pivot
+floor of row reduction (``spaces.rank``, ``RANK_TOL``).  Norms are
 Frobenius norms computed by :func:`norm`, which neither overflows nor
 underflows, so every rule gives the same answer for ``c A`` as for ``A``
 at any scale ``c``.  Every rule is NaN-safe: it accepts only when
@@ -31,7 +32,7 @@ from .errors import NonFiniteError, SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric",
+    "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric", "involutory",
     "asymmetry_error", "clears_form_floor",
     "unit_scaled", "singular_rank", "numerical_rank", "nonsingular_scaled", "is_singular",
 ]
@@ -165,7 +166,6 @@ def isometric(f, sharp) -> bool:
     ``s**-2``, and ``g# g`` cannot overflow even for a boost at rapidity
     700.  ``max |f_ij|`` is NaN or infinite when any entry is, so it
     rejects non-finite ``f`` before ``sharp`` or any other arithmetic runs.
-    When ``sharp`` hands back ``g`` itself, ``||g||`` is measured once.
     """
     peak = float(np.abs(f).max(initial=0.0))
     if not peak < math.inf:
@@ -174,8 +174,12 @@ def isometric(f, sharp) -> bool:
     g = f / math.ldexp(1.0, exponent)
     g_sharp = sharp(g)
     residual = norm(g_sharp @ g - math.ldexp(1.0, -2 * exponent) * np.eye(f.shape[1]))
-    size = norm(g)
-    return _holds(residual, (size if g_sharp is g else norm(g_sharp)) * size)
+    return _holds(residual, norm(g_sharp) * norm(g))
+
+
+def involutory(w) -> bool:
+    """``max ||w| - 1| <= TOL``: a diagonalizable matrix with eigenvalues ``w`` squares to the identity."""
+    return _holds(np.max(np.abs(np.abs(w) - 1.0)), 1.0)
 
 
 def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:

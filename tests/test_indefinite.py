@@ -665,6 +665,39 @@ class TestPairWithoutFormSolve:
                 metric_structure_from(g, k)
 
 
+def _decision(g, k):
+    """The signature of the pair (G, K), or the type of the error it raises."""
+    try:
+        return metric_structure_from(g, k).signature
+    except (CompatibilityError, DegenerateFormError) as exc:
+        return type(exc)
+
+
+class TestPairDecisionAtAnyScale:
+    """``(c G, c K)`` is decided as ``(G, K)`` for every ``c = 2^k``, ``|k| <= 1000``.
+
+    The frame W of ``c G`` is ``W / sqrt(c)``, so the frame solve's
+    ``W^+ K W`` is the same matrix at every scale and is formed unscaled.
+    One magnitude of K's ``V diag(d) V^+`` is 1 (compatible), 0
+    (degenerate) or 2 (incompatible).
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_PAIRS, odd=st.sampled_from([1.0, 0.0, 2.0]), power=st.integers(-1000, 1000))
+    @example(n=4, field="real", seed=0, odd=1.0, power=1000)
+    @example(n=4, field="complex", seed=0, odd=1.0, power=-1000)
+    @example(n=4, field="complex", seed=0, odd=2.0, power=1000)
+    @example(n=4, field="real", seed=0, odd=0.0, power=-1000)
+    def test_scaled_pair_decides_as_the_pair(self, n, field, seed, odd, power):
+        magnitudes = np.ones(n)
+        magnitudes[seed % n] = odd
+        g, k = _pair_parts(seed, n, field, magnitudes)
+        c = math.ldexp(1.0, power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _decision(c * g, c * k) == _decision(g, k)
+
+
 class TestFactorizationCounts:
     """LAPACK factorizations per construction, pinned: a structure factorizes once."""
 
@@ -708,7 +741,8 @@ class TestDecisionCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = dict.fromkeys(
-            ("selfadjoint", "isometric", "clears_form_floor", "_eigh", "_coerce", "_on_field"), 0
+            ("selfadjoint", "isometric", "involutory", "clears_form_floor", "_eigh", "_coerce", "_on_field"),
+            0,
         )
 
         def count(owners, name, key=None):
@@ -721,7 +755,7 @@ class TestDecisionCounts:
             for owner in owners:
                 monkeypatch.setattr(owner, name, counted)
 
-        for name in ("selfadjoint", "isometric", "clears_form_floor"):
+        for name in ("selfadjoint", "isometric", "involutory", "clears_form_floor"):
             count([policy], name)
         modules = [m for key, m in sys.modules.items() if key.startswith("kreinalg")]
         count([m for m in modules if getattr(m, "_eigh", None) is eigen._eigh], "_eigh")
@@ -737,14 +771,16 @@ class TestDecisionCounts:
         # K's Hermitian check, its one eigh and its one floor; |K| is not tested again.
         # K is cast to its field once.
         assert counts == {
-            "selfadjoint": 1, "isometric": 0, "clears_form_floor": 1, "_eigh": 1, "_coerce": 1, "_on_field": 1
+            "selfadjoint": 1, "isometric": 0, "involutory": 0, "clears_form_floor": 1, "_eigh": 1,
+            "_coerce": 1, "_on_field": 1,
         }
         counts.update(dict.fromkeys(counts, 0))
         metric_structure_from(ms.ip.gram, ms.hform.matrix)
-        # Two floors: G's and the Ostrowski bound on K; h h = 1 is the one isometry.
-        # G and K are cast once each.
+        # Two floors: G's and the Ostrowski bound on K; h h = 1 is decided
+        # once, on the frame solve's eigenvalues.  G and K are cast once each.
         assert counts == {
-            "selfadjoint": 2, "isometric": 1, "clears_form_floor": 2, "_eigh": 2, "_coerce": 2, "_on_field": 2
+            "selfadjoint": 2, "isometric": 0, "involutory": 1, "clears_form_floor": 2, "_eigh": 2,
+            "_coerce": 2, "_on_field": 2,
         }
 
     @pytest.mark.parametrize("kind", ["hform", "pair"])
@@ -762,7 +798,7 @@ class TestDecisionCounts:
             decompose()
             # The operator is coerced once; the rule's sharp takes the coerced matrix.
             assert counts == {
-                "selfadjoint": 1, "isometric": 0, "clears_form_floor": 0, "_eigh": 1,
+                "selfadjoint": 1, "isometric": 0, "involutory": 0, "clears_form_floor": 0, "_eigh": 1,
                 "_coerce": 1, "_on_field": 1,
             }
 
@@ -791,16 +827,20 @@ class TestDecisionCounts:
             assert counts == expected
 
 
-def _boosted_pair(rapidity, n, field):
+def _boosted_pair(rapidity, n, field, shift=0.0):
     """(G, K) whose canonical frame ``B`` is ``lorentz_boost(rapidity, n)``.
 
     ``B^+ G B = 1`` and ``B^+ K B = eta = diag(1, -1, ..)``, so with the
     boost at ``-rapidity`` as ``B^{-1}``: ``G = B^{-+} B^{-1}``, ``K =
     B^{-+} eta B^{-1}``, and ``h = B eta B^{-1}`` has ``||h||_2 = e^{2 rapidity}``.
+    A Hermitian ``shift`` S moves K to ``B^{-+} (eta + S) B^{-1}``.
     """
     b_inv = lorentz_boost(-rapidity, n).astype(np.complex128 if field == "complex" else np.float64)
-    eta = np.diag(np.concatenate([[1.0], -np.ones(n - 1)]))
-    return b_inv.T @ b_inv, b_inv.T @ eta @ b_inv
+    return b_inv.T @ b_inv, b_inv.T @ (_eta(n) + shift) @ b_inv
+
+
+def _eta(n):
+    return np.diag(np.concatenate([[1.0], -np.ones(n - 1)]))
 
 
 class TestDiracSpectralUnderStrongBoosts:
@@ -887,16 +927,29 @@ def _of_relative_size(x, y, size=1e-6):
 
 
 class TestConditionedDiracStructures:
-    """The Dirac rules and ``dirac_spectral`` hold under boosts up to rapidity 4.
+    """The pair, the Dirac rules and ``dirac_spectral`` hold under boosts up to rapidity 4.
 
     ``_boosted_pair`` has ``cond(G) = e^{4 rapidity}``, about 8.9e6 at
-    rapidity 4.  Members are built in the canonical frame B: ``B (M eta)
-    B^{-1}`` for a Hermitian M and ``B L B^{-1}`` for L from
-    :func:`random_pseudo_unitary`.  The non-members move M by an
-    anti-Hermitian and L by ``L S eta`` for a Hermitian S, each of relative
-    size 1e-6 (1000 TOL).  The reconstruction is bounded to first order by
-    ``4 n eps cond(G) ||f||``.
+    rapidity 4.  The exact pair builds; moving its eta by a Hermitian S of
+    relative size 1e-6 (1000 TOL) makes it incompatible.  Members are
+    built in the canonical frame B: ``B (M eta) B^{-1}`` for a Hermitian M
+    and ``B L B^{-1}`` for L from :func:`random_pseudo_unitary`.  The
+    non-members move M by an anti-Hermitian and L by ``L S eta`` for a
+    Hermitian S, each of relative size 1e-6.  The reconstruction is
+    bounded to first order by ``4 n eps cond(G) ||f||``.
     """
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_BOOSTED)
+    @example(n=8, field="real", seed=3, rapidity=4.0)
+    @example(n=8, field="complex", seed=3, rapidity=4.0)
+    def test_exact_pairs_build_and_perturbed_pairs_are_incompatible(self, n, field, seed, rapidity):
+        s = _of_relative_size(random_hermitian(np.random.default_rng(seed), n, field), _eta(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metric_structure_from(*_boosted_pair(rapidity, n, field)).signature == (1, n - 1)
+            with pytest.raises(CompatibilityError):
+                metric_structure_from(*_boosted_pair(rapidity, n, field, s))
 
     @settings(max_examples=80, deadline=None)
     @given(**_BOOSTED)

@@ -622,6 +622,16 @@ class TestPolicyGuard:
             "unitary.py:adjoint", "unitary.py:riesz_inverse",
         ]
 
+    def test_in_place_tolerance_reads_are_the_four_named_sites(self):
+        # The module docstring of policy names the four decisions that compare
+        # against one of its tolerances in place; every other one asks a rule.
+        reads = _sites(lambda node: isinstance(node, (ast.Attribute, ast.Name))
+                       and isinstance(node.ctx, ast.Load)
+                       and re.fullmatch(r"(\w+_)?TOL", getattr(node, "attr", getattr(node, "id", ""))))
+        assert reads == [
+            "eigen.py:_clusters", "eigen.py:jacobi_hermitian", "spaces.py:rank", "unitary.py:orthonormalize",
+        ]
+
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})
         assert lapack == ["eigen.py:_eigh"]
