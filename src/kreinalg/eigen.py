@@ -143,16 +143,18 @@ def _descending(w, vectors):
     return w[::-1].copy(), np.asfortranarray(vectors[:, ::-1])
 
 
-def _hermitian_form(a: np.ndarray, what: str) -> np.ndarray:
-    """The Hermitian part of ``a``, once :func:`policy.selfadjoint` accepts it (SymmetryError).
+def _hermitian_form(a: np.ndarray, what: str):
+    """``(K, s)``: the Hermitian part K of ``a``, once :func:`policy.selfadjoint` accepts it (SymmetryError).
 
-    It is formed as ``a/2 + (a/2)^+``, which cannot overflow; in the
+    The rule runs on the :func:`policy.unit` ``a / s``; ``s`` is kept for
+    the form floor.  K is ``a/2 + (a/2)^+``, which cannot overflow; in the
     normal range halving is exact, so these are the bits of ``(a + a^+)/2``.
     """
-    if not policy.selfadjoint(a, lambda m: np.conj(m).T):
+    scaled = policy.unit(a)
+    if scaled is None or not policy.selfadjoint(scaled[0], lambda m: np.conj(m).T):
         raise policy.asymmetry_error(a, what, "Hermitian")
     half = a / 2.0
-    return half + hermitian_conjugate(half)
+    return half + hermitian_conjugate(half), scaled[1]
 
 
 def _spectral_function(vectors, values) -> np.ndarray:
@@ -239,7 +241,7 @@ def eigen_hermitian(a) -> SpectralDecomposition:
     """
     a = np.asarray(a)
     _require_square(a)
-    w, vectors = _eigh(_hermitian_form(a, "matrix"))
+    w, vectors = _eigh(_hermitian_form(a, "matrix")[0])
     return _spectral_decomposition(*_descending(w, vectors))
 
 

@@ -85,9 +85,10 @@ class HForm:
     """A Hermitian form, carried by its Gram matrix K.
 
     The one constructor coerces K to the space, decides its Hermiticity
-    (SymmetryError) and keeps its Hermitian part; nothing is factorized.
-    K's non-degeneracy is decided by the structure factory built on the
-    form, each by its own bound: :func:`compatible_structure_from_hform`
+    (SymmetryError) and keeps its Hermitian part with the power of two of
+    :func:`policy.unit` for the input; nothing is factorized.  K's
+    non-degeneracy is decided on that scale by the structure factory built
+    on the form, each by its own bound: :func:`compatible_structure_from_hform`
     floors K's eigenvalues, :func:`metric_structure_from` an Ostrowski
     bound on them (DegenerateFormError).  The inverse ``K^{-1}`` (LU) is
     computed on first use: only the Dirac adjoint of a covector reads it.
@@ -95,7 +96,7 @@ class HForm:
 
     def __init__(self, space: VectorSpace, matrix) -> None:
         self.space = space
-        self.matrix = _hermitian_form(space.operator(matrix), "H-form matrix")
+        self.matrix, self._scale = _hermitian_form(space.operator(matrix), "H-form matrix")
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -202,7 +203,7 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     w, u = _eigh((m + hermitian_conjugate(m)) / 2.0)
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
-    if not policy.clears_form_floor(bounds, hf.matrix):
+    if not policy.clears_form_floor(bounds, hf.matrix, hf._scale):
         raise _degenerate("lambda_min(G) min |w|", bounds)
     if not policy.involutory(w):
         residual = np.max(np.abs(np.abs(w) - 1.0))
@@ -229,7 +230,7 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     hf = HForm(space, hform_matrix)
     lam, u = _eigh(hf.matrix)
     mag = np.abs(lam)
-    if not policy.clears_form_floor(mag, hf.matrix):
+    if not policy.clears_form_floor(mag, hf.matrix, hf._scale):
         raise _degenerate("min |eigenvalue|", mag)
     half = _spectral_function(u, mag) / 2.0
     ip = InnerProduct.__new__(InnerProduct)
@@ -309,7 +310,7 @@ def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
     Non-finite f is never pseudo-unitary.
     """
     framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
-    return framed is not None and policy.isometric(framed[1] * framed[0], _eta_sharp(ms.eta))
+    return framed is not None and policy.isometric(*framed, _eta_sharp(ms.eta))
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,8 @@ def is_orthogonal(f) -> bool:
     if field_of(f) != REAL:
         raise FieldError("orthogonality is a real-field predicate")
     _require_square(f)
-    return policy.isometric(f, np.transpose)
+    scaled = policy.unit(f)
+    return scaled is not None and policy.isometric(*scaled, np.transpose)
 
 
 def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
@@ -383,4 +385,4 @@ def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
     if field_of(f) != REAL or ms.space.field != REAL:
         raise FieldError("pseudo-orthogonality is a real-field predicate")
     framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
-    return framed is not None and policy.isometric(framed[1] * framed[0], _eta_sharp(ms.eta))
+    return framed is not None and policy.isometric(*framed, _eta_sharp(ms.eta))

@@ -192,18 +192,18 @@ def classify(a: np.ndarray) -> set:
     """
     a = np.asarray(a)
     _require_square(a)
-    out = set()
-    if policy.selfadjoint(a, hermitian_conjugate):
-        out.add("hermitian")
-    if policy.selfadjoint(a, np.transpose):
-        out.add("symmetric")
-    if policy.isometric(a, hermitian_conjugate):
-        out.add("unitary")
-    if policy.isometric(a, np.transpose):
-        out.add("orthogonal")
-    if policy.is_singular(a):
-        out.add("singular")
-    return out
+    scaled = policy.unit(a)
+    if scaled is None:
+        return {"singular"}
+    m, scale = scaled
+    rules = {
+        "hermitian": policy.selfadjoint(m, hermitian_conjugate),
+        "symmetric": policy.selfadjoint(m, np.transpose),
+        "unitary": policy.isometric(m, scale, hermitian_conjugate),
+        "orthogonal": policy.isometric(m, scale, np.transpose),
+        "singular": policy.rank_deficient(m),
+    }
+    return {name for name, holds in rules.items() if holds}
 
 
 def natural_ket(n: int, i: int, field: str = REAL) -> np.ndarray:

@@ -13,12 +13,14 @@ compare against a constant of this module in place: Gram-Schmidt
 breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``), eigenvalue
 clustering (``eigen._clusters``, ``CLUSTER_TOL``), the stop rule of the
 Jacobi oracle (``eigen.jacobi_hermitian``, ``JACOBI_TOL``) and the pivot
-floor of row reduction (``spaces.rank``, ``RANK_TOL``).  Norms are
-Frobenius norms computed by :func:`norm`, which neither overflows nor
-underflows, so every rule gives the same answer for ``c A`` as for ``A``
-at any scale ``c``.  Every rule is NaN-safe: it accepts only when
-``residual <= bound`` holds with a finite bound, so NaN, infinity or an
-overflow always rejects.
+floor of row reduction (``spaces.rank``, ``RANK_TOL``).  Each input is
+scaled once, where it enters, by :func:`unit`, the one function that
+chooses a scale (the power of two of ``max |a_ij|``), and the rules
+decide plain identities on its matrices, so every rule gives the same
+answer for ``c A`` as for ``A`` at any scale ``c``.  Norms are Frobenius
+norms computed by :func:`norm`, which neither overflows nor underflows.
+Every rule is NaN-safe: it accepts only when ``residual <= bound`` holds
+with a finite bound, so NaN, infinity or an overflow always rejects.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .errors import NonFiniteError, SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "scale_free_norm", "scale_of", "selfadjoint", "isometric", "involutory",
-    "asymmetry_error", "clears_form_floor",
-    "unit_scaled", "singular_rank", "numerical_rank", "nonsingular_scaled", "is_singular",
+    "norm", "scale_free_norm", "scale_of", "unit", "unit_scaled",
+    "selfadjoint", "isometric", "involutory", "asymmetry_error", "clears_form_floor",
+    "singular_rank", "rank_deficient", "numerical_rank", "nonsingular_scaled", "is_singular",
 ]
 
 # Self-adjointness and isometry, relative to the operators involved.
@@ -42,7 +44,7 @@ TOL = 1e-9
 # Non-degenerate (definite) form K: every |eigenvalue| (eigenvalue), or a lower
 # bound on it, > FORM_TOL ||K||.
 FORM_TOL = 1e-10
-# A singular value s counts as zero when s <= RANK_TOL * s_max (of a unit_scaled matrix).
+# A singular value s counts as zero when s <= RANK_TOL * s_max (of a unit matrix).
 RANK_TOL = 1e-10
 # Eigenvalues closer than CLUSTER_TOL * ||eigenvalues|| share an eigenspace.
 CLUSTER_TOL = 1e-8
@@ -89,10 +91,10 @@ def scale_free_norm(a, measure) -> float:
 
     The plain value is returned as it is when it lies in
     ``[_PLAIN_NORM_FLOOR, inf)``; anywhere else it is ``s measure(a / s)``,
-    with ``s`` the power of two of :func:`_scale_exponent` for
-    ``max |a_ij|``.  Scaling by ``s`` is exact, so both give the same bits
-    where the plain value is in range.  Zero gives 0; a NaN or infinite
-    entry gives a non-finite result.
+    with ``s`` the power of two of :func:`scale_of` for ``max |a_ij|``.
+    Scaling by ``s`` is exact, so both give the same bits where the plain
+    value is in range.  Zero gives 0; a NaN or infinite entry gives a
+    non-finite result.
     """
     a = np.asarray(a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -109,72 +111,62 @@ def scale_free_norm(a, measure) -> float:
 
 
 def scale_of(size: float) -> float:
-    """The power of two of :func:`_scale_exponent` for ``size``; dividing by it is exact."""
-    return math.ldexp(1.0, _scale_exponent(size))
+    """The largest power of two ``<= size``, which brings it into [1, 2); dividing by it is exact.
 
-
-def _scale_exponent(peak: float, floor: int = -1022) -> int:
-    """The exponent of the largest power of two <= ``peak``, at least ``floor``.
-
-    Dividing by that power brings ``peak`` into [1, 2).  The default floor
-    keeps the power normal: dividing a complex array takes its reciprocal,
-    which would overflow for a subnormal one.
+    At least ``2**-1022``: dividing a complex array takes the reciprocal,
+    which would overflow for a subnormal power.
     """
-    return max(math.frexp(peak)[1] - 1, floor)
+    return math.ldexp(1.0, max(math.frexp(size)[1] - 1, -1022))
 
 
-def _holds(residual, scale) -> bool:
-    return bool(residual <= TOL * scale < math.inf)
+def unit(a):
+    """``(a / s, s)``, or None when an entry of ``a`` is NaN or infinite.
 
-
-def selfadjoint(f, sharp) -> bool:
-    """f# = f: ``||f# - f|| <= TOL ||f||``, for the adjoint ``f# = sharp(f)``.
-
-    The test runs on ``g = f / s`` as ``||g# - g|| <= TOL ||g||``, so it
-    gives the same answer for ``c f`` as for ``f`` at any scale ``c``:
-    ``sharp`` is linear, so that is the same test scaled exactly by
-    ``1/s``, and ``||g||`` is below 2, so ``g#`` stays finite where ``f#``
-    would overflow.  ``s`` is the power of two of :func:`_scale_exponent`
-    for ``||f||``, or for ``max |f_ij|`` when ``||f||`` is beyond the
-    double range.  ``max |f_ij|`` is non-finite when any entry is, so
-    non-finite ``f`` is rejected before ``sharp`` runs.
+    The one place that scales, called once per input where it enters.
+    ``s`` is the power of two of :func:`scale_of` for ``max |a_ij|`` (or
+    ``2**1023`` when a finite complex entry's modulus overflows): the
+    division is exact and the largest entry of ``a / s`` lies in [1, 2)
+    unless ``a`` is zero or subnormal.  Non-finite ``a`` is answered
+    before any arithmetic but ``max |a_ij|`` runs on it.
     """
-    size = norm(f)
-    if size < math.inf:
-        scale = scale_of(size)
-        g = f / scale
-        size = size / scale
-    else:
-        peak = float(np.abs(f).max())
-        if not peak < math.inf:
-            return False
-        g = f / scale_of(peak)
-        size = norm(g)
-    return _holds(norm(sharp(g) - g), size)
-
-
-def isometric(f, sharp) -> bool:
-    """f# f = 1: ``||f# f - 1|| <= TOL ||f#|| ||f||``, for ``f# = sharp(f)``.
-
-    Relative to the factors, because the pseudo-unitary groups are not
-    compact: an exact Lorentz boost at large rapidity has huge entries
-    and a residual of the same relative size as a rotation's.  The test
-    runs on ``g = f / s``, with ``s`` a power of two near ``max |f_ij|``
-    (at least ``2**-511``, so ``s**-2`` stays finite), as
-    ``||g# g - s**-2 1|| <= TOL ||g#|| ||g||``:
-    ``sharp`` is linear, so that is the same test scaled exactly by
-    ``s**-2``, and ``g# g`` cannot overflow even for a boost at rapidity
-    700.  ``max |f_ij|`` is NaN or infinite when any entry is, so it
-    rejects non-finite ``f`` before ``sharp`` or any other arithmetic runs.
-    """
-    peak = float(np.abs(f).max(initial=0.0))
+    peak = float(np.abs(a).max(initial=0.0))
     if not peak < math.inf:
-        return False
-    exponent = _scale_exponent(peak, -511)
-    g = f / math.ldexp(1.0, exponent)
-    g_sharp = sharp(g)
-    residual = norm(g_sharp @ g - math.ldexp(1.0, -2 * exponent) * np.eye(f.shape[1]))
-    return _holds(residual, norm(g_sharp) * norm(g))
+        if not np.isfinite(a).all():
+            return None
+        peak = 2.0**1023
+    scale = scale_of(peak)
+    return a / scale, scale
+
+
+def _holds(residual, size) -> bool:
+    return bool(residual <= TOL * size < math.inf)
+
+
+def selfadjoint(m, sharp) -> bool:
+    """m# = m: ``||m# - m|| <= TOL ||m||``, for the adjoint ``m# = sharp(m)``.
+
+    ``m`` is a matrix of :func:`unit`, or a frame matrix formed from one:
+    ``sharp`` is linear and the scale is a power of two, so the test
+    gives the same answer as on the unscaled ``f``, at any scale.
+    """
+    return _holds(norm(sharp(m) - m), norm(m))
+
+
+def isometric(m, scale, sharp) -> bool:
+    """f# f = 1 for ``f = scale m``: ``||m# m - scale**-2 1|| <= TOL ||m#|| ||m||``.
+
+    ``(m, scale)`` is a pair of :func:`unit`, or a frame matrix formed
+    from one, and ``m# = sharp(m)``: ``f# f = 1`` scaled exactly by
+    ``scale**-2``, so ``m# m`` cannot overflow even for a Lorentz boost at
+    rapidity 700.  Relative to the factors, because the pseudo-unitary
+    groups are not compact.  ``scale`` is clamped at ``2**-511`` so that
+    ``scale**-2`` stays finite; an ``f`` that small, or one so large that
+    ``scale**-2`` underflows, is far from isometric and rejects.
+    """
+    m_sharp = sharp(m)
+    scale = max(scale, 2.0**-511)
+    residual = norm(m_sharp @ m - scale**-2 * np.eye(m.shape[1]))
+    return _holds(residual, norm(m_sharp) * norm(m))
 
 
 def involutory(w) -> bool:
@@ -185,8 +177,8 @@ def involutory(w) -> bool:
 def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
     """The error for an ``f`` that failed :func:`selfadjoint`.
 
-    The rule rejects every non-finite input, so the message names the
-    non-finite entries when there are any.
+    :func:`unit` answers every non-finite input first, so the message
+    names the non-finite entries when there are any.
     """
     if np.all(np.isfinite(f)):
         return SymmetryError(f"{what} is not {kind} within tolerance")
@@ -199,41 +191,30 @@ def _non_finite_message(a: np.ndarray, what: str) -> str:
     return f"{what} has {len(bad)} non-finite entries, the first at {first}"
 
 
-def clears_form_floor(values, k) -> bool:
-    """Every value exceeds ``FORM_TOL ||k||``.
+def clears_form_floor(values, k, scale) -> bool:
+    """Every value exceeds ``FORM_TOL ||k||``, decided on the unit ``k / scale``.
 
     The values are the eigenvalues of the form ``k`` (their moduli, for
-    an indefinite form), or lower bounds on those moduli.  When ``||k||``
-    is beyond the double range, both sides are compared in units of the
-    power of two of :func:`scale_of` for ``max |k_ij|``, so a finite ``k``
-    is decided as at any other scale.
+    an indefinite form), or lower bounds on those moduli, and ``scale`` is
+    the :func:`unit` scale of the input ``k`` came from.  Both sides are
+    divided by it exactly, so a finite ``k`` whose ``||k||`` is beyond the
+    double range is decided as at any other scale.
     """
-    size = norm(k)
-    if size < math.inf:
-        return bool(values.min() > FORM_TOL * size)
-    scale = scale_of(float(np.abs(k).max()))
     return bool((values / scale).min() > FORM_TOL * norm(k / scale))
 
 
 def unit_scaled(a: np.ndarray) -> tuple:
-    """``(a / s, s)`` for a finite ``a``; NonFiniteError, naming the first bad entry, otherwise.
-
-    ``s`` is the power of two of :func:`scale_of` for ``max |a_ij|``, so the
-    division is exact and the largest entry of ``a / s`` lies in [1, 2)
-    (unless ``a`` is zero or subnormal): no singular value or pivot of
-    ``a / s`` overflows or underflows.
-    """
-    peak = float(np.abs(a).max(initial=0.0))
-    if not peak < math.inf:
+    """:func:`unit` of a finite ``a``; NonFiniteError, naming the first bad entry, otherwise."""
+    scaled = unit(a)
+    if scaled is None:
         raise NonFiniteError(_non_finite_message(a, "matrix"))
-    scale = scale_of(peak)
-    return a / scale, scale
+    return scaled
 
 
 def singular_rank(s) -> int:
     """The rank rule: the singular values ``s`` (largest first) above ``RANK_TOL s[0]``.
 
-    ``s`` must be those of a :func:`unit_scaled` matrix, so that the count
+    ``s`` must be those of a matrix of :func:`unit`, so that the count
     is the same at any scale.
     """
     return int(np.sum(s > RANK_TOL * s[0])) if len(s) else 0
@@ -244,24 +225,21 @@ def numerical_rank(a: np.ndarray) -> int:
     return singular_rank(np.linalg.svd(unit_scaled(a)[0], compute_uv=False))
 
 
+def rank_deficient(m: np.ndarray) -> bool:
+    """The rank rule on a matrix ``m`` of :func:`unit`: numerical rank below n."""
+    return singular_rank(np.linalg.svd(m, compute_uv=False)) < m.shape[0]
+
+
 def nonsingular_scaled(a: np.ndarray):
-    """:func:`unit_scaled` ``a`` when it has numerical rank n, else None.
+    """:func:`unit` ``a`` when it has numerical rank n, else None (a zero or non-finite ``a``).
 
     The rank rule runs on the scaled matrix it hands back, so a caller
-    that factors ``a`` scales it once.  A zero or non-finite ``a`` counts
-    as singular.
+    that factors ``a`` scales it once.
     """
-    if not np.all(np.isfinite(a)):
-        return None
-    scaled, scale = unit_scaled(a)
-    if singular_rank(np.linalg.svd(scaled, compute_uv=False)) < a.shape[0]:
-        return None
-    return scaled, scale
+    scaled = unit(a)
+    return None if scaled is None or rank_deficient(scaled[0]) else scaled
 
 
 def is_singular(a: np.ndarray) -> bool:
-    """Numerical rank below n, free of scale and dimension.
-
-    A zero or non-finite matrix counts as singular.
-    """
+    """Numerical rank below n, free of scale and dimension; a zero or non-finite ``a`` is singular."""
     return nonsingular_scaled(a) is None

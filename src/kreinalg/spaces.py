@@ -115,7 +115,7 @@ class Basis:
 def _inverse(m: np.ndarray, what: str) -> np.ndarray:
     """``m^{-1}`` (LU), or SingularBasisError when ``m`` is numerically singular.
 
-    The LU runs on ``m / s`` for the power of two of :func:`policy.unit_scaled`,
+    The LU runs on ``m / s`` for the power of two of :func:`policy.unit`,
     the matrix the rank rule measured (:func:`policy.nonsingular_scaled`),
     and its inverse is divided by ``s``.  Both scalings are exact, so in
     range the bits are those of ``inv(m)``, and a well-conditioned ``m``

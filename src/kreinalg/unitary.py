@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import policy
-from .errors import DegenerateFormError, DependentSetError, NonFiniteError, ShapeError
+from .errors import DegenerateFormError, DependentSetError, ShapeError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _descending,
@@ -63,9 +63,9 @@ class InnerProduct:
 
     def __init__(self, space: VectorSpace, gram) -> None:
         """Coerce ``gram`` and decide its Hermiticity and form floor, once each."""
-        g = _hermitian_form(space.operator(gram), "Gram matrix")
+        g, scale = _hermitian_form(space.operator(gram), "Gram matrix")
         w, vectors = _eigh(g)
-        if not policy.clears_form_floor(w, g):
+        if not policy.clears_form_floor(w, g, scale):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
                 f"(min eigenvalue {np.min(w):.3e})"
@@ -152,15 +152,12 @@ def adjoint(f, ip: InnerProduct) -> np.ndarray:
 
 
 def _in_frame(f: np.ndarray, b: np.ndarray, b_inv: np.ndarray):
-    """``(M, s)``, ``M = B^{-1} (f / s) B`` for s the power of two of :func:`policy.unit_scaled`.
+    """``(M, s)``, ``M = B^{-1} (f / s) B`` for the pair ``(f / s, s)`` of :func:`policy.unit`.
 
     None for a non-finite f, before any arithmetic runs on it.
     """
-    try:
-        g, scale = policy.unit_scaled(f)
-    except NonFiniteError:
-        return None
-    return b_inv @ g @ b, scale
+    scaled = policy.unit(f)
+    return None if scaled is None else (b_inv @ scaled[0] @ b, scaled[1])
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):
@@ -210,4 +207,4 @@ def is_unitary_wrt(f, ip: InnerProduct) -> bool:
     Non-finite f is never unitary.
     """
     framed = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
-    return framed is not None and policy.isometric(framed[1] * framed[0], hermitian_conjugate)
+    return framed is not None and policy.isometric(*framed, hermitian_conjugate)

@@ -19,6 +19,7 @@ from kreinalg import (
     VectorSpace,
     adjoint,
     canonical_form_bases,
+    classify,
     canonical_projectors,
     compatible_structure_from_hform,
     dirac_adjoint_covector,
@@ -741,7 +742,8 @@ class TestDecisionCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = dict.fromkeys(
-            ("selfadjoint", "isometric", "involutory", "clears_form_floor", "_eigh", "_coerce", "_on_field"),
+            ("unit", "selfadjoint", "isometric", "involutory", "clears_form_floor", "_eigh", "_coerce",
+             "_on_field"),
             0,
         )
 
@@ -755,7 +757,7 @@ class TestDecisionCounts:
             for owner in owners:
                 monkeypatch.setattr(owner, name, counted)
 
-        for name in ("selfadjoint", "isometric", "involutory", "clears_form_floor"):
+        for name in ("unit", "selfadjoint", "isometric", "involutory", "clears_form_floor"):
             count([policy], name)
         modules = [m for key, m in sys.modules.items() if key.startswith("kreinalg")]
         count([m for m in modules if getattr(m, "_eigh", None) is eigen._eigh], "_eigh")
@@ -768,18 +770,19 @@ class TestDecisionCounts:
     def test_each_construction(self, counts, field, n):
         k = random_nondegenerate_hform(np.random.default_rng(n), n, field)
         ms = compatible_structure_from_hform(k)
-        # K's Hermitian check, its one eigh and its one floor; |K| is not tested again.
-        # K is cast to its field once.
+        # K's one scaling, its Hermitian check, its one eigh and its one floor;
+        # |K| is not tested again.  K is cast to its field once.
         assert counts == {
-            "selfadjoint": 1, "isometric": 0, "involutory": 0, "clears_form_floor": 1, "_eigh": 1,
+            "unit": 1, "selfadjoint": 1, "isometric": 0, "involutory": 0, "clears_form_floor": 1, "_eigh": 1,
             "_coerce": 1, "_on_field": 1,
         }
         counts.update(dict.fromkeys(counts, 0))
         metric_structure_from(ms.ip.gram, ms.hform.matrix)
         # Two floors: G's and the Ostrowski bound on K; h h = 1 is decided
-        # once, on the frame solve's eigenvalues.  G and K are cast once each.
+        # once, on the frame solve's eigenvalues.  G and K are scaled and cast
+        # once each.
         assert counts == {
-            "selfadjoint": 2, "isometric": 0, "involutory": 1, "clears_form_floor": 2, "_eigh": 2,
+            "unit": 2, "selfadjoint": 2, "isometric": 0, "involutory": 1, "clears_form_floor": 2, "_eigh": 2,
             "_coerce": 2, "_on_field": 2,
         }
 
@@ -796,9 +799,10 @@ class TestDecisionCounts:
         for decompose in (lambda: spectral_representation(f, ms.ip), lambda: dirac_spectral(fd, ms)):
             counts.update(dict.fromkeys(counts, 0))
             decompose()
-            # The operator is coerced once; the rule's sharp takes the coerced matrix.
+            # The operator is coerced and scaled once; the rule's sharp takes
+            # the frame matrix of the scaled operator.
             assert counts == {
-                "selfadjoint": 1, "isometric": 0, "involutory": 0, "clears_form_floor": 0, "_eigh": 1,
+                "unit": 1, "selfadjoint": 1, "isometric": 0, "involutory": 0, "clears_form_floor": 0, "_eigh": 1,
                 "_coerce": 1, "_on_field": 1,
             }
 
@@ -821,10 +825,21 @@ class TestDecisionCounts:
         ):
             counts.update(dict.fromkeys(counts, 0))
             assert decide()
-            # One rule, one coercion: the rule's sharp takes the coerced matrix.
+            # One rule, one coercion, one scaling: the rule's sharp takes the
+            # frame matrix of the scaled operator.
             expected = dict.fromkeys(counts, 0)
-            expected.update({rule: 1, "_coerce": 1, "_on_field": 1})
+            expected.update({rule: 1, "unit": 1, "_coerce": 1, "_on_field": 1})
             assert counts == expected
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_classify_scales_once(self, counts, field, n):
+        # The one scaled matrix serves both symmetry rules, both isometry
+        # rules and the rank rule.
+        classify(random_matrix(np.random.default_rng(n), n, n, field))
+        expected = dict.fromkeys(counts, 0)
+        expected.update({"unit": 1, "selfadjoint": 2, "isometric": 2})
+        assert counts == expected
 
 
 def _boosted_pair(rapidity, n, field, shift=0.0):

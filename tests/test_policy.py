@@ -29,6 +29,7 @@ from kreinalg import (
     compatible_structure_from_hform,
     dirac_spectral,
     eigen_hermitian,
+    hermitian_conjugate,
     is_dirac_selfadjoint,
     is_orthogonal,
     is_pseudo_orthogonal,
@@ -50,12 +51,14 @@ from kreinalg.generators import (
     lorentz_boost,
     random_hermitian,
     random_matrix,
+    random_pseudo_unitary,
     random_unitary,
     separated_eigenvalues,
 )
 from kreinalg.unitary import g_selfadjoint_eigen
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kreinalg"
+README = SRC.parent.parent / "README.md"
 
 
 def _basis_matrix(rng, n, kind):
@@ -106,8 +109,8 @@ class TestSingularIsRankBelowN:
         # The rank rule hands the LU the matrix it scaled; the inverse keeps the bits of inv(m).
         m = random_unitary(np.random.default_rng(3), 3, "real") * 3.0
         scalings = []
-        unit_scaled = policy.unit_scaled
-        monkeypatch.setattr(policy, "unit_scaled", lambda a: scalings.append(a) or unit_scaled(a))
+        unit = policy.unit
+        monkeypatch.setattr(policy, "unit", lambda a: scalings.append(a) or unit(a))
         basis = Basis(VectorSpace(3), m)
         assert len(scalings) == 1
         assert basis.inverse.tobytes() == np.linalg.inv(m).tobytes()
@@ -211,6 +214,21 @@ class TestNonFiniteInputRejected:
             with pytest.raises(SymmetryError, match="non-finite entries") as info:
                 entry(a)
             assert f"({i}, {j})" in str(info.value) or f"({j}, {i})" in str(info.value), name
+
+
+class TestComplexModulusBeyondTheDoubleRange:
+    """A complex entry with finite parts whose modulus overflows is finite input."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_decided_as_finite(self, n):
+        rng = np.random.default_rng(n)
+        a = 1.5e308 * np.diag(rng.choice([-1.0, 1.0], n) + 1j * rng.choice([-1.0, 1.0], n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rank(a) == n and kernel_dimension(a) == 0
+            assert classify(a) == {"symmetric"}
+            basis = Basis(VectorSpace(n, "complex"), a)
+        np.testing.assert_allclose(basis.inverse @ a, np.eye(n), atol=1e-15)
 
 
 class TestNormBeyondTheDoubleRange:
@@ -431,10 +449,6 @@ class TestSelfAdjointness:
             assert not is_dirac_selfadjoint(f, minkowski_structure(1, 1))
 
 
-def _unreached(f):
-    raise AssertionError("the adjoint was formed from non-finite input")
-
-
 class TestRelativeIsometry:
     # From rapidity ~355 the unscaled product f# f overflows; boost entries
     # stay finite up to ~710.
@@ -478,7 +492,7 @@ class TestRelativeIsometry:
         ms = minkowski_structure(1, n - 1, field)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not policy.isometric(f, _unreached)
+            assert policy.unit(f) is None
             assert not is_unitary_wrt(f, standard_inner_product(space))
             assert not is_pseudo_unitary(f, ms)
             assert not {"unitary", "orthogonal"} & classify(f)
@@ -494,6 +508,53 @@ class TestRelativeIsometry:
     def test_is_orthogonal_scalar_is_shape_error(self):
         with pytest.raises(ShapeError):
             is_orthogonal(np.float64(1.0))
+
+
+class TestIsometryAtEveryPowerOfTwo:
+    """``2^k f`` of an exact member f is a member exactly at ``k = 0``.
+
+    Every public isometry decision scales its input once, by
+    :func:`policy.unit`, so ``2^k f`` reaches the rule as the matrix of f
+    with its scale multiplied by ``2^k``.  The range covers a subnormal
+    ``2^k f``, the ``2**-511`` clamp of the scale, the scales whose
+    ``scale**-2`` underflows, and entries that overflow to infinity.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-1070, 1020),
+    )
+    @example(n=4, field="complex", seed=0, k=0)
+    @example(n=4, field="complex", seed=0, k=-1070)
+    @example(n=4, field="real", seed=1, k=-1022)
+    @example(n=4, field="complex", seed=2, k=-512)
+    @example(n=4, field="real", seed=3, k=-511)
+    @example(n=4, field="complex", seed=4, k=-1)
+    @example(n=4, field="real", seed=5, k=1)
+    @example(n=4, field="complex", seed=6, k=511)
+    @example(n=4, field="real", seed=7, k=512)
+    @example(n=4, field="complex", seed=8, k=1020)
+    def test_members_hold_only_at_their_own_scale(self, n, field, seed, k):
+        rng = np.random.default_rng(seed)
+        v = random_unitary(rng, n, field)
+        g = (v * np.geomspace(1.0, 1e6, n)) @ hermitian_conjugate(v)
+        ip = InnerProduct(VectorSpace(n, field), (g + hermitian_conjugate(g)) / 2.0)
+        u = ip.frame @ random_unitary(rng, n, field) @ ip.frame_inv
+        b_inv = lorentz_boost(-2.0, n).astype(v.dtype)  # the canonical frame is the boost at 2
+        ms = metric_structure_from(b_inv.T @ b_inv, b_inv.T @ np.diag([1.0] + [-1.0] * (n - 1)) @ b_inv)
+        p = ms.frame.basis.matrix @ random_pseudo_unitary(rng, *ms.signature, field) @ ms.frame.basis.inverse
+        q = random_unitary(rng, n, "real")
+        c = math.ldexp(1.0, k)
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = [c * u, c * p, c * q]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decided = [is_unitary_wrt(scaled[0], ip), is_pseudo_unitary(scaled[1], ms),
+                       "unitary" in classify(scaled[2])]
+        assert decided == [k == 0] * 3
 
 
 def _production_modules():
@@ -632,9 +693,54 @@ class TestPolicyGuard:
             "eigen.py:_clusters", "eigen.py:jacobi_hermitian", "spaces.py:rank", "unitary.py:orthonormalize",
         ]
 
+    def test_rules_do_not_scale(self):
+        # Each input is scaled once, where it enters: the rules decide plain
+        # identities on the matrices of policy.unit and choose no scale.
+        scalings = {"scale_of", "unit_scaled", "nonsingular_scaled", "scale_free_norm",
+                    "_scale_exponent", "ldexp", "frexp"}
+        tree = ast.parse((SRC / "policy.py").read_text())
+        rules = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name in {"selfadjoint", "isometric", "involutory", "clears_form_floor"}}
+        assert len(rules) == 4
+        calls = {
+            name: sorted({getattr(node.func, "id", getattr(node.func, "attr", None))
+                          for node in ast.walk(fn) if isinstance(node, ast.Call)} & scalings)
+            for name, fn in rules.items()
+        }
+        assert calls == dict.fromkeys(rules, [])
+
+    def test_inputs_are_scaled_where_they_enter(self):
+        assert _call_sites({"unit", "unit_scaled", "scale_of"}) == [
+            "eigen.py:_clusters", "eigen.py:_hermitian_form", "indefinite.py:is_orthogonal",
+            "matrices.py:classify", "spaces.py:canonical_form_bases", "spaces.py:rank",
+            "unitary.py:_in_frame",
+        ]
+        assert _call_sites({"ldexp", "frexp"}) == []
+
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})
         assert lapack == ["eigen.py:_eigh"]
         # The lemma suite keeps Jacobi as an independent oracle; nothing else calls it.
         jacobi = _call_sites({"jacobi_hermitian"})
         assert jacobi and all(site.startswith("lemmas.py:") for site in jacobi)
+
+
+def _gfm_cells(row):
+    """The cells of a GitHub-flavoured Markdown table row.
+
+    GFM splits a row on every pipe that no backslash escapes, inside code
+    spans too; the pipes at either end of the row only delimit it.
+    """
+    body = row.strip().removeprefix("|")
+    if body.endswith("|") and not body.endswith("\\|"):
+        body = body[:-1]
+    return re.split(r"(?<!\\)\|", body)
+
+
+class TestToleranceTable:
+    def test_every_row_has_the_header_cell_count(self):
+        section = README.read_text().split("\n## Tolerances\n")[1].split("\n## ")[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        width = len(_gfm_cells(rows[0]))
+        assert len(rows) > 2 and width == 4
+        assert [row[:60] for row in rows if len(_gfm_cells(row)) != width] == []
