@@ -26,6 +26,7 @@ production decomposition:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,15 +189,19 @@ def _clusters(values):
     """``(bounds, distinct)`` for non-empty descending ``values``: each cluster's ``[start, end)`` and mean.
 
     A value joins the previous one's cluster when the two are at most
-    ``CLUSTER_TOL ||values||`` apart, so near-ties chain.  The gaps, the
-    norm and the means are taken of ``values / s``, for the power of two
-    ``s`` of :func:`policy.scale_of` for ``max |values|``: the rule is the
-    same at any scale, and spectra whose norm overflows split as any other.
+    ``CLUSTER_TOL ||finite values||`` apart, so near-ties chain, and each
+    NaN or infinity is a cluster of its own.  Gaps, norm and means are of
+    ``values / s``, s the power of two of :func:`policy.scale_of` for the
+    largest finite ``|value|``: the rule is the same at any scale.
     """
     listed = values.tolist()
-    scale = policy.scale_of(max(abs(listed[0]), abs(listed[-1])))
-    scaled = values / scale
-    tol = policy.CLUSTER_TOL * policy.norm(scaled)
+    finite = [v for v in listed if math.isfinite(v)]
+    scale = policy.scale_of(max(map(abs, finite), default=0.0))
+    scaled = measured = values / scale
+    if len(finite) < len(listed):
+        measured = np.divide(finite, scale)
+        scaled[~np.isfinite(scaled)] = np.nan  # NaN - NaN raises no warning; inf - inf does
+    tol = policy.CLUSTER_TOL * policy.norm(measured)
     # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
     cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
     bounds = list(zip([0] + cuts, cuts + [len(listed)]))

@@ -54,7 +54,7 @@ from .matrices import (
     field_of,
     hermitian_conjugate,
 )
-from .spaces import Basis, VectorSpace
+from .spaces import Basis, VectorSpace, _inverse
 from .tensors import DOWN, UP, Tensor
 from .unitary import InnerProduct, _in_frame
 
@@ -90,8 +90,9 @@ class HForm:
     non-degeneracy is decided on that scale by the structure factory built
     on the form, each by its own bound: :func:`compatible_structure_from_hform`
     floors K's eigenvalues, :func:`metric_structure_from` an Ostrowski
-    bound on them (DegenerateFormError).  The inverse ``K^{-1}`` (LU) is
-    computed on first use: only the Dirac adjoint of a covector reads it.
+    bound on them (DegenerateFormError).  The inverse ``K^{-1}`` (LU, gated
+    as a :class:`Basis` is) is computed on first use: only the Dirac
+    adjoint of a covector reads it.
     """
 
     def __init__(self, space: VectorSpace, matrix) -> None:
@@ -101,7 +102,7 @@ class HForm:
     @cached_property
     def inverse(self) -> np.ndarray:
         """``K^{-1}`` (LU), computed on first use."""
-        return np.linalg.inv(self.matrix)
+        return _inverse(self.matrix, "H-form matrix")
 
     def __repr__(self) -> str:
         return f"HForm(space={self.space!r})"

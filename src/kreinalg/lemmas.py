@@ -252,7 +252,8 @@ def _check_rank_nullity(rng, n, field):
     u = gen.random_invertible(rng, n, field)
     v = gen.random_invertible(rng, n, field)
     f = u[:, :r] @ v[:r, :] if r else np.zeros((n, n), dtype=u.dtype)
-    return abs(rank(f) + kernel_dimension(f) - n)
+    found = rank(f)
+    return abs(found - r) + abs(found + kernel_dimension(f) - n)
 
 
 def _check_det_invariant(rng, n, field):
@@ -595,7 +596,7 @@ REGISTRY = (
     Lemma("duality.inverse-functorial", 1e-9, _check_inverse_functorial,
           description="representation of the inverse is the inverse matrix"),
     Lemma("duality.rank-nullity", 0.0, _check_rank_nullity,
-          description="image and kernel dimensions sum to the space dimension"),
+          description="a product of rank r has rank r, and rank plus kernel dimension is n"),
     Lemma("duality.determinant-invariant", 1e-9, _check_det_invariant,
           description="determinant and trace survive a change of basis"),
     Lemma("tensor.multilinearity", 1e-12, _check_multilinearity,

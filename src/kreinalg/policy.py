@@ -8,19 +8,19 @@ identity is tested on its frame matrix ``M = B^{-1} (f / s) B``
 and ``h h = 1`` on the eigenvalues of h's frame matrix ``W^+ K W``, so
 no residual is amplified by cond(G).  Every tolerance lives here, named
 by the decision it governs, and the other modules ask these rules
-instead of comparing residuals themselves, with four exceptions that
+instead of comparing residuals themselves, with three exceptions that
 compare against a constant of this module in place: Gram-Schmidt
 breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``), eigenvalue
-clustering (``eigen._clusters``, ``CLUSTER_TOL``), the stop rule of the
-Jacobi oracle (``eigen.jacobi_hermitian``, ``JACOBI_TOL``) and the pivot
-floor of row reduction (``spaces.rank``, ``RANK_TOL``).  Each input is
-scaled once, where it enters, by :func:`unit`, the one function that
-chooses a scale (the power of two of ``max |a_ij|``), and the rules
-decide plain identities on its matrices, so every rule gives the same
-answer for ``c A`` as for ``A`` at any scale ``c``.  Norms are Frobenius
-norms computed by :func:`norm`, which neither overflows nor underflows.
-Every rule is NaN-safe: it accepts only when ``residual <= bound`` holds
-with a finite bound, so NaN, infinity or an overflow always rejects.
+clustering (``eigen._clusters``, ``CLUSTER_TOL``) and the stop rule of
+the Jacobi oracle (``eigen.jacobi_hermitian``, ``JACOBI_TOL``).  Every
+rank answer is :func:`singular_rank`.  Each input is scaled once, where
+it enters, by :func:`unit`, the one function that chooses a scale (the
+power of two of ``max |a_ij|``), and the rules decide plain identities
+on its matrices, so every rule gives the same answer for ``c A`` as for
+``A`` at any scale ``c``.  Norms are Frobenius norms computed by
+:func:`norm`, which neither overflows nor underflows.  Every rule is
+NaN-safe: it accepts only when ``residual <= bound`` holds with a finite
+bound, so NaN, infinity or an overflow always rejects.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
     "norm", "scale_free_norm", "scale_of", "unit", "unit_scaled",
     "selfadjoint", "isometric", "involutory", "asymmetry_error", "clears_form_floor",
-    "singular_rank", "rank_deficient", "numerical_rank", "nonsingular_scaled", "is_singular",
+    "singular_rank", "rank_deficient", "numerical_rank",
 ]
 
 # Self-adjointness and isometry, relative to the operators involved.
@@ -229,17 +229,3 @@ def rank_deficient(m: np.ndarray) -> bool:
     """The rank rule on a matrix ``m`` of :func:`unit`: numerical rank below n."""
     return singular_rank(np.linalg.svd(m, compute_uv=False)) < m.shape[0]
 
-
-def nonsingular_scaled(a: np.ndarray):
-    """:func:`unit` ``a`` when it has numerical rank n, else None (a zero or non-finite ``a``).
-
-    The rank rule runs on the scaled matrix it hands back, so a caller
-    that factors ``a`` scales it once.
-    """
-    scaled = unit(a)
-    return None if scaled is None or rank_deficient(scaled[0]) else scaled
-
-
-def is_singular(a: np.ndarray) -> bool:
-    """Numerical rank below n, free of scale and dimension; a zero or non-finite ``a`` is singular."""
-    return nonsingular_scaled(a) is None

@@ -115,17 +115,16 @@ class Basis:
 def _inverse(m: np.ndarray, what: str) -> np.ndarray:
     """``m^{-1}`` (LU), or SingularBasisError when ``m`` is numerically singular.
 
-    The LU runs on ``m / s`` for the power of two of :func:`policy.unit`,
-    the matrix the rank rule measured (:func:`policy.nonsingular_scaled`),
-    and its inverse is divided by ``s``.  Both scalings are exact, so in
-    range the bits are those of ``inv(m)``, and a well-conditioned ``m``
-    near the overflow threshold still inverts.
+    The one nonsingularity gate: the rank rule and the LU both run on
+    ``m / s`` for the power of two ``s`` of :func:`policy.unit` (a zero or
+    non-finite ``m`` is singular), and the inverse is divided by ``s``.
+    Both scalings are exact, so in range the bits are those of ``inv(m)``,
+    and a well-conditioned ``m`` near the overflow threshold still inverts.
     """
-    checked = policy.nonsingular_scaled(m)
-    if checked is None:
+    scaled = policy.unit(m)
+    if scaled is None or policy.rank_deficient(scaled[0]):
         raise SingularBasisError(f"{what} is numerically singular")
-    scaled, scale = checked
-    return np.linalg.inv(scaled) / scale
+    return np.linalg.inv(scaled[0]) / scaled[1]
 
 
 def natural_basis(space: VectorSpace) -> Basis:
@@ -256,37 +255,15 @@ def operator_determinant(rep: LinearMapRep):
 
 
 def rank(a) -> int:
-    """Rank by row echelon reduction with partial pivoting.
+    """The singular values above ``RANK_TOL sigma_max`` (:func:`policy.numerical_rank`).
 
-    The reduction runs on :func:`policy.unit_scaled` ``a``, whose largest
-    entry stands in for the largest singular value: a pivot counts as zero
-    when it is at most ``RANK_TOL`` times that entry.  Non-finite input
-    raises NonFiniteError.
+    Every rank and nonsingularity answer counts by this rule.  Non-finite input raises NonFiniteError.
     """
-    m, _ = policy.unit_scaled(as_matrix(a, COMPLEX))
-    rows, cols = m.shape
-    floor = policy.RANK_TOL * np.max(np.abs(m), initial=0.0)
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        pivot_row = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[pivot_row, col]) <= floor:
-            continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        m[r + 1 :] -= np.outer(m[r + 1 :, col] / m[r, col], m[r])
-        r += 1
-    return r
+    return policy.numerical_rank(as_matrix(a))
 
 
 def kernel_dimension(a) -> int:
-    """Kernel dimension counted from the singular-value profile.
-
-    Deliberately a different route than :func:`rank` so the rank-nullity
-    identity is a genuine cross-check, not a tautology.  Non-finite input
-    raises NonFiniteError.
-    """
+    """Kernel dimension: the column count less :func:`rank`.  Non-finite input raises NonFiniteError."""
     a = as_matrix(a)
     return a.shape[1] - policy.numerical_rank(a)
 

@@ -161,16 +161,16 @@ def _in_frame(f: np.ndarray, b: np.ndarray, b_inv: np.ndarray):
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):
-    """Eigenvalues (descending) and G-orthonormal eigenvector columns.
+    """Eigenvalues (descending) and G-orthonormal eigenvector columns, tested once (SymmetryError).
 
-    The input must already be selfadjoint with respect to ``ip``; the
-    similarity transform by the frame ``W`` of ``ip`` hands the problem to
-    the Hermitian eigensolver, and ``W`` maps its orthonormal eigenvectors
-    to G-orthonormal ones.  Non-finite input raises SymmetryError.
+    Self-adjointness is decided as :func:`spectral_representation` decides
+    it; the similarity transform by the frame ``W`` of ``ip`` hands the
+    problem to the Hermitian eigensolver, and ``W`` maps its orthonormal
+    eigenvectors to G-orthonormal ones.
     """
     f = ip.space.operator(f)
     framed = _in_frame(f, ip.frame, ip.frame_inv)
-    if framed is None:
+    if framed is None or not policy.selfadjoint(framed[0], hermitian_conjugate):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
     m, scale = framed
     w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))

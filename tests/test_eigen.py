@@ -215,6 +215,38 @@ class TestClustering:
                 tol = _policy_tol(values)
                 assert _bits(cluster_eigenvalues(values)) == _bits(_cluster_loop(values, tol))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        finite=st.lists(
+            st.one_of(st.sampled_from([1.0, -1.0, 1.0 + 1e-9, 0.0]), st.floats(-1e300, 1e300)),
+            min_size=1, max_size=12,
+        ),
+        bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_non_finite_values_leave_the_finite_clusters_alone(self, finite, bad, data):
+        # Each NaN or infinity is a cluster of its own; the finite values
+        # cluster, and average, with the bits they have without it.
+        values = list(finite)
+        for v in bad:
+            values.insert(data.draw(st.integers(0, len(values))), v)
+        finite_index = {}
+        for i, v in enumerate(values):
+            if np.isfinite(v):
+                finite_index[i] = len(finite_index)
+        distinct, groups = cluster_eigenvalues(values)
+        kept = [(d, [finite_index[i] for i in g]) for d, g in zip(distinct, groups) if g[0] in finite_index]
+        assert _bits(([d for d, _ in kept], [g for _, g in kept])) == _bits(cluster_eigenvalues(finite))
+        assert sorted(g for g in groups if g[0] not in finite_index) == sorted(
+            [i] for i in range(len(values)) if i not in finite_index
+        )
+
+    def test_an_overflowing_eigenvalue_is_a_cluster_of_its_own(self):
+        # The spectrum of 1e308 (1 1; 1 1) is {2e308, 0}: the first overflows.
+        dec = eigen_hermitian(1e308 * np.ones((2, 2)))
+        assert dec.eigenvalues == (np.inf, 0.0) and dec.multiplicities == (1, 1)
+        np.testing.assert_allclose(dec.projectors[1], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+
 
 def _policy_tol(values):
     """The clustering tolerance the policy sets for ``values``."""

@@ -14,6 +14,7 @@ from kreinalg import (
     HForm,
     InnerProduct,
     ShapeError,
+    SingularBasisError,
     SymmetryError,
     Tensor,
     VectorSpace,
@@ -605,6 +606,11 @@ class TestCanonicalFrame:
         assert inverse is ms.hform.inverse
         np.testing.assert_array_equal(inverse, np.linalg.inv(ms.hform.matrix))
 
+    @pytest.mark.parametrize("k", [np.zeros((2, 2)), np.ones((2, 2))], ids=["zero", "rank-one"])
+    def test_singular_hform_inverse_is_a_singular_basis_error(self, k):
+        with pytest.raises(SingularBasisError, match="H-form matrix is numerically singular"):
+            HForm(VectorSpace(2), k).inverse
+
 
 def _pair_parts(seed, n, field, magnitudes):
     """``G = R^2`` and ``K = R V diag(d) V^+ R``, d = signs times ``magnitudes``.
@@ -796,7 +802,8 @@ class TestDecisionCounts:
             ms = metric_structure_from(ms.ip.gram, ms.hform.matrix)
         f = random_g_selfadjoint(rng, ms.ip)
         fd = random_dirac_selfadjoint(rng, ms)
-        for decompose in (lambda: spectral_representation(f, ms.ip), lambda: dirac_spectral(fd, ms)):
+        for decompose in (lambda: spectral_representation(f, ms.ip), lambda: g_selfadjoint_eigen(f, ms.ip),
+                          lambda: dirac_spectral(fd, ms)):
             counts.update(dict.fromkeys(counts, 0))
             decompose()
             # The operator is coerced and scaled once; the rule's sharp takes

@@ -142,7 +142,7 @@ class TestRankAtAnyScale:
             warnings.simplefilter("error")
             assert rank(a) == r
             assert kernel_dimension(a) == n - r
-            assert policy.is_singular(a) == (r < n)
+            assert ("singular" in classify(a)) == (r < n)
             domain, codomain, found = canonical_form_bases(a, space, space)
             assert found == r
             block = codomain.inverse @ a @ domain.matrix
@@ -176,7 +176,61 @@ class TestRankAtAnyScale:
     def test_non_finite_input_names_its_first_bad_entry(self, a, first, call):
         with pytest.raises(KreinAlgError, match=re.escape(f"first at {first}")):
             call(a)
-        assert policy.is_singular(a)
+        assert classify(a) == {"singular"}
+
+
+def _rank_answers(a):
+    """The five rank answers for a square ``a``: three ranks and two singularity verdicts."""
+    n = len(a)
+    space = VectorSpace(n, "complex" if np.iscomplexobj(a) else "real")
+    try:
+        Basis(space, a)
+        rejected = False
+    except SingularBasisError:
+        rejected = True
+    ranks = {rank(a), n - kernel_dimension(a), canonical_form_bases(a, space, space)[2]}
+    return ranks, "singular" in classify(a), rejected
+
+
+def _kahan(n, theta=1.2):
+    """Kahan's matrix ``diag(sin^i theta) (1 - cos theta U)``, U the strict upper ones.
+
+    Every pivot of partial pivoting is ``sin^i theta``, far above its
+    smallest singular value, so a pivot count does not reveal its rank.
+    """
+    upper = np.triu(np.ones((n, n)), 1)
+    return np.sin(theta) ** np.arange(n)[:, np.newaxis] * (np.eye(n) - np.cos(theta) * upper)
+
+
+class TestOneRankRule:
+    """Every rank and nonsingularity answer is the one singular-value count of the unit matrix."""
+
+    @pytest.mark.parametrize("n, r", [(40, 40), (60, 59), (80, 79)])
+    def test_kahan_matrix(self, n, r):
+        assert _rank_answers(_kahan(n)) == ({r}, r < n, r < n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        field=st.sampled_from(["real", "complex"]),
+        k=st.integers(-900, 1000),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_singular_values_on_both_sides_of_the_floor(self, n, field, k, seed, data):
+        # sigma_0 in [1, 2); the others at 2**j times the floor RANK_TOL sigma_0,
+        # with j != 0: far from it in the rule's terms, and far above round-off.
+        rng = np.random.default_rng(seed)
+        sides = data.draw(st.lists(st.sampled_from([-8, -2, -1, 1, 2, 8]), min_size=n - 1, max_size=n - 1))
+        sigma0 = rng.uniform(1.0, 2.0)
+        sigma = np.array([sigma0] + [2.0**j * policy.RANK_TOL * sigma0 for j in sides])
+        u, v = random_unitary(rng, n, field), random_unitary(rng, n, field)
+        a = math.ldexp(1.0, k) * (u * sigma) @ v
+        expected = 1 + sum(j > 0 for j in sides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            answers = _rank_answers(a)
+        assert answers == ({expected}, expected < n, expected < n)
 
 
 def _entry_points(n, field):
@@ -570,10 +624,13 @@ def _registry_node(tree):
     return None
 
 
-def _sites(matches):
-    """``module:function`` of every node of a production module for which ``matches`` holds."""
+def _sites(matches, paths=None):
+    """``module:function`` of every node of a production module for which ``matches`` holds.
+
+    ``paths`` are the modules searched, by default every one but :mod:`kreinalg.policy`.
+    """
     sites = []
-    for path in _production_modules():
+    for path in paths or _production_modules():
         tree = ast.parse(path.read_text())
         owner = {}
         for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer
@@ -583,11 +640,11 @@ def _sites(matches):
     return sorted(sites)
 
 
-def _call_sites(names):
+def _call_sites(names, paths=None):
     """``module:function`` of every call, in a production module, to a function in ``names``."""
     return _sites(lambda node: isinstance(node, ast.Call) and not names.isdisjoint(
         (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ))
+    ), paths)
 
 
 class TestPolicyGuard:
@@ -683,20 +740,20 @@ class TestPolicyGuard:
             "unitary.py:adjoint", "unitary.py:riesz_inverse",
         ]
 
-    def test_in_place_tolerance_reads_are_the_four_named_sites(self):
-        # The module docstring of policy names the four decisions that compare
+    def test_in_place_tolerance_reads_are_the_three_named_sites(self):
+        # The module docstring of policy names the three decisions that compare
         # against one of its tolerances in place; every other one asks a rule.
         reads = _sites(lambda node: isinstance(node, (ast.Attribute, ast.Name))
                        and isinstance(node.ctx, ast.Load)
                        and re.fullmatch(r"(\w+_)?TOL", getattr(node, "attr", getattr(node, "id", ""))))
         assert reads == [
-            "eigen.py:_clusters", "eigen.py:jacobi_hermitian", "spaces.py:rank", "unitary.py:orthonormalize",
+            "eigen.py:_clusters", "eigen.py:jacobi_hermitian", "unitary.py:orthonormalize",
         ]
 
     def test_rules_do_not_scale(self):
         # Each input is scaled once, where it enters: the rules decide plain
         # identities on the matrices of policy.unit and choose no scale.
-        scalings = {"scale_of", "unit_scaled", "nonsingular_scaled", "scale_free_norm",
+        scalings = {"scale_of", "unit_scaled", "scale_free_norm",
                     "_scale_exponent", "ldexp", "frexp"}
         tree = ast.parse((SRC / "policy.py").read_text())
         rules = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
@@ -712,10 +769,22 @@ class TestPolicyGuard:
     def test_inputs_are_scaled_where_they_enter(self):
         assert _call_sites({"unit", "unit_scaled", "scale_of"}) == [
             "eigen.py:_clusters", "eigen.py:_hermitian_form", "indefinite.py:is_orthogonal",
-            "matrices.py:classify", "spaces.py:canonical_form_bases", "spaces.py:rank",
+            "matrices.py:classify", "spaces.py:_inverse", "spaces.py:canonical_form_bases",
             "unitary.py:_in_frame",
         ]
         assert _call_sites({"ldexp", "frexp"}) == []
+
+    def test_one_rank_rule(self):
+        # Singular values are computed only by the two entries of the rank rule
+        # (policy.singular_rank) and by the canonical form, which needs the
+        # vectors too and counts by the same rule.  The one nonsingularity gate,
+        # spaces._inverse, guards every LU inverse of an input.
+        assert _call_sites({"svd"}, sorted(SRC.glob("*.py"))) == [
+            "policy.py:numerical_rank", "policy.py:rank_deficient", "spaces.py:canonical_form_bases",
+        ]
+        assert _call_sites({"_inverse"}) == [
+            "indefinite.py:inverse", "spaces.py:__init__", "tensors.py:transform_tensor",
+        ]
 
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})

@@ -352,6 +352,17 @@ class TestSpectralRepresentation:
         with pytest.raises(SymmetryError):
             spectral_representation(np.array([[0.0, 1.0], [0.0, 0.0]]), standard_inner_product(SPACE2))
 
+    def test_eigenpairs_of_a_non_selfadjoint_operator_are_refused(self):
+        # The eigenpairs of the Hermitian part of a nilpotent are +-1/2; its spectrum is {0, 0}.
+        from kreinalg.unitary import g_selfadjoint_eigen
+
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        ip = standard_inner_product(SPACE2)
+        message = "operator is not selfadjoint w.r.t. the inner product within tolerance"
+        for decompose in (spectral_representation, g_selfadjoint_eigen):
+            with pytest.raises(SymmetryError, match=message):
+                decompose(nilpotent, ip)
+
 
 class TestUnitaryMembership:
     def test_identity(self):
