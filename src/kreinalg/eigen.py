@@ -144,18 +144,27 @@ def _descending(w, vectors):
     return w[::-1].copy(), np.asfortranarray(vectors[:, ::-1])
 
 
-def _hermitian_form(a: np.ndarray, what: str):
-    """``(K, s)``: the Hermitian part K of ``a``, once :func:`policy.selfadjoint` accepts it (SymmetryError).
+def _adjoint_view(m: np.ndarray) -> np.ndarray:
+    """``m^+`` as a transposed view (no copy over the real field), for elementwise use.
 
-    The rule runs on the :func:`policy.unit` ``a / s``; ``s`` is kept for
-    the form floor.  K is ``a/2 + (a/2)^+``, which cannot overflow; in the
-    normal range halving is exact, so these are the bits of ``(a + a^+)/2``.
+    A BLAS product takes the C-ordered copy of :func:`hermitian_conjugate`.
+    """
+    return m.conj().T
+
+
+def _hermitian_form(a: np.ndarray, what: str):
+    """``(H, s)``: the Hermitian part H of the :func:`policy.unit` ``a / s``, once :func:`policy.selfadjoint` accepts ``a / s`` (SymmetryError).
+
+    ``s H`` is the Hermitian part of ``a``.  H is formed on the unit
+    matrix, so the sum cannot overflow and the halving is exact at any
+    scale of ``a``, subnormal included; where ``(a + a^+)/2`` is formed
+    with no overflow and no subnormal entry, ``s H`` has its bits.
     """
     scaled = policy.unit(a)
-    if scaled is None or not policy.selfadjoint(scaled[0], lambda m: np.conj(m).T):
+    if scaled is None or not policy.selfadjoint(scaled[0], _adjoint_view):
         raise policy.asymmetry_error(a, what, "Hermitian")
-    half = a / 2.0
-    return half + hermitian_conjugate(half), scaled[1]
+    m, scale = scaled
+    return (m + _adjoint_view(m)) / 2.0, scale
 
 
 def _spectral_function(vectors, values) -> np.ndarray:
@@ -201,7 +210,7 @@ def _clusters(values):
     if len(finite) < len(listed):
         measured = np.divide(finite, scale)
         scaled[~np.isfinite(scaled)] = np.nan  # NaN - NaN raises no warning; inf - inf does
-    tol = policy.CLUSTER_TOL * policy.norm(measured)
+    tol = policy.CLUSTER_TOL * policy._frobenius(measured)  # unit data: 0 or at least 2**-52
     # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
     cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
     bounds = list(zip([0] + cuts, cuts + [len(listed)]))
@@ -242,12 +251,18 @@ def eigen_hermitian(a) -> SpectralDecomposition:
 
     The input must be finite and Hermitian under the self-adjointness rule
     of :mod:`kreinalg.policy`, otherwise SymmetryError is raised; its
-    Hermitian part is decomposed.
+    Hermitian part is decomposed at unit scale and its eigenvalues are
+    scaled back by the power of two of :func:`policy.unit`, so the
+    eigenvalues of ``2**k a`` are ``2**k`` times those of ``a``, bit for
+    bit, wherever they are normal numbers.
     """
     a = np.asarray(a)
     _require_square(a)
-    w, vectors = _eigh(_hermitian_form(a, "matrix")[0])
-    return _spectral_decomposition(*_descending(w, vectors))
+    h, scale = _hermitian_form(a, "matrix")
+    w, vectors = _descending(*_eigh(h))
+    with np.errstate(over="ignore"):  # an eigenvalue beyond the double range is inf
+        w = scale * w
+    return _spectral_decomposition(w, vectors)
 
 
 def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
@@ -263,7 +278,8 @@ def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     rows[s:e]`` of one cluster's slices.  The clusters of one size m are
     one batched ``np.matmul`` of their stacked ``(c, n, m)`` and ``(c, m,
     n)`` slices, so there is one product per distinct multiplicity; a
-    simple spectrum is a single one.  Batched or not, each product has the
+    simple spectrum, the common case, is that one product of all the
+    columns, with no bookkeeping.  Batched or not, each product has the
     bits of its own two-dimensional ``matmul`` of Fortran-ordered columns.
     """
     bounds, distinct = _clusters(w)
@@ -272,6 +288,9 @@ def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     if gram is not None:
         rows = rows @ gram
     n = cols.shape[0]
+    if len(bounds) == n:
+        block = np.matmul(cols.reshape(n, n, 1).transpose(1, 0, 2), rows.reshape(n, 1, n))
+        return SpectralDecomposition(tuple(distinct), (1,) * n, tuple(block))
     multiplicities = tuple(end - start for start, end in bounds)
     projectors = [None] * len(bounds)
     for m in sorted(set(multiplicities)):

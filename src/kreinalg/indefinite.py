@@ -39,6 +39,7 @@ from .errors import (
 )
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
+    _adjoint_view,
     _descending,
     _eigh,
     _hermitian_form,
@@ -97,7 +98,8 @@ class HForm:
 
     def __init__(self, space: VectorSpace, matrix) -> None:
         self.space = space
-        self.matrix, self._scale = _hermitian_form(space.operator(matrix), "H-form matrix")
+        h, self._scale = _hermitian_form(space.operator(matrix), "H-form matrix")
+        self.matrix = self._scale * h
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -201,7 +203,7 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     m = hermitian_conjugate(ip.frame) @ hf.matrix @ ip.frame
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(m))):
         raise CompatibilityError("metric operator G^{-1} K is not finite")
-    w, u = _eigh((m + hermitian_conjugate(m)) / 2.0)
+    w, u = _eigh((m + _adjoint_view(m)) / 2.0)
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
     if not policy.clears_form_floor(bounds, hf.matrix, hf._scale):
@@ -291,9 +293,12 @@ def dirac_adjoint_operator(f, ms: MetricStructure) -> np.ndarray:
     return ms.h @ (ms.ip.gram_inv @ hermitian_conjugate(ms.space.operator(f)) @ ms.ip.gram) @ ms.h
 
 
-def _eta_sharp(eta: np.ndarray):
-    """The Dirac adjoint in the canonical frame, ``M -> eta M^+ eta``: exact, since eta is +-1."""
-    return lambda m: eta[:, np.newaxis] * hermitian_conjugate(m) * eta
+def _eta_sharp(eta: np.ndarray, adjoint=hermitian_conjugate):
+    """The Dirac adjoint in the canonical frame, ``M -> eta M^+ eta``: exact, since eta is +-1.
+
+    ``adjoint`` is ``_adjoint_view`` where the result feeds only an elementwise expression.
+    """
+    return lambda m: eta[:, np.newaxis] * adjoint(m) * eta
 
 
 def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
@@ -302,7 +307,7 @@ def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
     Non-finite f is never Dirac-selfadjoint.
     """
     framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
-    return framed is not None and policy.selfadjoint(framed[0], _eta_sharp(ms.eta))
+    return framed is not None and policy.selfadjoint(framed[0], _eta_sharp(ms.eta, _adjoint_view))
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
@@ -341,10 +346,10 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     """
     f, eta = ms.space.operator(f), ms.eta
     framed = _in_frame(f, ms.frame.basis.matrix, ms.frame.basis.inverse)
-    if framed is None or not policy.selfadjoint(framed[0], _eta_sharp(eta)):
+    if framed is None or not policy.selfadjoint(framed[0], _eta_sharp(eta, _adjoint_view)):
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
     m, scale = framed[0] * eta, framed[1]
-    w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))
+    w, u = _descending(*_eigh((m + _adjoint_view(m)) / 2.0))
     dec = _spectral_decomposition(scale * w, ms.frame.basis.matrix @ u, ms.ip.gram)
     return DiracSpectralDecomposition(
         dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()

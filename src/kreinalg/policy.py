@@ -17,10 +17,17 @@ rank answer is :func:`singular_rank`.  Each input is scaled once, where
 it enters, by :func:`unit`, the one function that chooses a scale (the
 power of two of ``max |a_ij|``), and the rules decide plain identities
 on its matrices, so every rule gives the same answer for ``c A`` as for
-``A`` at any scale ``c``.  Norms are Frobenius norms computed by
-:func:`norm`, which neither overflows nor underflows.  Every rule is
-NaN-safe: it accepts only when ``residual <= bound`` holds with a finite
-bound, so NaN, infinity or an overflow always rejects.
+``A`` at any scale ``c``.  Norms are Frobenius norms.  The rules measure
+their unit data with the plain formula :func:`_frobenius`: a matrix of
+:func:`unit`, or a frame matrix formed from one, is finite and its norm
+is 0 or far inside ``[2**-400, inf)``, where the plain value has the bits
+of :func:`norm`, and a residual below ``2**-400`` decides the same way on
+both, far under any bound.  :func:`norm`, which neither overflows nor
+underflows, serves the inputs that are not unit: the isometry residual,
+which carries ``scale**-2``, and the residuals of the lemma suite and
+the Jacobi oracle.  Every rule is NaN-safe: it accepts only when
+``residual <= bound`` holds with a finite bound, so NaN, infinity or an
+overflow always rejects.
 """
 
 from __future__ import annotations
@@ -147,9 +154,10 @@ def selfadjoint(m, sharp) -> bool:
 
     ``m`` is a matrix of :func:`unit`, or a frame matrix formed from one:
     ``sharp`` is linear and the scale is a power of two, so the test
-    gives the same answer as on the unscaled ``f``, at any scale.
+    gives the same answer as on the unscaled ``f``, at any scale.  Both
+    norms are the plain :func:`_frobenius` of unit data.
     """
-    return _holds(norm(sharp(m) - m), norm(m))
+    return _holds(_frobenius(sharp(m) - m), _frobenius(m))
 
 
 def isometric(m, scale, sharp) -> bool:
@@ -161,12 +169,15 @@ def isometric(m, scale, sharp) -> bool:
     rapidity 700.  Relative to the factors, because the pseudo-unitary
     groups are not compact.  ``scale`` is clamped at ``2**-511`` so that
     ``scale**-2`` stays finite; an ``f`` that small, or one so large that
-    ``scale**-2`` underflows, is far from isometric and rejects.
+    ``scale**-2`` underflows, is far from isometric and rejects.  The
+    residual, which carries ``scale**-2`` up to ``2**1022``, is measured
+    by :func:`norm`; the factors are unit data, measured by the plain
+    :func:`_frobenius`.
     """
     m_sharp = sharp(m)
     scale = max(scale, 2.0**-511)
     residual = norm(m_sharp @ m - scale**-2 * np.eye(m.shape[1]))
-    return _holds(residual, norm(m_sharp) * norm(m))
+    return _holds(residual, _frobenius(m_sharp) * _frobenius(m))
 
 
 def involutory(w) -> bool:
@@ -198,9 +209,10 @@ def clears_form_floor(values, k, scale) -> bool:
     an indefinite form), or lower bounds on those moduli, and ``scale`` is
     the :func:`unit` scale of the input ``k`` came from.  Both sides are
     divided by it exactly, so a finite ``k`` whose ``||k||`` is beyond the
-    double range is decided as at any other scale.
+    double range is decided as at any other scale.  ``k / scale`` is unit
+    data, measured by the plain :func:`_frobenius`.
     """
-    return bool((values / scale).min() > FORM_TOL * norm(k / scale))
+    return bool((values / scale).min() > FORM_TOL * _frobenius(k / scale))
 
 
 def unit_scaled(a: np.ndarray) -> tuple:

@@ -23,6 +23,7 @@ from . import policy
 from .errors import DegenerateFormError, DependentSetError, ShapeError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
+    _adjoint_view,
     _descending,
     _eigh,
     _hermitian_form,
@@ -63,7 +64,8 @@ class InnerProduct:
 
     def __init__(self, space: VectorSpace, gram) -> None:
         """Coerce ``gram`` and decide its Hermiticity and form floor, once each."""
-        g, scale = _hermitian_form(space.operator(gram), "Gram matrix")
+        h, scale = _hermitian_form(space.operator(gram), "Gram matrix")
+        g = scale * h
         w, vectors = _eigh(g)
         if not policy.clears_form_floor(w, g, scale):
             raise DegenerateFormError(
@@ -160,21 +162,25 @@ def _in_frame(f: np.ndarray, b: np.ndarray, b_inv: np.ndarray):
     return None if scaled is None else (b_inv @ scaled[0] @ b, scaled[1])
 
 
-def g_selfadjoint_eigen(f, ip: InnerProduct):
-    """Eigenvalues (descending) and G-orthonormal eigenvector columns, tested once (SymmetryError).
+def _selfadjoint_eigenpairs(f, ip: InnerProduct):
+    """The kernel of :func:`g_selfadjoint_eigen` and :func:`spectral_representation`.
 
-    Self-adjointness is decided as :func:`spectral_representation` decides
-    it; the similarity transform by the frame ``W`` of ``ip`` hands the
-    problem to the Hermitian eigensolver, and ``W`` maps its orthonormal
-    eigenvectors to G-orthonormal ones.
+    f is decided self-adjoint on its frame matrix ``M = W^{-1} (f / s) W``
+    (``M^+ = M``); the eigenvalues of M's Hermitian part times s are f's,
+    and ``W`` maps its orthonormal eigenvectors to G-orthonormal ones.
     """
     f = ip.space.operator(f)
     framed = _in_frame(f, ip.frame, ip.frame_inv)
-    if framed is None or not policy.selfadjoint(framed[0], hermitian_conjugate):
+    if framed is None or not policy.selfadjoint(framed[0], _adjoint_view):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
     m, scale = framed
-    w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))
+    w, u = _descending(*_eigh((m + _adjoint_view(m)) / 2.0))
     return scale * w, ip.frame @ u
+
+
+def g_selfadjoint_eigen(f, ip: InnerProduct):
+    """Eigenvalues (descending) and G-orthonormal eigenvector columns, tested once (SymmetryError)."""
+    return _selfadjoint_eigenpairs(f, ip)
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:
@@ -183,7 +189,7 @@ def is_selfadjoint(f, ip: InnerProduct) -> bool:
     Non-finite f is never selfadjoint.
     """
     framed = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
-    return framed is not None and policy.selfadjoint(framed[0], hermitian_conjugate)
+    return framed is not None and policy.selfadjoint(framed[0], _adjoint_view)
 
 
 def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
@@ -192,13 +198,7 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
     The projectors are G-selfadjoint, idempotent, mutually annihilating,
     and complete, and distinct eigenspaces are G-orthogonal.
     """
-    f = ip.space.operator(f)
-    framed = _in_frame(f, ip.frame, ip.frame_inv)
-    if framed is None or not policy.selfadjoint(framed[0], hermitian_conjugate):
-        raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    m, scale = framed
-    w, u = _descending(*_eigh((m + hermitian_conjugate(m)) / 2.0))
-    return _spectral_decomposition(scale * w, ip.frame @ u, ip.gram)
+    return _spectral_decomposition(*_selfadjoint_eigenpairs(f, ip), ip.gram)
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kreinalg import (
     InnerProduct,
@@ -509,3 +509,44 @@ class TestScaleCovariance:
         a = 10.0**exponent * np.array([[1.0, 2.0], [0.0, 1.0]], dtype=dtype)
         with pytest.raises(SymmetryError, match="not Hermitian"):
             eigen_hermitian(a)
+
+    # Subnormal input: the Hermitian part is formed and decomposed at unit
+    # scale, so no entry is halved below the normal range and LAPACK's own
+    # scaling (by a factor that is not a power of two) never engages.
+    def test_smallest_subnormal_spectrum_is_exact(self):
+        dec = eigen_hermitian(2.0**-1074 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert dec.eigenvalues == (3 * 2.0**-1074, 2.0**-1074) and dec.multiplicities == (1, 1)
+
+    def test_subnormal_spectrum_is_correctly_rounded(self):
+        c = 1e-315
+        dec = eigen_hermitian(c * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert dec.eigenvalues == (3 * c, c) and dec.multiplicities == (1, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        entries=st.lists(st.integers(-64, 64), min_size=72, max_size=72),
+        n=st.integers(1, 6),
+        k=st.integers(-1074, 1000),
+    )
+    @example(field="real", entries=[16, 8, 8, 16] + [0] * 68, n=2, k=-1074)
+    @example(field="complex", entries=[16, 8, 8, 16, 0, 8, -8, 0] + [0] * 64, n=2, k=-1070)
+    @example(field="real", entries=[64, 8, 8, 64] + [0] * 68, n=2, k=1000)
+    @example(field="real", entries=[8, 8, 8, 8] + [0] * 68, n=2, k=-1000)
+    def test_power_of_two_scaling_is_exact(self, field, entries, n, k):
+        # Dyadic A (entries j/8), so 2**k A is exact whenever it converts back.
+        parts = np.array(entries[: 2 * n * n], dtype=float).reshape(2, n, n) / 8.0
+        p = parts[0] + 1j * parts[1] if field == "complex" else parts[0]
+        a = (p + np.conj(p).T) / 2.0
+        scaled = np.ldexp(a.real, k) + (1j * np.ldexp(a.imag, k) if field == "complex" else 0.0)
+        assume(np.array_equal(np.ldexp(scaled.real, -k), a.real))
+        assume(np.array_equal(np.ldexp(np.imag(scaled), -k), np.imag(a)))
+        reference = eigen_hermitian(a)
+        expected = np.ldexp(np.array(reference.eigenvalues), k)
+        # Where every eigenvalue stays a normal number (or zero), 2**k eig(A) is exact.
+        assume(np.all((expected == 0.0) | (np.abs(expected) >= np.finfo(float).tiny)))
+        dec = eigen_hermitian(scaled)
+        assert dec.multiplicities == reference.multiplicities
+        assert np.array(dec.eigenvalues).tobytes() == expected.tobytes()
+        for mine, theirs in zip(dec.projectors, reference.projectors):
+            assert mine.tobytes() == theirs.tobytes()

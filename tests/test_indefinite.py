@@ -849,6 +849,43 @@ class TestDecisionCounts:
         assert counts == expected
 
 
+class TestScaleFreeNormCounts:
+    """The rules measure unit data with the plain formula: ``policy.scale_free_norm``
+    runs only for the isometry residual, which carries ``scale**-2``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        tally = [0]
+        original = policy.scale_free_norm
+
+        def counted(*args, **kwargs):
+            tally[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "scale_free_norm", counted)
+        return tally
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_per_structures_step(self, calls, kind, field, n):
+        rng = np.random.default_rng(n)
+        k = random_nondegenerate_hform(rng, n, field)
+        ms = compatible_structure_from_hform(k)
+        if kind == "pair":
+            ms = metric_structure_from(ms.ip.gram, ms.hform.matrix)
+        assert calls == [0]
+        f = random_g_selfadjoint(rng, ms.ip)
+        fd = random_dirac_selfadjoint(rng, ms)
+        frame = ms.frame.basis
+        u = frame.matrix @ random_pseudo_unitary(rng, *ms.signature, field) @ frame.inverse
+        spectral_representation(f, ms.ip)
+        dirac_spectral(fd, ms)
+        assert calls == [0]
+        assert is_pseudo_unitary(u, ms)
+        assert calls == [1]
+
+
 def _boosted_pair(rapidity, n, field, shift=0.0):
     """(G, K) whose canonical frame ``B`` is ``lorentz_boost(rapidity, n)``.
 

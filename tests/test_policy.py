@@ -55,6 +55,7 @@ from kreinalg.generators import (
     random_unitary,
     separated_eigenvalues,
 )
+from kreinalg import eigen, indefinite
 from kreinalg.unitary import g_selfadjoint_eigen
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kreinalg"
@@ -376,13 +377,15 @@ class TestFormFloorBeyondTheDoubleRange:
     @example(field="real", entries=[8, 8, 8, -8] + [0] * 14, n=2, exponent=308.0)
     @example(field="complex", entries=[8, 0, 0, -8, 0, 8, -8, 0] + [0] * 10, n=2, exponent=308.0)
     @example(field="real", entries=[8, 8, 8, 8] + [0] * 14, n=2, exponent=307.0)
+    @example(field="real", entries=[0, 0, 0, 0, 4, 8, 4, 8, 8] + [0] * 9, n=3, exponent=308.0)
     def test_c_k_is_decided_as_k(self, field, entries, n, exponent):
         # Dyadic K: min |eigenvalue| is either round-off or far above the floor.
         parts = np.array(entries[: 2 * n * n], dtype=float).reshape(2, n, n) / 8.0
         p = parts[0] + 1j * parts[1] if field == "complex" else parts[0]
         k = (p + np.conj(p).T) / 2.0
         c = 10.0**exponent
-        assume(c * np.abs(np.linalg.eigvalsh(k)).max(initial=0.0) < 1.7e308)
+        # Divided, not multiplied: c max|eig(k)| would overflow before kreinalg runs.
+        assume(np.abs(np.linalg.eigvalsh(k)).max(initial=0.0) < 1.7e308 / c)
 
         def degenerate(form):
             try:
@@ -481,6 +484,185 @@ def _scaled_norm(a):
     scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
     scaled = a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
     return scale * float(np.linalg.norm(scaled))
+
+
+# The rules as they were when every one measured with policy.norm, kept as
+# the reference that the plain Frobenius formula must decide exactly as.
+def _reference_holds(residual, size):
+    return bool(residual <= policy.TOL * size < math.inf)
+
+
+def _reference_selfadjoint(m, sharp):
+    return _reference_holds(policy.norm(sharp(m) - m), policy.norm(m))
+
+
+def _reference_isometric(m, scale, sharp):
+    m_sharp = sharp(m)
+    scale = max(scale, 2.0**-511)
+    residual = policy.norm(m_sharp @ m - scale**-2 * np.eye(m.shape[1]))
+    return _reference_holds(residual, policy.norm(m_sharp) * policy.norm(m))
+
+
+def _reference_clears_form_floor(values, k, scale):
+    return bool((values / scale).min() > policy.FORM_TOL * policy.norm(k / scale))
+
+
+def _reference_cluster_eigenvalues(values):
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
+        return [], []
+    order = np.argsort(values, kind="stable")[::-1]
+    values = values[order]
+    listed = values.tolist()
+    finite = [v for v in listed if math.isfinite(v)]
+    scale = policy.scale_of(max(map(abs, finite), default=0.0))
+    scaled = measured = values / scale
+    if len(finite) < len(listed):
+        measured = np.divide(finite, scale)
+        scaled[~np.isfinite(scaled)] = np.nan
+    tol = policy.CLUSTER_TOL * policy.norm(measured)
+    cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
+    bounds = list(zip([0] + cuts, cuts + [len(listed)]))
+    distinct = [
+        listed[start] if end - start == 1 else scale * float(np.mean(scaled[start:end]))
+        for start, end in bounds
+    ]
+    indices = order.tolist()
+    return distinct, [indices[start:end] for start, end in bounds]
+
+
+def _times_power_of_two(a, k):
+    """``2**k a``, rounded once per part (subnormal where ``2**k a`` is).
+
+    k is lowered where needed so that ``2**k a`` and its eigenvalues, which
+    for n <= 6 are below 8 times its largest entry, stay finite.
+    """
+    a = np.asarray(a)
+    peak = max(np.abs(a.real).max(initial=0.0), np.abs(np.imag(a)).max(initial=0.0))
+    if peak:
+        k = min(k, 1021 - math.frexp(peak)[1])
+    if a.dtype.kind == "c":
+        return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+    return np.ldexp(a, k)
+
+
+def _unit_direction(rng, n, field, hermitian):
+    """A random matrix of Frobenius norm 1, Hermitian or anti-Hermitian."""
+    e = random_matrix(rng, n, n, field)
+    e = (e + np.conj(e).T) if hermitian else (e - np.conj(e).T)
+    size = np.linalg.norm(e)
+    return e / size if size else e
+
+
+_EXPONENTS = st.one_of(st.just(0), st.sampled_from([-1074, -1060, -1022, -1000, 1000, 1023]),
+                       st.integers(-1074, 1023))
+
+
+class TestPlainNormDecidesAsTheScaleFreeNorm:
+    """The rules measure unit data with the plain Frobenius formula and decide as with ``policy.norm``.
+
+    Inputs are scaled by ``2**k`` over the whole exponent range (zero and
+    subnormal inputs included, which ``policy.unit`` clamps at ``2**-1022``)
+    and perturbed by 0 to 3 tolerances around each rule's threshold.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        field=st.sampled_from(["real", "complex"]),
+        k=_EXPONENTS,
+        t=st.floats(0.0, 3.0),
+        framed=st.booleans(),
+        zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_selfadjoint(self, n, field, k, t, framed, zero, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, n, field)
+        # ||a^+ - a|| is 2 t TOL ||h||: the threshold TOL ||a|| lies near t = 1/2.
+        a = h + t * policy.TOL * np.linalg.norm(h) * _unit_direction(rng, n, field, False)
+        if zero:
+            a = np.zeros_like(a)
+        m, _ = policy.unit(_times_power_of_two(a, k))
+        if framed:
+            b = random_unitary(rng, n, field) * rng.uniform(0.01, 10.0, n)
+            m = np.linalg.inv(b) @ m @ b
+        eta = np.where(np.arange(n) < rng.integers(0, n + 1), 1.0, -1.0)
+        for sharp in (hermitian_conjugate, np.transpose, eigen._adjoint_view,
+                      indefinite._eta_sharp(eta), indefinite._eta_sharp(eta, eigen._adjoint_view)):
+            assert policy.selfadjoint(m, sharp) == _reference_selfadjoint(m, sharp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        field=st.sampled_from(["real", "complex"]),
+        k=_EXPONENTS,
+        t=st.floats(0.0, 3.0),
+        zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_isometric(self, n, field, k, t, zero, seed):
+        rng = np.random.default_rng(seed)
+        n_plus = int(rng.integers(0, n + 1))
+        eta = np.where(np.arange(n) < n_plus, 1.0, -1.0)
+        for u, sharp in ((random_unitary(rng, n, field), hermitian_conjugate),
+                         (random_pseudo_unitary(rng, n_plus, n - n_plus, field), indefinite._eta_sharp(eta))):
+            e = _unit_direction(rng, n, field, True)
+            # ||f# f - 1|| is about 2 t TOL ||f# f|| for f = u + t TOL ||u|| e.
+            f = u + t * policy.TOL * np.linalg.norm(u) * e
+            if zero:
+                f = np.zeros_like(f)
+            m, scale = policy.unit(_times_power_of_two(f, k))
+            assert policy.isometric(m, scale, sharp) == _reference_isometric(m, scale, sharp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        field=st.sampled_from(["real", "complex"]),
+        k=_EXPONENTS,
+        t=st.floats(0.0, 3.0),
+        zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_clears_form_floor(self, n, field, k, t, zero, seed):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        # The smallest |eigenvalue| at t FORM_TOL ||K||: the floor lies at t = 1.
+        lam[0] = np.sign(lam[0]) * t * policy.FORM_TOL * np.linalg.norm(lam)
+        u = random_unitary(rng, n, field)
+        form = u @ np.diag(lam).astype(u.dtype) @ np.conj(u).T
+        form = (form + np.conj(form).T) / 2.0  # exactly Hermitian, even where lam[0] is subnormal
+        if zero:
+            form, lam = np.zeros_like(form), np.zeros(n)
+        h, scale = eigen._hermitian_form(_times_power_of_two(form, k), "H-form matrix")
+        kk = scale * h
+        for values in (np.abs(np.linalg.eigvalsh(h)) * scale, np.abs(_times_power_of_two(lam, k))):
+            assert policy.clears_form_floor(values, kk, scale) == _reference_clears_form_floor(values, kk, scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        k=_EXPONENTS,
+        gaps=st.lists(st.one_of(st.none(), st.floats(0.0, 3.0)), min_size=8, max_size=8),
+        zero=st.booleans(),
+        extra=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cluster_eigenvalues(self, n, k, gaps, zero, extra, seed):
+        rng = np.random.default_rng(seed)
+        lam = np.sort(rng.uniform(-2.0, 2.0, n))
+        # Some neighbours t CLUSTER_TOL ||lam|| apart: the threshold lies near t = 1.
+        for i in range(1, n):
+            if gaps[i] is not None:
+                lam[i] = lam[i - 1] + gaps[i] * policy.CLUSTER_TOL * np.linalg.norm(lam)
+        values = np.zeros(n) if zero else _times_power_of_two(lam, k)
+        if extra is not None:
+            values = np.append(values, extra)
+        values = rng.permutation(values)
+        distinct, groups = cluster_eigenvalues(values)
+        ref_distinct, ref_groups = _reference_cluster_eigenvalues(values)
+        assert groups == ref_groups
+        assert np.array(distinct).tobytes() == np.array(ref_distinct).tobytes()
 
 
 class TestSelfAdjointness:
@@ -725,7 +907,7 @@ class TestPolicyGuard:
         assert _call_sites({"_eigh"}) == [
             "eigen.py:eigen_hermitian", "indefinite.py:_structure_on",
             "indefinite.py:compatible_structure_from_hform", "indefinite.py:dirac_spectral",
-            "unitary.py:__init__", "unitary.py:g_selfadjoint_eigen", "unitary.py:spectral_representation",
+            "unitary.py:__init__", "unitary.py:_selfadjoint_eigenpairs",
         ]
 
     def test_only_the_natural_frame_formulas_read_the_inverse_gram(self):
