@@ -4,10 +4,10 @@ Every production eigensolve goes through the private seam :func:`_eigh`,
 so the solver behind the package is chosen in one place.  It is LAPACK's
 Hermitian solver (``np.linalg.eigh``), with one deterministic phase gauge
 on the eigenvector columns, so gauge-dependent outputs such as canonical
-bases come out the same on every call.  The seam's eigenpairs come in
-ascending order; a spectral decomposition takes them reversed
-(:func:`_descending`), so no sort runs and the order of exactly equal
-eigenvalues is LAPACK's, reversed.
+bases come out the same on every call.  Every spectral decomposition
+takes the seam's ascending eigenpairs from the one kernel
+:func:`_eigenpairs`, reversed, so no sort runs and the order of exactly
+equal eigenvalues is LAPACK's, reversed.
 
 Two independent solvers are kept as reference oracles; neither feeds a
 production decomposition:
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ShapeError
 from .matrices import _require_square, hermitian_conjugate
 
 __all__ = [
@@ -56,13 +56,13 @@ def jacobi_hermitian(a):
     ``vectors`` are orthonormal eigenvectors, and ``sweeps`` counts the
     full sweeps performed.  Raises ConvergenceError if the off-diagonal
     mass has not dropped below tolerance within ``policy.JACOBI_MAX_SWEEPS``
-    sweeps.
+    sweeps.  It runs on the unit ``A / s`` of :func:`policy.unit_scaled`, then scales back.
     """
-    n = _require_square(np.asarray(a))
-    work = np.array(a, dtype=np.complex128)
+    a = np.asarray(a)
+    n = _require_square(a)
+    m, scale = policy.unit_scaled(a)
+    work = np.array(m, dtype=np.complex128)
     vectors = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.diag(work).copy(), vectors, 0
     threshold = policy.JACOBI_TOL * policy.norm(work)
     max_sweeps = policy.JACOBI_MAX_SWEEPS
     # Rotations on entries this small cannot move the off-diagonal mass
@@ -71,7 +71,7 @@ def jacobi_hermitian(a):
 
     for sweep in range(max_sweeps):
         if _off_diagonal_norm(work) <= threshold:
-            return np.diag(work).copy(), vectors, sweep
+            return policy.scaled_back(np.diag(work), scale), vectors, sweep
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = work[p, q]
@@ -106,7 +106,7 @@ def jacobi_hermitian(a):
                 vectors[:, q] = s * phase * vec_p + c * vec_q
 
     if _off_diagonal_norm(work) <= threshold:
-        return np.diag(work).copy(), vectors, max_sweeps
+        return policy.scaled_back(np.diag(work), scale), vectors, max_sweeps
     raise ConvergenceError(
         f"Jacobi iteration did not converge within {max_sweeps} sweeps "
         f"(off-diagonal mass {_off_diagonal_norm(work):.3e}, threshold {threshold:.3e})"
@@ -117,7 +117,7 @@ def _eigh(a):
     """The eigensolver seam: ascending real eigenvalues and orthonormal eigenvectors.
 
     LAPACK ``eigh`` reads the lower triangle of a finite Hermitian ``a``
-    and returns the eigenvalues in ascending order; :func:`_descending`
+    and returns the eigenvalues in ascending order; :func:`_eigenpairs`
     reverses the pairs for a spectral decomposition.  Each eigenvector
     column is fixed up to a unit phase, so the seam picks one: the
     column's largest-magnitude entry (the first one on ties) becomes real
@@ -135,13 +135,16 @@ def _eigh(a):
     return w, vectors
 
 
-def _descending(w, vectors):
-    """The seam's eigenpairs reversed: eigenvalues descending, as :func:`_spectral_decomposition` takes them.
+def _eigenpairs(m: np.ndarray, scale: float):
+    """The spectral kernel: descending eigenpairs of ``m``'s Hermitian part, eigenvalues times ``scale``.
 
-    The columns are copied in Fortran order, the layout in which the
-    products of the decomposition read them.
+    ``(m, scale)`` is a pair of :func:`policy.unit`, or a frame matrix
+    formed from one; an eigenvalue beyond the double range is +-inf.  The
+    columns are in Fortran order, the layout in which the products of
+    :func:`_spectral_decomposition` read them.
     """
-    return w[::-1].copy(), np.asfortranarray(vectors[:, ::-1])
+    w, vectors = _eigh((m + _adjoint_view(m)) / 2.0)
+    return policy.scaled_back(w[::-1], scale), np.asfortranarray(vectors[:, ::-1])
 
 
 def _adjoint_view(m: np.ndarray) -> np.ndarray:
@@ -210,7 +213,7 @@ def _clusters(values):
     if len(finite) < len(listed):
         measured = np.divide(finite, scale)
         scaled[~np.isfinite(scaled)] = np.nan  # NaN - NaN raises no warning; inf - inf does
-    tol = policy.CLUSTER_TOL * policy._frobenius(measured)  # unit data: 0 or at least 2**-52
+    tol = policy.CLUSTER_TOL * policy.frobenius(measured)  # unit data: 0 or at least 2**-52
     # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
     cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
     bounds = list(zip([0] + cuts, cuts + [len(listed)]))
@@ -254,33 +257,28 @@ def eigen_hermitian(a) -> SpectralDecomposition:
     Hermitian part is decomposed at unit scale and its eigenvalues are
     scaled back by the power of two of :func:`policy.unit`, so the
     eigenvalues of ``2**k a`` are ``2**k`` times those of ``a``, bit for
-    bit, wherever they are normal numbers.
+    bit, wherever they are normal numbers; one beyond the double range is
+    +-inf.  An empty matrix raises ShapeError.
     """
     a = np.asarray(a)
-    _require_square(a)
-    h, scale = _hermitian_form(a, "matrix")
-    w, vectors = _descending(*_eigh(h))
-    with np.errstate(over="ignore"):  # an eigenvalue beyond the double range is inf
-        w = scale * w
-    return _spectral_decomposition(w, vectors)
+    if not _require_square(a):
+        raise ShapeError("cannot decompose an empty matrix")
+    return _spectral_decomposition(*_eigenpairs(*_hermitian_form(a, "matrix")))
 
 
 def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     """Group descending eigenpairs into eigenspaces with projectors ``V V^+ G``.
 
-    ``w`` is descending, as :func:`_descending` hands over the seam's
+    ``w`` is descending, as :func:`_eigenpairs` hands over the seam's
     pairs, so each cluster of :func:`_clusters` is a contiguous run of
     columns.  The columns of ``vectors`` are G-orthonormal; G is the
     identity when ``gram`` is omitted.  The projectors are over the field
     of ``vectors`` (and ``gram``): real eigenpairs of a real problem give
-    real projectors.  Assembly costs O(n^3) for any spectrum: ``rows =
-    V^+ G`` is formed once, so each projector is the product ``V[:, s:e] @
-    rows[s:e]`` of one cluster's slices.  The clusters of one size m are
-    one batched ``np.matmul`` of their stacked ``(c, n, m)`` and ``(c, m,
-    n)`` slices, so there is one product per distinct multiplicity; a
-    simple spectrum, the common case, is that one product of all the
-    columns, with no bookkeeping.  Batched or not, each product has the
-    bits of its own two-dimensional ``matmul`` of Fortran-ordered columns.
+    real projectors.  ``rows = V^+ G`` is formed once, and each projector
+    is the product ``V[:, s:e] @ rows[s:e]`` of one cluster's slices: one
+    batched ``np.matmul`` of all the rank-1 slices for a simple spectrum,
+    one product per cluster otherwise.  Each has the bits of its own
+    two-dimensional ``matmul`` of Fortran-ordered columns.
     """
     bounds, distinct = _clusters(w)
     cols = np.asfortranarray(vectors)
@@ -291,34 +289,20 @@ def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     if len(bounds) == n:
         block = np.matmul(cols.reshape(n, n, 1).transpose(1, 0, 2), rows.reshape(n, 1, n))
         return SpectralDecomposition(tuple(distinct), (1,) * n, tuple(block))
-    multiplicities = tuple(end - start for start, end in bounds)
-    projectors = [None] * len(bounds)
-    for m in sorted(set(multiplicities)):
-        which = [k for k, size in enumerate(multiplicities) if size == m]
-        c = len(which)
-        if c == len(bounds):
-            take = slice(None)
-        else:
-            take = np.concatenate([np.arange(*bounds[k]) for k in which])
-        stacked_cols = cols[:, take].reshape(n, c, m).transpose(1, 0, 2)
-        block = np.matmul(stacked_cols, rows[take].reshape(c, m, n))
-        for k, p in zip(which, block):
-            projectors[k] = p
-    return SpectralDecomposition(
-        eigenvalues=tuple(distinct),
-        multiplicities=multiplicities,
-        projectors=tuple(projectors),
-    )
+    projectors = tuple(cols[:, start:end] @ rows[start:end] for start, end in bounds)
+    return SpectralDecomposition(tuple(distinct), tuple(end - start for start, end in bounds), projectors)
 
 
 def characteristic_polynomial(a) -> np.ndarray:
     """Coefficients of det(lambda*1 - A), highest degree first.
 
     Uses the trace recursion on powers of A; costs O(n^4) and is intended
-    for small cross-check problems only.
+    for small cross-check problems only.  It runs on the unit ``A / s`` of
+    :func:`policy.unit_scaled` and scales the k-th coefficient back by ``s**k``.
     """
     a = np.asarray(a, dtype=np.complex128)
     n = _require_square(a)
+    a, scale = policy.unit_scaled(a)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[0] = 1.0
     m = np.array(a)
@@ -326,14 +310,15 @@ def characteristic_polynomial(a) -> np.ndarray:
         if k > 1:
             m = a @ (m + coeffs[k - 1] * np.eye(n))
         coeffs[k] = -np.trace(m) / k
-    return coeffs
+    return policy.scaled_back(coeffs, scale, np.arange(n + 1))
 
 
 def charpoly_eigenvalues(a) -> np.ndarray:
     """Roots of the characteristic polynomial, sorted by descending real part.
 
     Independent of both eigensolvers: coefficients come from the trace
-    recursion and roots from the companion matrix.
+    recursion and roots from the companion matrix, both of the unit ``A / s``.
     """
-    roots = np.roots(characteristic_polynomial(a))
+    m, scale = policy.unit_scaled(np.asarray(a))
+    roots = policy.scaled_back(np.roots(characteristic_polynomial(m)), scale)
     return roots[np.argsort(-roots.real)]

@@ -40,7 +40,7 @@ from .errors import (
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _adjoint_view,
-    _descending,
+    _eigenpairs,
     _eigh,
     _hermitian_form,
     _spectral_decomposition,
@@ -154,14 +154,10 @@ def _signature_of(values) -> tuple:
     return n_plus, len(values) - n_plus
 
 
-def _eta_diag(signature: tuple) -> tuple:
-    n_plus, n_minus = signature
-    return (1,) * n_plus + (-1,) * n_minus
-
-
 def _frame(space: VectorSpace, b, b_inv, signature: tuple) -> HOrthonormalBasis:
     """The canonical frame ``B`` with its closed-form inverse, +1 block first."""
-    return HOrthonormalBasis(Basis._with_inverse(space, b, b_inv), _eta_diag(signature))
+    n_plus, n_minus = signature
+    return HOrthonormalBasis(Basis._with_inverse(space, b, b_inv), (1,) * n_plus + (-1,) * n_minus)
 
 
 def metric_structure_from(gram, hform_matrix) -> MetricStructure:
@@ -199,8 +195,9 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     """
     space = ip.space
     hf = HForm(space, hform_matrix)
-    h = ip.gram_inv @ hf.matrix
-    m = hermitian_conjugate(ip.frame) @ hf.matrix @ ip.frame
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is answered below
+        h = ip.gram_inv @ hf.matrix
+        m = hermitian_conjugate(ip.frame) @ hf.matrix @ ip.frame
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(m))):
         raise CompatibilityError("metric operator G^{-1} K is not finite")
     w, u = _eigh((m + _adjoint_view(m)) / 2.0)
@@ -348,12 +345,9 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     framed = _in_frame(f, ms.frame.basis.matrix, ms.frame.basis.inverse)
     if framed is None or not policy.selfadjoint(framed[0], _eta_sharp(eta, _adjoint_view)):
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    m, scale = framed[0] * eta, framed[1]
-    w, u = _descending(*_eigh((m + _adjoint_view(m)) / 2.0))
-    dec = _spectral_decomposition(scale * w, ms.frame.basis.matrix @ u, ms.ip.gram)
-    return DiracSpectralDecomposition(
-        dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy()
-    )
+    w, u = _eigenpairs(framed[0] * eta, framed[1])
+    dec = _spectral_decomposition(w, ms.frame.basis.matrix @ u, ms.ip.gram)
+    return DiracSpectralDecomposition(dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy())
 
 
 def raise_lower_index(t: Tensor, slot: int, ms: MetricStructure) -> Tensor:

@@ -124,11 +124,13 @@ def hermitian_conjugate(a: np.ndarray) -> np.ndarray:
 def determinant(a: np.ndarray):
     """Determinant of a square matrix (LU factorization with partial pivoting).
 
-    Returns a Python ``float`` for real input, ``complex`` otherwise.
+    Returns a Python ``float`` for real input, ``complex`` otherwise.  The LU runs
+    on the unit ``a / s`` of :func:`policy.unit_scaled` and is scaled back by ``s**n``.
     """
     a = np.asarray(a)
-    _require_square(a)
-    d = np.linalg.det(a)
+    n = _require_square(a)
+    m, scale = policy.unit_scaled(a)
+    d = policy.scaled_back(np.linalg.det(m), scale, n)
     return complex(d) if field_of(a) == COMPLEX else float(d)
 
 
@@ -148,18 +150,20 @@ def determinant_permutation_sum(a: np.ndarray):
     """Determinant via the totally antisymmetric permutation sum.
 
     Exponential-cost cross-check path; limited to n <= 6.  Kept alongside
-    the LU path so the two can be compared on random instances.
+    the LU path so the two can be compared on random instances; scaled as in :func:`determinant`.
     """
     a = np.asarray(a)
     n = _require_square(a)
     if n > 6:
         raise ShapeError("permutation-sum determinant is limited to n <= 6")
+    m, scale = policy.unit_scaled(a)
     total = 0.0 + 0.0j if field_of(a) == COMPLEX else 0.0
     for perm, sign in _signed_permutations(n):
         term = sign
         for col, row in enumerate(perm):
-            term = term * a[row, col]
+            term = term * m[row, col]
         total += term
+    total = policy.scaled_back(total, scale, n)
     return complex(total) if field_of(a) == COMPLEX else float(total)
 
 

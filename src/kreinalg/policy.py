@@ -17,8 +17,9 @@ rank answer is :func:`singular_rank`.  Each input is scaled once, where
 it enters, by :func:`unit`, the one function that chooses a scale (the
 power of two of ``max |a_ij|``), and the rules decide plain identities
 on its matrices, so every rule gives the same answer for ``c A`` as for
-``A`` at any scale ``c``.  Norms are Frobenius norms.  The rules measure
-their unit data with the plain formula :func:`_frobenius`: a matrix of
+``A`` at any scale ``c``; a result computed at unit scale is scaled
+back by :func:`scaled_back`.  Norms are Frobenius norms.  The rules measure
+their unit data with the plain formula :func:`frobenius`: a matrix of
 :func:`unit`, or a frame matrix formed from one, is finite and its norm
 is 0 or far inside ``[2**-400, inf)``, where the plain value has the bits
 of :func:`norm`, and a residual below ``2**-400`` decides the same way on
@@ -41,7 +42,7 @@ from .errors import NonFiniteError, SymmetryError
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "scale_free_norm", "scale_of", "unit", "unit_scaled",
+    "norm", "frobenius", "scale_free_norm", "scale_of", "unit", "unit_scaled", "scaled_back",
     "selfadjoint", "isometric", "involutory", "asymmetry_error", "clears_form_floor",
     "singular_rank", "rank_deficient", "numerical_rank",
 ]
@@ -73,11 +74,11 @@ def norm(a) -> float:
     It equals the plain ``np.linalg.norm(a)`` wherever that neither
     overflows nor underflows.
     """
-    return scale_free_norm(a, _frobenius)
+    return scale_free_norm(a, frobenius)
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """``np.linalg.norm(a)``, numpy's own formula without its wrapper.
+def frobenius(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)``, numpy's own formula without its wrapper: the measure of unit data.
 
     Non-float data is cast to float first; the entries are read in
     memory order, and a complex array's squares are summed as
@@ -145,6 +146,21 @@ def unit(a):
     return a / scale, scale
 
 
+def scaled_back(x, scale, power=1):
+    """``x scale**power`` for a scale of :func:`unit`: +-inf beyond the double range, with no warning.
+
+    Each part of ``x`` gets the exponent added (``np.ldexp``): ``scale**power``
+    can overflow where the product does not, and ``0 inf`` is NaN.
+    """
+    x, e = np.asarray(x), power * (math.frexp(scale)[1] - 1)
+    with np.errstate(over="ignore"):
+        if x.dtype.kind != "c":
+            return np.ldexp(x, e)
+        out = np.empty_like(x)
+        out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+        return out
+
+
 def _holds(residual, size) -> bool:
     return bool(residual <= TOL * size < math.inf)
 
@@ -155,9 +171,9 @@ def selfadjoint(m, sharp) -> bool:
     ``m`` is a matrix of :func:`unit`, or a frame matrix formed from one:
     ``sharp`` is linear and the scale is a power of two, so the test
     gives the same answer as on the unscaled ``f``, at any scale.  Both
-    norms are the plain :func:`_frobenius` of unit data.
+    norms are the plain :func:`frobenius` of unit data.
     """
-    return _holds(_frobenius(sharp(m) - m), _frobenius(m))
+    return _holds(frobenius(sharp(m) - m), frobenius(m))
 
 
 def isometric(m, scale, sharp) -> bool:
@@ -172,12 +188,12 @@ def isometric(m, scale, sharp) -> bool:
     ``scale**-2`` underflows, is far from isometric and rejects.  The
     residual, which carries ``scale**-2`` up to ``2**1022``, is measured
     by :func:`norm`; the factors are unit data, measured by the plain
-    :func:`_frobenius`.
+    :func:`frobenius`.
     """
     m_sharp = sharp(m)
     scale = max(scale, 2.0**-511)
     residual = norm(m_sharp @ m - scale**-2 * np.eye(m.shape[1]))
-    return _holds(residual, _frobenius(m_sharp) * _frobenius(m))
+    return _holds(residual, frobenius(m_sharp) * frobenius(m))
 
 
 def involutory(w) -> bool:
@@ -210,9 +226,9 @@ def clears_form_floor(values, k, scale) -> bool:
     the :func:`unit` scale of the input ``k`` came from.  Both sides are
     divided by it exactly, so a finite ``k`` whose ``||k||`` is beyond the
     double range is decided as at any other scale.  ``k / scale`` is unit
-    data, measured by the plain :func:`_frobenius`.
+    data, measured by the plain :func:`frobenius`.
     """
-    return bool((values / scale).min() > FORM_TOL * _frobenius(k / scale))
+    return bool((values / scale).min() > FORM_TOL * frobenius(k / scale))
 
 
 def unit_scaled(a: np.ndarray) -> tuple:

@@ -24,7 +24,7 @@ from .errors import DegenerateFormError, DependentSetError, ShapeError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _adjoint_view,
-    _descending,
+    _eigenpairs,
     _eigh,
     _hermitian_form,
     _spectral_decomposition,
@@ -173,9 +173,8 @@ def _selfadjoint_eigenpairs(f, ip: InnerProduct):
     framed = _in_frame(f, ip.frame, ip.frame_inv)
     if framed is None or not policy.selfadjoint(framed[0], _adjoint_view):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    m, scale = framed
-    w, u = _descending(*_eigh((m + _adjoint_view(m)) / 2.0))
-    return scale * w, ip.frame @ u
+    w, u = _eigenpairs(*framed)
+    return w, ip.frame @ u
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):

@@ -587,7 +587,7 @@ _STRUCTURE = {"policy", "spaces", "tensors", "eigen", "unitary", "indefinite"}
 _GRAM = {"policy", "spaces", "eigen", "unitary"}
 _TENSOR = {"spaces", "tensors"}
 LOADED = {
-    "det.txt": set(),
+    "det.txt": {"policy"},
     "eig.txt": {"policy", "eigen"},
     "eig_complex.txt": {"policy", "eigen"},
     "spectral.txt": _GRAM,

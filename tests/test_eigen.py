@@ -326,22 +326,6 @@ class TestProjectorAssembly:
                 magnitude = policy.norm(vectors[:, group]) ** 2 * policy.norm(gram)
                 assert policy.norm(p - q) <= 2 * (g_m + g_n + g_m * g_n) * magnitude
 
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_one_product_per_distinct_multiplicity(self, field, monkeypatch):
-        # Multiplicities (4, 1, 2, 1): three sizes, so three batched products, not four runs.
-        rng = np.random.default_rng(7450)
-        ip = standard_inner_product(VectorSpace(8, field))
-        f = random_g_selfadjoint(rng, ip, [3.0] * 4 + [1.0] + [-1.0] * 2 + [-2.0])
-        w, vectors = g_selfadjoint_eigen(f, ip)
-        products = []
-        matmul = np.matmul
-        monkeypatch.setattr(np, "matmul", lambda *args, **kw: products.append(1) or matmul(*args, **kw))
-        dec = _spectral_decomposition(w, vectors)
-        monkeypatch.undo()
-        assert dec.multiplicities == (4, 1, 2, 1) and len(products) == 3
-        groups, reference = _projectors_per_cluster(w, vectors, field == "real", None)
-        assert [p.tobytes() for p in dec.projectors] == [q.tobytes() for q in reference]
-
 
 def _descending_assembly(w, vectors, gram=None):
     """Projectors as assembled before eigenpairs came in descending order.

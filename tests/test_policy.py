@@ -903,11 +903,11 @@ class TestPolicyGuard:
         assert _call_sites({"__new__"}) == [
             "indefinite.py:compatible_structure_from_hform", "spaces.py:_with_inverse",
         ]
-        # Each Hermitian eigenproblem is solved where its result is consumed.
+        # Each construction solves its Hermitian eigenproblem where the result is
+        # consumed; every spectral decomposition goes through the one kernel.
         assert _call_sites({"_eigh"}) == [
-            "eigen.py:eigen_hermitian", "indefinite.py:_structure_on",
-            "indefinite.py:compatible_structure_from_hform", "indefinite.py:dirac_spectral",
-            "unitary.py:__init__", "unitary.py:_selfadjoint_eigenpairs",
+            "eigen.py:_eigenpairs", "indefinite.py:_structure_on",
+            "indefinite.py:compatible_structure_from_hform", "unitary.py:__init__",
         ]
 
     def test_only_the_natural_frame_formulas_read_the_inverse_gram(self):
@@ -950,9 +950,12 @@ class TestPolicyGuard:
 
     def test_inputs_are_scaled_where_they_enter(self):
         assert _call_sites({"unit", "unit_scaled", "scale_of"}) == [
-            "eigen.py:_clusters", "eigen.py:_hermitian_form", "indefinite.py:is_orthogonal",
-            "matrices.py:classify", "spaces.py:_inverse", "spaces.py:canonical_form_bases",
-            "unitary.py:_in_frame",
+            "eigen.py:_clusters", "eigen.py:_hermitian_form",
+            "eigen.py:characteristic_polynomial", "eigen.py:charpoly_eigenvalues",
+            "eigen.py:jacobi_hermitian",
+            "indefinite.py:is_orthogonal", "matrices.py:classify", "matrices.py:determinant",
+            "matrices.py:determinant_permutation_sum", "spaces.py:_inverse",
+            "spaces.py:canonical_form_bases", "unitary.py:_in_frame",
         ]
         assert _call_sites({"ldexp", "frexp"}) == []
 
