@@ -135,15 +135,16 @@ def _eigh(a):
     return w, vectors
 
 
-def _eigenpairs(m: np.ndarray, scale: float):
-    """The spectral kernel: descending eigenpairs of ``m``'s Hermitian part, eigenvalues times ``scale``.
+def _eigenpairs(h: np.ndarray, scale: float):
+    """The spectral kernel: descending eigenpairs of the Hermitian ``h``, eigenvalues times ``scale``.
 
-    ``(m, scale)`` is a pair of :func:`policy.unit`, or a frame matrix
-    formed from one; an eigenvalue beyond the double range is +-inf.  The
-    columns are in Fortran order, the layout in which the products of
+    ``h`` is the :func:`_hermitian_part` of a matrix of :func:`policy.unit`,
+    or of a frame matrix formed from one, and ``scale`` that matrix's
+    scale; an eigenvalue beyond the double range is +-inf.  The columns
+    are in Fortran order, the layout in which the products of
     :func:`_spectral_decomposition` read them.
     """
-    w, vectors = _eigh((m + _adjoint_view(m)) / 2.0)
+    w, vectors = _eigh(h)
     return policy.scaled_back(w[::-1], scale), np.asfortranarray(vectors[:, ::-1])
 
 
@@ -153,6 +154,11 @@ def _adjoint_view(m: np.ndarray) -> np.ndarray:
     A BLAS product takes the C-ordered copy of :func:`hermitian_conjugate`.
     """
     return m.conj().T
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^+) / 2``: exactly Hermitian, so it is its own Hermitian part, bit for bit."""
+    return (m + _adjoint_view(m)) / 2.0
 
 
 def _hermitian_form(a: np.ndarray, what: str):
@@ -167,7 +173,7 @@ def _hermitian_form(a: np.ndarray, what: str):
     if scaled is None or not policy.selfadjoint(scaled[0], _adjoint_view):
         raise policy.asymmetry_error(a, what, "Hermitian")
     m, scale = scaled
-    return (m + _adjoint_view(m)) / 2.0, scale
+    return _hermitian_part(m), scale
 
 
 def _spectral_function(vectors, values) -> np.ndarray:
@@ -194,6 +200,8 @@ def cluster_eigenvalues(values):
     order = np.argsort(values, kind="stable")[::-1]
     bounds, distinct = _clusters(values[order])
     indices = order.tolist()
+    if bounds is None:
+        return distinct, [[index] for index in indices]
     return distinct, [indices[start:end] for start, end in bounds]
 
 
@@ -204,21 +212,30 @@ def _clusters(values):
     ``CLUSTER_TOL ||finite values||`` apart, so near-ties chain, and each
     NaN or infinity is a cluster of its own.  Gaps, norm and means are of
     ``values / s``, s the power of two of :func:`policy.scale_of` for the
-    largest finite ``|value|``: the rule is the same at any scale.
+    largest finite ``|value|``: the rule is the same at any scale.  A
+    simple spectrum, every gap above the tolerance, is told by one
+    vectorized test and answered as ``(None, values)``, each value a
+    cluster of its own; a NaN gap fails that test, so non-finite values
+    take the general rule.
     """
-    listed = values.tolist()
-    finite = [v for v in listed if math.isfinite(v)]
-    scale = policy.scale_of(max(map(abs, finite), default=0.0))
+    finite = None
+    peak = float(np.abs(values).max())
+    if not peak < math.inf:  # a NaN or an infinity: scale and norm are the finite values'
+        finite = np.isfinite(values)
+        peak = float(np.abs(values[finite]).max(initial=0.0))
+    scale = policy.scale_of(peak)
     scaled = measured = values / scale
-    if len(finite) < len(listed):
-        measured = np.divide(finite, scale)
-        scaled[~np.isfinite(scaled)] = np.nan  # NaN - NaN raises no warning; inf - inf does
+    if finite is not None:
+        measured = scaled[finite]
+        scaled[~finite] = np.nan  # NaN - NaN raises no warning; inf - inf does
     tol = policy.CLUSTER_TOL * policy.frobenius(measured)  # unit data: 0 or at least 2**-52
+    gaps = scaled[:-1] - scaled[1:]
+    if (gaps > tol).all():
+        return None, values.tolist()
     # ``~(gap <= tol)`` rather than ``gap > tol``: a NaN gap starts a new cluster.
-    cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
-    bounds = list(zip([0] + cuts, cuts + [len(listed)]))
-    if len(bounds) == len(listed):
-        return bounds, listed
+    cuts = (np.flatnonzero(~(gaps <= tol)) + 1).tolist()
+    bounds = list(zip([0] + cuts, cuts + [len(values)]))
+    listed = values.tolist()
     distinct = [
         listed[start] if end - start == 1 else scale * float(np.mean(scaled[start:end]))
         for start, end in bounds
@@ -277,7 +294,8 @@ def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     real projectors.  ``rows = V^+ G`` is formed once, and each projector
     is the product ``V[:, s:e] @ rows[s:e]`` of one cluster's slices: one
     batched ``np.matmul`` of all the rank-1 slices for a simple spectrum,
-    one product per cluster otherwise.  Each has the bits of its own
+    which :func:`_clusters` tells by its one vectorized gap test, and one
+    product per cluster otherwise.  Each has the bits of its own
     two-dimensional ``matmul`` of Fortran-ordered columns.
     """
     bounds, distinct = _clusters(w)
@@ -286,7 +304,7 @@ def _spectral_decomposition(w, vectors, gram=None) -> SpectralDecomposition:
     if gram is not None:
         rows = rows @ gram
     n = cols.shape[0]
-    if len(bounds) == n:
+    if bounds is None:
         block = np.matmul(cols.reshape(n, n, 1).transpose(1, 0, 2), rows.reshape(n, 1, n))
         return SpectralDecomposition(tuple(distinct), (1,) * n, tuple(block))
     projectors = tuple(cols[:, start:end] @ rows[start:end] for start, end in bounds)

@@ -58,8 +58,8 @@ def random_unitary(rng: np.random.Generator, n: int, field: str = REAL) -> np.nd
     # Fix the phase convention so the distribution does not depend on the
     # sign choices made inside QR.
     d = np.diag(r)
-    phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    return q * phases
+    mag = np.abs(d)
+    return q * np.divide(d, mag, out=np.ones_like(d), where=mag > 0)
 
 
 def random_invertible(rng: np.random.Generator, n: int, field: str = REAL) -> np.ndarray:

@@ -43,6 +43,7 @@ from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/sel
     _eigenpairs,
     _eigh,
     _hermitian_form,
+    _hermitian_part,
     _spectral_decomposition,
     _spectral_function,
     jacobi_hermitian,
@@ -150,7 +151,7 @@ def _degenerate(label: str, values) -> DegenerateFormError:
 
 def _signature_of(values) -> tuple:
     """(n_plus, n_minus): the signs of a form's eigenvalues, or of congruent ones."""
-    n_plus = int(np.sum(values > 0))
+    n_plus = int(np.count_nonzero(values > 0))
     return n_plus, len(values) - n_plus
 
 
@@ -198,9 +199,9 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is answered below
         h = ip.gram_inv @ hf.matrix
         m = hermitian_conjugate(ip.frame) @ hf.matrix @ ip.frame
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(m))):
+    if not (np.isfinite(h).all() and np.isfinite(m).all()):
         raise CompatibilityError("metric operator G^{-1} K is not finite")
-    w, u = _eigh((m + _adjoint_view(m)) / 2.0)
+    w, u = _eigh(_hermitian_part(m))
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
     if not policy.clears_form_floor(bounds, hf.matrix, hf._scale):
@@ -223,7 +224,7 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     the positive-definite ``G = U |Lambda| U^+`` with its frame ``W = U
     |Lambda|^{-1/2}``, the metric operator ``h = U sign(Lambda) U^+``, and
     the canonical frame, which is ``W`` with its +1 columns first.  Only
-    ``G^{-1}`` is a separate (LU) factorization.
+    ``G^{-1}`` is a separate (LU) factorization, run on its first read.
     """
     hform_matrix = _matrix_view(hform_matrix)
     space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
@@ -345,7 +346,7 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     framed = _in_frame(f, ms.frame.basis.matrix, ms.frame.basis.inverse)
     if framed is None or not policy.selfadjoint(framed[0], _eta_sharp(eta, _adjoint_view)):
         raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    w, u = _eigenpairs(framed[0] * eta, framed[1])
+    w, u = _eigenpairs(_hermitian_part(framed[0] * eta), framed[1])
     dec = _spectral_decomposition(w, ms.frame.basis.matrix @ u, ms.ip.gram)
     return DiracSpectralDecomposition(dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy())
 

@@ -191,14 +191,14 @@ def isometric(m, scale, sharp) -> bool:
     :func:`frobenius`.
     """
     m_sharp = sharp(m)
-    scale = max(scale, 2.0**-511)
-    residual = norm(m_sharp @ m - scale**-2 * np.eye(m.shape[1]))
-    return _holds(residual, frobenius(m_sharp) * frobenius(m))
+    residual = m_sharp @ m
+    residual.flat[:: m.shape[1] + 1] -= max(scale, 2.0**-511) ** -2
+    return _holds(norm(residual), frobenius(m_sharp) * frobenius(m))
 
 
 def involutory(w) -> bool:
     """``max ||w| - 1| <= TOL``: a diagonalizable matrix with eigenvalues ``w`` squares to the identity."""
-    return _holds(np.max(np.abs(np.abs(w) - 1.0)), 1.0)
+    return _holds(np.abs(np.abs(w) - 1.0).max(), 1.0)
 
 
 def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:

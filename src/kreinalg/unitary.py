@@ -9,13 +9,14 @@ decided on M by its plain identity (``M^+ = M``, ``M^+ M = 1``), and the
 G-selfadjoint eigenproblem is the Hermitian one of M, which the
 eigensolver seam handles; eigenvectors come back G-orthonormal and the
 spectral projectors are G-selfadjoint.  Only :func:`adjoint` and
-:func:`riesz_inverse` read ``G^{-1}``.  Every tolerance is a rule of
-:mod:`kreinalg.policy`.
+:func:`riesz_inverse` read ``G^{-1}``, which is computed on first read.
+Every tolerance is a rule of :mod:`kreinalg.policy`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/sel
     _eigenpairs,
     _eigh,
     _hermitian_form,
+    _hermitian_part,
     _spectral_decomposition,
     jacobi_hermitian,
 )
@@ -53,13 +55,14 @@ class InnerProduct:
     """A positive-definite Hermitian Gram matrix on a space.
 
     Construction validates Hermiticity and positive definiteness, runs one
-    eigendecomposition ``G = U diag(w) U^+``, and caches the inverse, the
-    smallest eigenvalue ``min_eigenvalue`` and the frame ``W = U
-    diag(w^{-1/2})``, a G-orthonormal basis (``W^+ G W = 1``) whose
-    inverse ``frame_inv = diag(w^{1/2}) U^+`` is exact in closed form.
-    The adjoint and spectral machinery read only these.  The inverse of
-    ``G`` is the LU inverse, which is more accurate than ``U diag(1/w)
-    U^+``.
+    eigendecomposition ``G = U diag(w) U^+``, and caches the smallest
+    eigenvalue ``min_eigenvalue`` and the frame ``W = U diag(w^{-1/2})``,
+    a G-orthonormal basis (``W^+ G W = 1``) whose inverse ``frame_inv =
+    diag(w^{1/2}) U^+`` is exact in closed form.  The adjoint and spectral
+    machinery read only these.  ``G^{-1}`` is computed on first read: only
+    the natural-frame formulas and the metric operator ``h = G^{-1} K``
+    read it.  It is the LU inverse, which is more accurate than ``U
+    diag(1/w) U^+``.
     """
 
     def __init__(self, space: VectorSpace, gram) -> None:
@@ -79,10 +82,14 @@ class InnerProduct:
         root = np.sqrt(w)
         self.space = space
         self.gram = g
-        self.gram_inv = np.linalg.inv(g)
         self.min_eigenvalue = float(w.min())
         self.frame = vectors / root
         self.frame_inv = hermitian_conjugate(vectors) * root[:, np.newaxis]
+
+    @cached_property
+    def gram_inv(self) -> np.ndarray:
+        """``G^{-1}`` (LU), computed on first read."""
+        return np.linalg.inv(self.gram)
 
     def __repr__(self) -> str:
         return f"InnerProduct(space={self.space!r})"
@@ -173,7 +180,7 @@ def _selfadjoint_eigenpairs(f, ip: InnerProduct):
     framed = _in_frame(f, ip.frame, ip.frame_inv)
     if framed is None or not policy.selfadjoint(framed[0], _adjoint_view):
         raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, u = _eigenpairs(*framed)
+    w, u = _eigenpairs(_hermitian_part(framed[0]), framed[1])
     return w, ip.frame @ u
 
 

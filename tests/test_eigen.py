@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,7 +21,10 @@ from kreinalg import (
     standard_inner_product,
 )
 from kreinalg.eigen import (
+    _clusters,
     _eigh,
+    _hermitian_form,
+    _hermitian_part,
     _spectral_decomposition,
     characteristic_polynomial,
     cluster_eigenvalues,
@@ -246,6 +252,122 @@ class TestClustering:
         dec = eigen_hermitian(1e308 * np.ones((2, 2)))
         assert dec.eigenvalues == (np.inf, 0.0) and dec.multiplicities == (1, 1)
         np.testing.assert_allclose(dec.projectors[1], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+
+
+def _list_walk_clusters(values):
+    """The clustering ``_clusters`` ran before its simple-spectrum test, one list walk, kept as the reference."""
+    listed = values.tolist()
+    finite = [v for v in listed if math.isfinite(v)]
+    scale = policy.scale_of(max(map(abs, finite), default=0.0))
+    scaled = measured = values / scale
+    if len(finite) < len(listed):
+        measured = np.divide(finite, scale)
+        scaled[~np.isfinite(scaled)] = np.nan
+    tol = policy.CLUSTER_TOL * policy.frobenius(measured)
+    cuts = (np.flatnonzero(~(scaled[:-1] - scaled[1:] <= tol)) + 1).tolist()
+    bounds = list(zip([0] + cuts, cuts + [len(listed)]))
+    if len(bounds) == len(listed):
+        return bounds, listed
+    distinct = [
+        listed[start] if end - start == 1 else scale * float(np.mean(scaled[start:end]))
+        for start, end in bounds
+    ]
+    return bounds, distinct
+
+
+def _bounds_and_bits(values, rule):
+    """``rule``'s clusters of ``values`` as explicit bounds and the hex of each mean."""
+    bounds, distinct = rule(np.array(values))
+    if bounds is None:
+        bounds = [(i, i + 1) for i in range(len(values))]
+    return bounds, [float(v).hex() for v in distinct]
+
+
+# Exact ties, near-ties, zero, the tolerance itself and the non-finite values.
+_SPECTRUM = st.one_of(
+    st.sampled_from([1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-8, 0.0, CLUSTER_TOL, -CLUSTER_TOL, 1.5]),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+class TestSimpleSpectrumShortcut:
+    """The one vectorized gap test of ``_clusters`` answers as the general rule it skips."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_SPECTRUM, min_size=1, max_size=12), scale=st.floats(1e-300, 1e300))
+    @example(values=[1.0, CLUSTER_TOL, 0.0], scale=1.0)  # the last gap equals the tolerance
+    @example(values=[1.0, CLUSTER_TOL, 0.0], scale=2.0**-990)
+    @example(values=[2.0, 2.0], scale=1.0)
+    @example(values=[0.25], scale=1e300)
+    @example(values=[np.nan], scale=1.0)
+    @example(values=[np.inf, 1.0, -np.inf], scale=1e-300)
+    @example(values=[np.nan, 3.0, 1.0], scale=1.0)
+    def test_matches_the_general_rule(self, values, scale):
+        values = np.sort(np.multiply(values, scale))[::-1].copy()  # NaN first, as cluster_eigenvalues orders
+        assert _bounds_and_bits(values, _clusters) == _bounds_and_bits(values, _list_walk_clusters)
+
+    @pytest.mark.parametrize("k", [-900, -300, 0, 300, 1000])
+    def test_a_gap_equal_to_the_tolerance_joins(self, k):
+        # The norm of (1, CLUSTER_TOL, 0) rounds to 1, so the last gap is the tolerance itself.
+        values = math.ldexp(1.0, k) * np.array([1.0, CLUSTER_TOL, 0.0])
+        assert _clusters(values) == ([(0, 1), (1, 3)], [values[0], math.ldexp(CLUSTER_TOL / 2.0, k)])
+
+    def test_a_simple_spectrum_is_answered_without_bounds(self):
+        values = np.array([3.0, 1.0, -2.0])
+        assert _clusters(values) == (None, [3.0, 1.0, -2.0])
+        assert cluster_eigenvalues(values[::-1]) == ([3.0, 1.0, -2.0], [[2], [1], [0]])
+
+
+class TestHermitianPartFormedOnce:
+    """Each decomposition forms the Hermitian part of its unit or frame matrix once."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return _hermitian_part(m)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kreinalg") and getattr(module, "_hermitian_part", None) is _hermitian_part:
+                monkeypatch.setattr(module, "_hermitian_part", counted)
+        return calls
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_each_decomposition(self, formed, field):
+        rng = np.random.default_rng(31)
+        ip = InnerProduct(VectorSpace(4, field), random_positive_definite(rng, 4, field))
+        ms = minkowski_structure(2, 2, field)
+        f = random_g_selfadjoint(rng, ip)
+        formed.clear()
+        for decompose in (
+            lambda: eigen_hermitian(random_hermitian(rng, 4, field)),
+            lambda: spectral_representation(f, ip),
+            lambda: dirac_spectral(np.diag([2.0, 1.0, -1.0, -3.0]).astype(ip.gram.dtype), ms),
+        ):
+            decompose()
+            assert formed == [(4, 4)]
+            formed.clear()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.integers(0, 15),
+        k=st.integers(-1074, 1000),
+    )
+    def test_the_hermitian_form_is_its_own_hermitian_part(self, field, seed, zeros, k):
+        # So the kernel gets the bits that a second (H + H^+)/2 gave, signed zeros included.
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, 4, field)
+        for part in (a.real, a.imag) if field == "complex" else (a,):
+            mask = rng.random((4, 4)) < zeros / 16
+            mask |= mask.T  # zeros of either sign, in Hermitian pairs
+            part[mask] = np.where(rng.random(int(mask.sum())) < 0.5, -0.0, 0.0)
+        h, _ = _hermitian_form(math.ldexp(1.0, k) * a, "matrix")
+        assert _hermitian_part(h).tobytes() == h.tobytes()
 
 
 def _policy_tol(values):

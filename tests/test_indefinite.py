@@ -727,14 +727,50 @@ class TestFactorizationCounts:
         rng = np.random.default_rng(n)
         k = random_nondegenerate_hform(rng, n, field)
         ms = compatible_structure_from_hform(k)
-        assert counts == {"eigh": 1, "inv": 1, "svd": 0}
+        assert counts == {"eigh": 1, "inv": 0, "svd": 0}  # G^{-1} is not read
         counts.update(eigh=0, inv=0)
         pair = metric_structure_from(ms.ip.gram, ms.hform.matrix)
-        assert counts == {"eigh": 2, "inv": 1, "svd": 0}  # G and the frame; K is not decomposed
+        assert counts == {"eigh": 2, "inv": 1, "svd": 0}  # G and the frame, and h = G^{-1} K
         counts.update(eigh=0, inv=0)
         for structure in (ms, pair):
             h_orthonormal_basis(structure)
         assert counts == {"eigh": 0, "inv": 0, "svd": 0}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_the_inverse_gram_is_computed_on_first_read(self, counts, field, n):
+        ms = compatible_structure_from_hform(random_nondegenerate_hform(np.random.default_rng(n), n, field))
+        counts.update(eigh=0)
+        gram_inv = ms.ip.gram_inv
+        assert counts == {"eigh": 0, "inv": 1, "svd": 0}
+        assert gram_inv.tobytes() == np.linalg.inv(ms.ip.gram).tobytes()
+        counts.update(inv=0)
+        assert ms.ip.gram_inv is gram_inv
+        assert counts == {"eigh": 0, "inv": 0, "svd": 0}
+
+    @pytest.mark.parametrize("kind", ["hform", "pair"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_each_step_of_a_structures_request(self, counts, kind, field, n):
+        # A decomposition runs its one eigh; no step inverts G or K.
+        rng = np.random.default_rng(n)
+        ms = compatible_structure_from_hform(random_nondegenerate_hform(rng, n, field))
+        if kind == "pair":
+            ms = metric_structure_from(ms.ip.gram, ms.hform.matrix)
+        f = random_dirac_selfadjoint(rng, ms)
+        a = random_g_selfadjoint(rng, ms.ip)
+        b = ms.frame.basis
+        u = b.matrix @ random_pseudo_unitary(rng, *ms.signature, field) @ b.inverse
+        counts.update(eigh=0, inv=0)
+        for step, expected in [
+            (lambda: dirac_spectral(f, ms), 1),
+            (lambda: spectral_representation(a, ms.ip), 1),
+            (lambda: h_orthonormal_basis(ms), 0),
+            (lambda: is_pseudo_unitary(u, ms), 0),
+        ]:
+            step()
+            assert counts == {"eigh": expected, "inv": 0, "svd": 0}
+            counts.update(eigh=0)
 
 
 class TestDecisionCounts:
