@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy
-from .errors import ConvergenceError, ShapeError
+from .errors import ConvergenceError, ShapeError, SymmetryError
 from .matrices import _require_square, hermitian_conjugate
 
 __all__ = [
@@ -56,11 +56,11 @@ def jacobi_hermitian(a):
     ``vectors`` are orthonormal eigenvectors, and ``sweeps`` counts the
     full sweeps performed.  Raises ConvergenceError if the off-diagonal
     mass has not dropped below tolerance within ``policy.JACOBI_MAX_SWEEPS``
-    sweeps.  It runs on the unit ``A / s`` of :func:`policy.unit_scaled`, then scales back.
+    sweeps.  It runs on the unit ``A / s`` of :func:`policy.unit`, then scales back.
     """
     a = np.asarray(a)
     n = _require_square(a)
-    m, scale = policy.unit_scaled(a)
+    m, scale = policy.unit(a)
     work = np.array(m, dtype=np.complex128)
     vectors = np.eye(n, dtype=np.complex128)
     threshold = policy.JACOBI_TOL * policy.norm(work)
@@ -164,15 +164,15 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def _hermitian_form(a: np.ndarray, what: str):
     """``(H, s)``: the Hermitian part H of the :func:`policy.unit` ``a / s``, once :func:`policy.selfadjoint` accepts ``a / s`` (SymmetryError).
 
-    ``s H`` is the Hermitian part of ``a``.  H is formed on the unit
-    matrix, so the sum cannot overflow and the halving is exact at any
-    scale of ``a``, subnormal included; where ``(a + a^+)/2`` is formed
-    with no overflow and no subnormal entry, ``s H`` has its bits.
+    ``what`` names ``a`` in the error.  ``s H`` is the Hermitian part of
+    ``a``.  H is formed on the unit matrix, so the sum cannot overflow and
+    the halving is exact at any scale of ``a``, subnormal included; where
+    ``(a + a^+)/2`` is formed with no overflow and no subnormal entry,
+    ``s H`` has its bits.
     """
-    scaled = policy.unit(a)
-    if scaled is None or not policy.selfadjoint(scaled[0], _adjoint_view):
-        raise policy.asymmetry_error(a, what, "Hermitian")
-    m, scale = scaled
+    m, scale = policy.unit(a, what)
+    if not policy.selfadjoint(m, _adjoint_view):
+        raise SymmetryError(f"{what} is not Hermitian within tolerance")
     return _hermitian_part(m), scale
 
 
@@ -269,8 +269,8 @@ class SpectralDecomposition:
 def eigen_hermitian(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
-    The input must be finite and Hermitian under the self-adjointness rule
-    of :mod:`kreinalg.policy`, otherwise SymmetryError is raised; its
+    The input must be finite (NonFiniteError) and Hermitian under the
+    self-adjointness rule of :mod:`kreinalg.policy` (SymmetryError); its
     Hermitian part is decomposed at unit scale and its eigenvalues are
     scaled back by the power of two of :func:`policy.unit`, so the
     eigenvalues of ``2**k a`` are ``2**k`` times those of ``a``, bit for
@@ -316,11 +316,11 @@ def characteristic_polynomial(a) -> np.ndarray:
 
     Uses the trace recursion on powers of A; costs O(n^4) and is intended
     for small cross-check problems only.  It runs on the unit ``A / s`` of
-    :func:`policy.unit_scaled` and scales the k-th coefficient back by ``s**k``.
+    :func:`policy.unit` and scales the k-th coefficient back by ``s**k``.
     """
     a = np.asarray(a, dtype=np.complex128)
     n = _require_square(a)
-    a, scale = policy.unit_scaled(a)
+    a, scale = policy.unit(a)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[0] = 1.0
     m = np.array(a)
@@ -337,6 +337,6 @@ def charpoly_eigenvalues(a) -> np.ndarray:
     Independent of both eigensolvers: coefficients come from the trace
     recursion and roots from the companion matrix, both of the unit ``A / s``.
     """
-    m, scale = policy.unit_scaled(np.asarray(a))
+    m, scale = policy.unit(np.asarray(a))
     roots = policy.scaled_back(np.roots(characteristic_polynomial(m)), scale)
     return roots[np.argsort(-roots.real)]

@@ -25,7 +25,7 @@ identity the whole apparatus collapses back to the Hermitian one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
     DegenerateFormError,
     FieldError,
     ShapeError,
+    SymmetryError,
 )
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
@@ -87,8 +88,9 @@ class HForm:
     """A Hermitian form, carried by its Gram matrix K.
 
     The one constructor coerces K to the space, decides its Hermiticity
-    (SymmetryError) and keeps its Hermitian part with the power of two of
-    :func:`policy.unit` for the input; nothing is factorized.  K's
+    (SymmetryError) and keeps its Hermitian part, both as the unit form
+    ``_unit`` with the power of two ``_scale`` of :func:`policy.unit` for
+    the input and as ``matrix``, their product; nothing is factorized.  K's
     non-degeneracy is decided on that scale by the structure factory built
     on the form, each by its own bound: :func:`compatible_structure_from_hform`
     floors K's eigenvalues, :func:`metric_structure_from` an Ostrowski
@@ -99,8 +101,8 @@ class HForm:
 
     def __init__(self, space: VectorSpace, matrix) -> None:
         self.space = space
-        h, self._scale = _hermitian_form(space.operator(matrix), "H-form matrix")
-        self.matrix = self._scale * h
+        self._unit, self._scale = _hermitian_form(space.operator(matrix), "H-form matrix")
+        self.matrix = self._scale * self._unit
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -126,7 +128,9 @@ class MetricStructure:
     ``frame`` is the canonical (h-orthonormal) frame ``B``, +1 block
     first: ``B^+ K B = diag(eta)`` and ``B^+ G B = 1``.  It is built with
     the structure, from the factorizations the construction already runs,
-    and carries its inverse in closed form.
+    and carries its inverse in closed form.  ``eta``, the canonical
+    diagonal as a float array (+1 block, then -1 block), is built once,
+    with the structure, and is read-only: every reader shares it.
     """
 
     ip: InnerProduct
@@ -134,15 +138,15 @@ class MetricStructure:
     h: np.ndarray
     signature: tuple  # (n_plus, n_minus)
     frame: HOrthonormalBasis
+    eta: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eta", np.array(self.frame.eta_diag, dtype=float))
+        self.eta.flags.writeable = False
 
     @property
     def space(self) -> VectorSpace:
         return self.ip.space
-
-    @property
-    def eta(self) -> np.ndarray:
-        """Canonical diagonal of the metric: +1 block, then -1 block."""
-        return np.array(self.frame.eta_diag, dtype=float)
 
 
 def _degenerate(label: str, values) -> DegenerateFormError:
@@ -204,7 +208,7 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
     w, u = _eigh(_hermitian_part(m))
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
     bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
-    if not policy.clears_form_floor(bounds, hf.matrix, hf._scale):
+    if not policy.clears_form_floor(bounds, hf._unit, hf._scale):
         raise _degenerate("lambda_min(G) min |w|", bounds)
     if not policy.involutory(w):
         residual = np.max(np.abs(np.abs(w) - 1.0))
@@ -231,7 +235,7 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
     hf = HForm(space, hform_matrix)
     lam, u = _eigh(hf.matrix)
     mag = np.abs(lam)
-    if not policy.clears_form_floor(mag, hf.matrix, hf._scale):
+    if not policy.clears_form_floor(mag, hf._unit, hf._scale):
         raise _degenerate("min |eigenvalue|", mag)
     half = _spectral_function(u, mag) / 2.0
     ip = InnerProduct.__new__(InnerProduct)
@@ -299,22 +303,19 @@ def _eta_sharp(eta: np.ndarray, adjoint=hermitian_conjugate):
     return lambda m: eta[:, np.newaxis] * adjoint(m) * eta
 
 
-def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
-    """True when the Dirac adjoint of f is f, i.e. H(f x, y) = H(x, f y).
+def _in_canonical_frame(f, ms: MetricStructure):
+    """``(M, s)`` of :func:`unitary._in_frame` for f on the space of ``ms``, in its canonical frame."""
+    return _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
 
-    Non-finite f is never Dirac-selfadjoint.
-    """
-    framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
-    return framed is not None and policy.selfadjoint(framed[0], _eta_sharp(ms.eta, _adjoint_view))
+
+def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
+    """True when the Dirac adjoint of f is f, i.e. H(f x, y) = H(x, f y)."""
+    return policy.selfadjoint(_in_canonical_frame(f, ms)[0], _eta_sharp(ms.eta, _adjoint_view))
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
-    """True when the Dirac adjoint inverts f, i.e. f preserves the H-form.
-
-    Non-finite f is never pseudo-unitary.
-    """
-    framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
-    return framed is not None and policy.isometric(*framed, _eta_sharp(ms.eta))
+    """True when the Dirac adjoint inverts f, i.e. f preserves the H-form."""
+    return policy.isometric(*_in_canonical_frame(f, ms), _eta_sharp(ms.eta))
 
 
 @dataclass(frozen=True)
@@ -342,11 +343,10 @@ def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     the Hermitian part of ``M eta`` is decomposed and its eigenvectors u
     give the G-orthonormal ``B u``.  The projectors times ``h`` give f.
     """
-    f, eta = ms.space.operator(f), ms.eta
-    framed = _in_frame(f, ms.frame.basis.matrix, ms.frame.basis.inverse)
-    if framed is None or not policy.selfadjoint(framed[0], _eta_sharp(eta, _adjoint_view)):
-        raise policy.asymmetry_error(f, "operator", "Dirac-selfadjoint")
-    w, u = _eigenpairs(_hermitian_part(framed[0] * eta), framed[1])
+    m, scale = _in_canonical_frame(f, ms)
+    if not policy.selfadjoint(m, _eta_sharp(ms.eta, _adjoint_view)):
+        raise SymmetryError("operator is not Dirac-selfadjoint within tolerance")
+    w, u = _eigenpairs(_hermitian_part(m * ms.eta), scale)
     dec = _spectral_decomposition(w, ms.frame.basis.matrix @ u, ms.ip.gram)
     return DiracSpectralDecomposition(dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy())
 
@@ -371,13 +371,12 @@ def raise_lower_index(t: Tensor, slot: int, ms: MetricStructure) -> Tensor:
 
 
 def is_orthogonal(f) -> bool:
-    """Real specialization: f^T f = identity; non-finite f is never orthogonal."""
+    """Real specialization: f^T f = identity."""
     f = np.asarray(f)
     if field_of(f) != REAL:
         raise FieldError("orthogonality is a real-field predicate")
     _require_square(f)
-    scaled = policy.unit(f)
-    return scaled is not None and policy.isometric(*scaled, np.transpose)
+    return policy.isometric(*policy.unit(f, "operator"), np.transpose)
 
 
 def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
@@ -385,5 +384,4 @@ def is_pseudo_orthogonal(f, ms: MetricStructure) -> bool:
     f = np.asarray(f)
     if field_of(f) != REAL or ms.space.field != REAL:
         raise FieldError("pseudo-orthogonality is a real-field predicate")
-    framed = _in_frame(ms.space.operator(f), ms.frame.basis.matrix, ms.frame.basis.inverse)
-    return framed is not None and policy.isometric(*framed, _eta_sharp(ms.eta))
+    return policy.isometric(*_in_canonical_frame(f, ms), _eta_sharp(ms.eta))

@@ -474,17 +474,17 @@ def _check_hform_invariance(rng, n, field):
     return abs(hform_value(f @ x, f @ y, ms) - hform_value(x, y, ms))
 
 
-def _canonical_gram_error(ms, frame, eta_diag):
-    """|| frame^+ K frame - diag(eta_diag) || for the form K of ``ms``."""
+def _canonical_gram_error(ms, frame):
+    """|| frame^+ K frame - diag(eta) || for the form K and the canonical diagonal eta of ``ms``."""
     gram = hermitian_conjugate(frame) @ ms.hform.matrix @ frame
-    return policy.norm(gram - np.diag(np.asarray(eta_diag, dtype=float)))
+    return policy.norm(gram - np.diag(ms.eta))
 
 
 def _check_preserves_h_orthonormality(rng, n, field):
     ms = _random_structure(rng, n, field)
     hb = h_orthonormal_basis(ms)
     f = _pseudo_unitary_in_frame(rng, ms)
-    return _canonical_gram_error(ms, f @ hb.basis.matrix, hb.eta_diag)
+    return _canonical_gram_error(ms, f @ hb.basis.matrix)
 
 
 def _check_sylvester(rng, n, field):
@@ -498,7 +498,7 @@ def _check_sylvester(rng, n, field):
 def _check_hbasis_canonical(rng, n, field):
     ms = _random_structure(rng, n, field)
     hb = h_orthonormal_basis(ms)
-    return _canonical_gram_error(ms, hb.basis.matrix, hb.eta_diag)
+    return _canonical_gram_error(ms, hb.basis.matrix)
 
 
 def _check_hform_bracket(rng, n, field):
@@ -508,7 +508,7 @@ def _check_hform_bracket(rng, n, field):
     y = gen.random_ket(rng, n, field)
     xc = hb.basis.inverse @ x
     yc = hb.basis.inverse @ y
-    eta = np.diag(np.asarray(hb.eta_diag, dtype=float))
+    eta = np.diag(ms.eta)
     bracket = (hermitian_conjugate(xc) @ eta.astype(xc.dtype) @ yc)[0, 0]
     return abs(hform_value(x, y, ms) - bracket)
 
@@ -540,7 +540,7 @@ def _check_dirac_canonical_matrix(rng, n, field):
     ms = _random_structure(rng, n, field)
     hb = h_orthonormal_basis(ms)
     f = gen.random_matrix(rng, n, n, field)
-    eta = np.diag(np.asarray(hb.eta_diag, dtype=float))
+    eta = np.diag(ms.eta)
     rep_f = hb.basis.inverse @ f @ hb.basis.matrix
     rep_conj = hb.basis.inverse @ dirac_adjoint_operator(f, ms) @ hb.basis.matrix
     expected = eta.astype(rep_f.dtype) @ hermitian_conjugate(rep_f) @ eta.astype(rep_f.dtype)

@@ -108,11 +108,12 @@ def identity(n: int, field: str = REAL) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` with explicit shape and field checks."""
+    """Matrix product ``a @ b`` with shape and field checks; +-inf beyond the double range, with no warning."""
     a, b = _matrix_pair(a, b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a @ b
 
 
 def hermitian_conjugate(a: np.ndarray) -> np.ndarray:
@@ -125,11 +126,11 @@ def determinant(a: np.ndarray):
     """Determinant of a square matrix (LU factorization with partial pivoting).
 
     Returns a Python ``float`` for real input, ``complex`` otherwise.  The LU runs
-    on the unit ``a / s`` of :func:`policy.unit_scaled` and is scaled back by ``s**n``.
+    on the unit ``a / s`` of :func:`policy.unit` and is scaled back by ``s**n``.
     """
     a = np.asarray(a)
     n = _require_square(a)
-    m, scale = policy.unit_scaled(a)
+    m, scale = policy.unit(a)
     d = policy.scaled_back(np.linalg.det(m), scale, n)
     return complex(d) if field_of(a) == COMPLEX else float(d)
 
@@ -156,7 +157,7 @@ def determinant_permutation_sum(a: np.ndarray):
     n = _require_square(a)
     if n > 6:
         raise ShapeError("permutation-sum determinant is limited to n <= 6")
-    m, scale = policy.unit_scaled(a)
+    m, scale = policy.unit(a)
     total = 0.0 + 0.0j if field_of(a) == COMPLEX else 0.0
     for perm, sign in _signed_permutations(n):
         term = sign
@@ -172,12 +173,13 @@ def kronecker_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Built by reindexing the plain outer product, so each entry is one
     scalar multiplication and the result is bit-identical to flattening
-    the corresponding tensor product.
+    the corresponding tensor product; +-inf beyond the double range, with no warning.
     """
     a, b = _matrix_pair(a, b, "kronecker_product")
     m1, n1 = a.shape
     m2, n2 = b.shape
-    outer = np.multiply.outer(a.ravel(), b.ravel())
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = np.multiply.outer(a.ravel(), b.ravel())
     return (
         outer.reshape(m1, n1, m2, n2)
         .transpose(0, 2, 1, 3)
@@ -196,10 +198,7 @@ def classify(a: np.ndarray) -> set:
     """
     a = np.asarray(a)
     _require_square(a)
-    scaled = policy.unit(a)
-    if scaled is None:
-        return {"singular"}
-    m, scale = scaled
+    m, scale = policy.unit(a)
     rules = {
         "hermitian": policy.selfadjoint(m, hermitian_conjugate),
         "symmetric": policy.selfadjoint(m, np.transpose),

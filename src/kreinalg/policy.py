@@ -26,9 +26,10 @@ of :func:`norm`, and a residual below ``2**-400`` decides the same way on
 both, far under any bound.  :func:`norm`, which neither overflows nor
 underflows, serves the inputs that are not unit: the isometry residual,
 which carries ``scale**-2``, and the residuals of the lemma suite and
-the Jacobi oracle.  Every rule is NaN-safe: it accepts only when
-``residual <= bound`` holds with a finite bound, so NaN, infinity or an
-overflow always rejects.
+the Jacobi oracle.  :func:`unit` rejects non-finite input
+(NonFiniteError), so no rule sees it; every rule is NaN-safe all the
+same: it accepts only when ``residual <= bound`` holds with a finite
+bound, so a NaN or an overflow formed in the arithmetic rejects.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteError, SymmetryError
+from .errors import NonFiniteError
 
 __all__ = [
     "TOL", "FORM_TOL", "RANK_TOL", "CLUSTER_TOL", "BREAKDOWN_TOL",
     "JACOBI_TOL", "JACOBI_MAX_SWEEPS",
-    "norm", "frobenius", "scale_free_norm", "scale_of", "unit", "unit_scaled", "scaled_back",
-    "selfadjoint", "isometric", "involutory", "asymmetry_error", "clears_form_floor",
+    "norm", "frobenius", "scale_free_norm", "scale_of", "unit", "scaled_back",
+    "selfadjoint", "isometric", "involutory", "clears_form_floor",
     "singular_rank", "rank_deficient", "numerical_rank",
 ]
 
@@ -127,20 +128,23 @@ def scale_of(size: float) -> float:
     return math.ldexp(1.0, max(math.frexp(size)[1] - 1, -1022))
 
 
-def unit(a):
-    """``(a / s, s)``, or None when an entry of ``a`` is NaN or infinite.
+def unit(a, what: str = "matrix"):
+    """``(a / s, s)`` for a finite ``a``; NonFiniteError, naming the first bad entry, otherwise.
 
-    The one place that scales, called once per input where it enters.
-    ``s`` is the power of two of :func:`scale_of` for ``max |a_ij|`` (or
-    ``2**1023`` when a finite complex entry's modulus overflows): the
-    division is exact and the largest entry of ``a / s`` lies in [1, 2)
-    unless ``a`` is zero or subnormal.  Non-finite ``a`` is answered
-    before any arithmetic but ``max |a_ij|`` runs on it.
+    The one place that scales, called once per input where it enters, and
+    the one place that rejects non-finite input; ``what`` names the input
+    in the message.  ``s`` is the power of two of :func:`scale_of` for
+    ``max |a_ij|`` (or ``2**1023`` when a finite complex entry's modulus
+    overflows): the division is exact and the largest entry of ``a / s``
+    lies in [1, 2) unless ``a`` is zero or subnormal.  Non-finite ``a`` is
+    rejected before any arithmetic but ``max |a_ij|`` runs on it.
     """
     peak = float(np.abs(a).max(initial=0.0))
     if not peak < math.inf:
-        if not np.isfinite(a).all():
-            return None
+        bad = np.argwhere(~np.isfinite(a))
+        if len(bad):
+            first = tuple(int(i) for i in bad[0])
+            raise NonFiniteError(f"{what} has {len(bad)} non-finite entries, the first at {first}")
         peak = 2.0**1023
     scale = scale_of(peak)
     return a / scale, scale
@@ -201,42 +205,18 @@ def involutory(w) -> bool:
     return _holds(np.abs(np.abs(w) - 1.0).max(), 1.0)
 
 
-def asymmetry_error(f: np.ndarray, what: str, kind: str) -> SymmetryError:
-    """The error for an ``f`` that failed :func:`selfadjoint`.
-
-    :func:`unit` answers every non-finite input first, so the message
-    names the non-finite entries when there are any.
-    """
-    if np.all(np.isfinite(f)):
-        return SymmetryError(f"{what} is not {kind} within tolerance")
-    return SymmetryError(_non_finite_message(f, what))
-
-
-def _non_finite_message(a: np.ndarray, what: str) -> str:
-    bad = np.argwhere(~np.isfinite(a))
-    first = tuple(int(i) for i in bad[0])
-    return f"{what} has {len(bad)} non-finite entries, the first at {first}"
-
-
 def clears_form_floor(values, k, scale) -> bool:
-    """Every value exceeds ``FORM_TOL ||k||``, decided on the unit ``k / scale``.
+    """Every value exceeds ``FORM_TOL ||scale k||``, decided on the unit form ``k``.
 
-    The values are the eigenvalues of the form ``k`` (their moduli, for
-    an indefinite form), or lower bounds on those moduli, and ``scale`` is
-    the :func:`unit` scale of the input ``k`` came from.  Both sides are
-    divided by it exactly, so a finite ``k`` whose ``||k||`` is beyond the
-    double range is decided as at any other scale.  ``k / scale`` is unit
-    data, measured by the plain :func:`frobenius`.
+    ``(k, scale)`` is the Hermitian form of :func:`eigen._hermitian_form`,
+    whose unit ``k`` is kept beside its scale.  The values are the
+    eigenvalues of the form ``scale k`` (their moduli, for an indefinite
+    form), or lower bounds on those moduli, and are divided by ``scale``
+    exactly, so a finite form whose norm is beyond the double range is
+    decided as at any other scale.  ``k`` is unit data, measured by the
+    plain :func:`frobenius`.
     """
-    return bool((values / scale).min() > FORM_TOL * frobenius(k / scale))
-
-
-def unit_scaled(a: np.ndarray) -> tuple:
-    """:func:`unit` of a finite ``a``; NonFiniteError, naming the first bad entry, otherwise."""
-    scaled = unit(a)
-    if scaled is None:
-        raise NonFiniteError(_non_finite_message(a, "matrix"))
-    return scaled
+    return bool((values / scale).min() > FORM_TOL * frobenius(k))
 
 
 def singular_rank(s) -> int:
@@ -250,7 +230,7 @@ def singular_rank(s) -> int:
 
 def numerical_rank(a: np.ndarray) -> int:
     """:func:`singular_rank` of a finite ``a``, free of scale (NonFiniteError otherwise)."""
-    return singular_rank(np.linalg.svd(unit_scaled(a)[0], compute_uv=False))
+    return singular_rank(np.linalg.svd(unit(a)[0], compute_uv=False))
 
 
 def rank_deficient(m: np.ndarray) -> bool:

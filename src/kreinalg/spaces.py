@@ -116,15 +116,16 @@ def _inverse(m: np.ndarray, what: str) -> np.ndarray:
     """``m^{-1}`` (LU), or SingularBasisError when ``m`` is numerically singular.
 
     The one nonsingularity gate: the rank rule and the LU both run on
-    ``m / s`` for the power of two ``s`` of :func:`policy.unit` (a zero or
-    non-finite ``m`` is singular), and the inverse is divided by ``s``.
-    Both scalings are exact, so in range the bits are those of ``inv(m)``,
-    and a well-conditioned ``m`` near the overflow threshold still inverts.
+    ``m / s`` for the power of two ``s`` of :func:`policy.unit` (a zero
+    ``m`` is singular, a non-finite one raises NonFiniteError), and the
+    inverse is divided by ``s``.  Both scalings are exact, so in range the
+    bits are those of ``inv(m)``, and a well-conditioned ``m`` near the
+    overflow threshold still inverts.
     """
-    scaled = policy.unit(m)
-    if scaled is None or policy.rank_deficient(scaled[0]):
+    scaled, scale = policy.unit(m, what)
+    if policy.rank_deficient(scaled):
         raise SingularBasisError(f"{what} is numerically singular")
-    return np.linalg.inv(scaled[0]) / scaled[1]
+    return np.linalg.inv(scaled) / scale
 
 
 def natural_basis(space: VectorSpace) -> Basis:
@@ -257,13 +258,13 @@ def operator_determinant(rep: LinearMapRep):
 def rank(a) -> int:
     """The singular values above ``RANK_TOL sigma_max`` (:func:`policy.numerical_rank`).
 
-    Every rank and nonsingularity answer counts by this rule.  Non-finite input raises NonFiniteError.
+    Every rank and nonsingularity answer counts by this rule.
     """
     return policy.numerical_rank(as_matrix(a))
 
 
 def kernel_dimension(a) -> int:
-    """Kernel dimension: the column count less :func:`rank`.  Non-finite input raises NonFiniteError."""
+    """Kernel dimension: the column count less :func:`rank`."""
     a = as_matrix(a)
     return a.shape[1] - policy.numerical_rank(a)
 
@@ -275,14 +276,13 @@ def canonical_form_bases(
 
     Returns ``(domain_basis, codomain_basis, r)``, with ``r`` the numerical
     rank, from the singular value decomposition ``U diag(sigma) V^+`` of
-    ``f / s``, for the power of two ``s`` of :func:`policy.unit_scaled`.
+    ``f / s``, for the power of two ``s`` of :func:`policy.unit`.
     The domain basis is ``V`` with its first ``r`` columns divided by
     ``sigma_i``, the codomain basis is ``s U``: both bases and their
-    inverses stay in the double range at any scale of ``f``.  Non-finite
-    input raises NonFiniteError.
+    inverses stay in the double range at any scale of ``f``.
     """
     f = _map_matrix(f_natural, domain_space, codomain_space)
-    scaled, scale = policy.unit_scaled(f)
+    scaled, scale = policy.unit(f)
     u, s, vh = np.linalg.svd(scaled)
     r = policy.singular_rank(s)
     stretch = np.ones(domain_space.dim)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import policy
-from .errors import DegenerateFormError, DependentSetError, ShapeError
+from .errors import DegenerateFormError, DependentSetError, ShapeError, SymmetryError
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _adjoint_view,
@@ -70,7 +70,7 @@ class InnerProduct:
         h, scale = _hermitian_form(space.operator(gram), "Gram matrix")
         g = scale * h
         w, vectors = _eigh(g)
-        if not policy.clears_form_floor(w, g, scale):
+        if not policy.clears_form_floor(w, h, scale):
             raise DegenerateFormError(
                 f"Gram matrix is not positive definite "
                 f"(min eigenvalue {np.min(w):.3e})"
@@ -163,10 +163,10 @@ def adjoint(f, ip: InnerProduct) -> np.ndarray:
 def _in_frame(f: np.ndarray, b: np.ndarray, b_inv: np.ndarray):
     """``(M, s)``, ``M = B^{-1} (f / s) B`` for the pair ``(f / s, s)`` of :func:`policy.unit`.
 
-    None for a non-finite f, before any arithmetic runs on it.
+    A non-finite f raises NonFiniteError before any arithmetic runs on it.
     """
-    scaled = policy.unit(f)
-    return None if scaled is None else (b_inv @ scaled[0] @ b, scaled[1])
+    m, scale = policy.unit(f, "operator")
+    return b_inv @ m @ b, scale
 
 
 def _selfadjoint_eigenpairs(f, ip: InnerProduct):
@@ -176,11 +176,10 @@ def _selfadjoint_eigenpairs(f, ip: InnerProduct):
     (``M^+ = M``); the eigenvalues of M's Hermitian part times s are f's,
     and ``W`` maps its orthonormal eigenvectors to G-orthonormal ones.
     """
-    f = ip.space.operator(f)
-    framed = _in_frame(f, ip.frame, ip.frame_inv)
-    if framed is None or not policy.selfadjoint(framed[0], _adjoint_view):
-        raise policy.asymmetry_error(f, "operator", "selfadjoint w.r.t. the inner product")
-    w, u = _eigenpairs(_hermitian_part(framed[0]), framed[1])
+    m, scale = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
+    if not policy.selfadjoint(m, _adjoint_view):
+        raise SymmetryError("operator is not selfadjoint w.r.t. the inner product within tolerance")
+    w, u = _eigenpairs(_hermitian_part(m), scale)
     return w, ip.frame @ u
 
 
@@ -190,12 +189,8 @@ def g_selfadjoint_eigen(f, ip: InnerProduct):
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:
-    """True when adjoint(f) equals f, i.e. (f x, y) = (x, f y).
-
-    Non-finite f is never selfadjoint.
-    """
-    framed = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
-    return framed is not None and policy.selfadjoint(framed[0], _adjoint_view)
+    """True when adjoint(f) equals f, i.e. (f x, y) = (x, f y)."""
+    return policy.selfadjoint(_in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)[0], _adjoint_view)
 
 
 def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
@@ -208,9 +203,5 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:
-    """True when adjoint(f) f equals the identity, i.e. f preserves (.,.).
-
-    Non-finite f is never unitary.
-    """
-    framed = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
-    return framed is not None and policy.isometric(*framed, hermitian_conjugate)
+    """True when adjoint(f) f equals the identity, i.e. f preserves (.,.)."""
+    return policy.isometric(*_in_frame(ip.space.operator(f), ip.frame, ip.frame_inv), hermitian_conjugate)

@@ -5,9 +5,10 @@ edge input (n = 0, n = 1, a NaN entry, a result beyond the double range,
 subnormal entries) with a :class:`KreinAlgError` or its documented
 answer: never a numpy exception, and never a RuntimeWarning in place of
 the answer.  Beyond the double range the answer is infinite, with no
-warning; n = 0 raises ShapeError in every decomposition; non-finite input
-raises SymmetryError at the Hermitian-checked entries and NonFiniteError
-elsewhere.
+warning; n = 0 raises ShapeError in every decomposition.  Non-finite
+input has one answer wherever it is scaled: NonFiniteError, naming the
+first bad entry; the plain arithmetic, which scales nothing, carries
+the NaN into its result as numpy does.
 """
 
 import inspect
@@ -19,9 +20,13 @@ import pytest
 
 import kreinalg
 from kreinalg import (
+    Basis,
+    HForm,
+    InnerProduct,
     KreinAlgError,
     NonFiniteError,
     ShapeError,
+    SingularBasisError,
     SymmetryError,
     VectorSpace,
     charpoly_eigenvalues,
@@ -37,6 +42,8 @@ from kreinalg import (
     rank,
     spectral_representation,
     standard_inner_product,
+    tensor_from_ket,
+    transform_tensor,
 )
 from kreinalg.unitary import g_selfadjoint_eigen
 
@@ -70,12 +77,16 @@ def _matrix_first_callables():
 
 
 def _companions(fn, a):
-    """The arguments after the matrix: well-behaved companions of its size (at least 1)."""
+    """The arguments after the matrix: well-behaved companions of its size (at least 1).
+
+    A second operand is ``2 1``, not the identity, so that a product of
+    entries near the overflow threshold leaves the double range.
+    """
     n, field = a.shape[0], "complex" if a.dtype.kind == "c" else "real"
     size = max(n, 1)
     space = VectorSpace(size, field)
     make = {
-        "b": lambda: np.eye(n, dtype=a.dtype),
+        "b": lambda: 2.0 * np.eye(n, dtype=a.dtype),
         "hform_matrix": lambda: np.eye(n, dtype=a.dtype),
         "ip": lambda: standard_inner_product(space),
         "ms": lambda: minkowski_structure(size - size // 2, size // 2, field),
@@ -99,22 +110,57 @@ def test_the_sweep_covers_every_decomposition_and_oracle():
     assert len(names) >= 20
 
 
+def _outcome(fn, a):
+    """What ``fn`` gives for ``a`` and its companions, warnings raised: the result, or the exception."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fn(a.copy(), *_companions(fn, a))
+    except Exception as exc:  # the tests sort the outcomes
+        return exc
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("edge", list(EDGES))
 def test_edge_input_gets_a_domain_error_or_an_answer(edge, field):
     a = EDGES[edge].astype(np.complex128 if field == "complex" else np.float64)
-    foreign = []
-    for name, fn in _matrix_first_callables().items():
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fn(a.copy(), *_companions(fn, a))
-        except KreinAlgError as exc:
-            if isinstance(exc, SymmetryError) and edge == "nan":
-                assert "non-finite entries" in str(exc), name
-        except Exception as exc:  # anything else is the foreign outcome this test reports
-            foreign.append(f"{name}: {type(exc).__name__}: {exc}")
+    outcomes = {name: _outcome(fn, a) for name, fn in _matrix_first_callables().items()}
+    foreign = [f"{name}: {type(out).__name__}: {out}" for name, out in outcomes.items()
+               if isinstance(out, Exception) and not isinstance(out, KreinAlgError)]
     assert foreign == []
+
+
+def _breaks_the_non_finite_rule(out) -> bool:
+    """A verdict, a SymmetryError or SingularBasisError, or a NonFiniteError that does not name (1, 1).
+
+    A NaN cannot be a member or a non-member, so a verdict on it cannot be
+    told from one on finite input.  An argument-form error (FieldError for
+    complex input to a real-only predicate) and a result that carries the
+    NaN (the plain arithmetic) keep the rule.
+    """
+    if isinstance(out, NonFiniteError):
+        return "(1, 1)" not in str(out)
+    return isinstance(out, (bool, np.bool_, set, SymmetryError, SingularBasisError))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_non_finite_input_raises_non_finite_error_naming_its_entry(field):
+    a = EDGES["nan"].astype(np.complex128 if field == "complex" else np.float64)
+    outcomes = {name: _outcome(fn, a) for name, fn in _matrix_first_callables().items()}
+    broken = [f"{name}: {out!r}" for name, out in outcomes.items() if _breaks_the_non_finite_rule(out)]
+    assert broken == []
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("make", [
+    Basis, InnerProduct, HForm,
+    lambda space, a: transform_tensor(tensor_from_ket(space, np.ones((2, 1))), a),
+], ids=["Basis", "InnerProduct", "HForm", "transform_tensor"])
+def test_the_classes_and_the_tensor_layer_reject_non_finite_input(make, field):
+    # The sweep reads functions only; the classes and the tensor layer are checked here.
+    a = EDGES["nan"].astype(np.complex128 if field == "complex" else np.float64)
+    with pytest.raises(NonFiniteError, match=r"\(1, 1\)"):
+        make(VectorSpace(2, field), a)
 
 
 def _decompositions():

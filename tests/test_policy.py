@@ -17,10 +17,9 @@ from kreinalg import (
     Basis,
     HForm,
     InnerProduct,
-    KreinAlgError,
+    NonFiniteError,
     ShapeError,
     SingularBasisError,
-    SymmetryError,
     VectorSpace,
     DegenerateFormError,
     canonical_form_bases,
@@ -102,8 +101,8 @@ class TestSingularIsRankBelowN:
             transform_tensor(tensor_from_ket(space, np.ones((n, 1))), m)
 
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
-    def test_zero_and_non_finite_are_singular(self, fill):
-        with pytest.raises(SingularBasisError):
+    def test_zero_is_singular_and_non_finite_is_rejected(self, fill):
+        with pytest.raises(SingularBasisError if fill == 0.0 else NonFiniteError):
             Basis(VectorSpace(2), np.full((2, 2), fill))
 
     def test_a_basis_is_scaled_once(self, monkeypatch):
@@ -111,9 +110,9 @@ class TestSingularIsRankBelowN:
         m = random_unitary(np.random.default_rng(3), 3, "real") * 3.0
         scalings = []
         unit = policy.unit
-        monkeypatch.setattr(policy, "unit", lambda a: scalings.append(a) or unit(a))
+        monkeypatch.setattr(policy, "unit", lambda a, what: scalings.append(what) or unit(a, what))
         basis = Basis(VectorSpace(3), m)
-        assert len(scalings) == 1
+        assert scalings == ["basis matrix"]
         assert basis.inverse.tobytes() == np.linalg.inv(m).tobytes()
 
     def test_natural_basis_beyond_dimension_18(self):
@@ -175,9 +174,10 @@ class TestRankAtAnyScale:
         lambda a: canonical_form_bases(a, VectorSpace(len(a)), VectorSpace(len(a))),
     ], ids=["rank", "kernel_dimension", "canonical_form_bases"])
     def test_non_finite_input_names_its_first_bad_entry(self, a, first, call):
-        with pytest.raises(KreinAlgError, match=re.escape(f"first at {first}")):
+        with pytest.raises(NonFiniteError, match=re.escape(f"first at {first}")):
             call(a)
-        assert classify(a) == {"singular"}
+        with pytest.raises(NonFiniteError, match=re.escape(f"first at {first}")):
+            classify(a)
 
 
 def _rank_answers(a):
@@ -266,7 +266,7 @@ class TestNonFiniteInputRejected:
         if mirrored:
             a[j, i] = bad
         for name, entry in _entry_points(n, field).items():
-            with pytest.raises(SymmetryError, match="non-finite entries") as info:
+            with pytest.raises(NonFiniteError, match="non-finite entries") as info:
                 entry(a)
             assert f"({i}, {j})" in str(info.value) or f"({j}, {i})" in str(info.value), name
 
@@ -504,7 +504,7 @@ def _reference_isometric(m, scale, sharp):
 
 
 def _reference_clears_form_floor(values, k, scale):
-    return bool((values / scale).min() > policy.FORM_TOL * policy.norm(k / scale))
+    return bool((values / scale).min() > policy.FORM_TOL * policy.norm(k))
 
 
 def _reference_cluster_eigenvalues(values):
@@ -635,9 +635,8 @@ class TestPlainNormDecidesAsTheScaleFreeNorm:
         if zero:
             form, lam = np.zeros_like(form), np.zeros(n)
         h, scale = eigen._hermitian_form(_times_power_of_two(form, k), "H-form matrix")
-        kk = scale * h
         for values in (np.abs(np.linalg.eigvalsh(h)) * scale, np.abs(_times_power_of_two(lam, k))):
-            assert policy.clears_form_floor(values, kk, scale) == _reference_clears_form_floor(values, kk, scale)
+            assert policy.clears_form_floor(values, h, scale) == _reference_clears_form_floor(values, h, scale)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -671,7 +670,8 @@ class TestSelfAdjointness:
         f = np.array([[1.0, 4.0], [1.0, 2.0]])  # G f is symmetric
         assert is_selfadjoint(f, ip)
         assert not is_selfadjoint(f.T, ip)
-        assert not is_selfadjoint(np.full((2, 2), np.nan), ip)
+        with pytest.raises(NonFiniteError):
+            is_selfadjoint(np.full((2, 2), np.nan), ip)
         assert is_selfadjoint(np.zeros((2, 2)), ip)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -681,8 +681,10 @@ class TestSelfAdjointness:
         ip = InnerProduct(VectorSpace(2), np.diag([1.0, 4.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not is_selfadjoint(f, ip)
-            assert not is_dirac_selfadjoint(f, minkowski_structure(1, 1))
+            with pytest.raises(NonFiniteError, match=re.escape("first at (0, 1)")):
+                is_selfadjoint(f, ip)
+            with pytest.raises(NonFiniteError, match=re.escape("first at (0, 1)")):
+                is_dirac_selfadjoint(f, minkowski_structure(1, 1))
 
 
 class TestRelativeIsometry:
@@ -723,23 +725,28 @@ class TestRelativeIsometry:
     )
     def test_non_finite_rejected_before_any_arithmetic(self, n, field, bad, seed, data):
         f = random_unitary(np.random.default_rng(seed), n, field)
-        f[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = bad
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        f[i, j] = bad
         space = VectorSpace(n, field)
         ms = minkowski_structure(1, n - 1, field)
+        calls = [
+            policy.unit,
+            lambda f: is_unitary_wrt(f, standard_inner_product(space)),
+            lambda f: is_pseudo_unitary(f, ms),
+            classify,
+            lambda f: metric_structure_from(np.eye(n, dtype=f.dtype), f),
+        ]
+        if field == "real":
+            calls += [is_orthogonal, lambda f: is_pseudo_orthogonal(f, ms)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert policy.unit(f) is None
-            assert not is_unitary_wrt(f, standard_inner_product(space))
-            assert not is_pseudo_unitary(f, ms)
-            assert not {"unitary", "orthogonal"} & classify(f)
-            if field == "real":
-                assert not is_orthogonal(f)
-                assert not is_pseudo_orthogonal(f, ms)
-            with pytest.raises(SymmetryError, match="non-finite entries"):
-                metric_structure_from(np.eye(n, dtype=f.dtype), f)
+            for call in calls:
+                with pytest.raises(NonFiniteError, match=re.escape(f"first at {(i, j)}")):
+                    call(f)
 
-    def test_classify_answers_non_finite_input(self):
-        assert classify(np.array([[1.0, np.inf], [0.0, 1.0]])) == {"singular"}
+    def test_classify_rejects_non_finite_input(self):
+        with pytest.raises(NonFiniteError, match=re.escape("first at (0, 1)")):
+            classify(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
     def test_is_orthogonal_scalar_is_shape_error(self):
         with pytest.raises(ShapeError):
@@ -753,7 +760,8 @@ class TestIsometryAtEveryPowerOfTwo:
     :func:`policy.unit`, so ``2^k f`` reaches the rule as the matrix of f
     with its scale multiplied by ``2^k``.  The range covers a subnormal
     ``2^k f``, the ``2**-511`` clamp of the scale, the scales whose
-    ``scale**-2`` underflows, and entries that overflow to infinity.
+    ``scale**-2`` underflows, and entries that overflow to infinity,
+    which are rejected as non-finite input.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -786,11 +794,16 @@ class TestIsometryAtEveryPowerOfTwo:
         c = math.ldexp(1.0, k)
         with np.errstate(over="ignore", under="ignore"):
             scaled = [c * u, c * p, c * q]
+        decisions = [lambda f: is_unitary_wrt(f, ip), lambda f: is_pseudo_unitary(f, ms),
+                     lambda f: "unitary" in classify(f)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            decided = [is_unitary_wrt(scaled[0], ip), is_pseudo_unitary(scaled[1], ms),
-                       "unitary" in classify(scaled[2])]
-        assert decided == [k == 0] * 3
+            for f, decide in zip(scaled, decisions):
+                if np.isfinite(f).all():
+                    assert decide(f) == (k == 0)
+                else:
+                    with pytest.raises(NonFiniteError):
+                        decide(f)
 
 
 def _production_modules():
@@ -935,7 +948,7 @@ class TestPolicyGuard:
     def test_rules_do_not_scale(self):
         # Each input is scaled once, where it enters: the rules decide plain
         # identities on the matrices of policy.unit and choose no scale.
-        scalings = {"scale_of", "unit_scaled", "scale_free_norm",
+        scalings = {"scale_of", "unit", "scale_free_norm",
                     "_scale_exponent", "ldexp", "frexp"}
         tree = ast.parse((SRC / "policy.py").read_text())
         rules = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
@@ -949,7 +962,7 @@ class TestPolicyGuard:
         assert calls == dict.fromkeys(rules, [])
 
     def test_inputs_are_scaled_where_they_enter(self):
-        assert _call_sites({"unit", "unit_scaled", "scale_of"}) == [
+        assert _call_sites({"unit", "scale_of"}) == [
             "eigen.py:_clusters", "eigen.py:_hermitian_form",
             "eigen.py:characteristic_polynomial", "eigen.py:charpoly_eigenvalues",
             "eigen.py:jacobi_hermitian",
@@ -958,6 +971,11 @@ class TestPolicyGuard:
             "spaces.py:canonical_form_bases", "unitary.py:_in_frame",
         ]
         assert _call_sites({"ldexp", "frexp"}) == []
+
+    def test_non_finite_input_is_rejected_in_one_place(self):
+        # policy.unit scales every input where it enters and is the one place
+        # that rejects a non-finite one, so every entry point answers it alike.
+        assert _call_sites({"NonFiniteError"}, sorted(SRC.glob("*.py"))) == ["policy.py:unit"]
 
     def test_one_rank_rule(self):
         # Singular values are computed only by the two entries of the rank rule
