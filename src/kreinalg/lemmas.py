@@ -5,12 +5,14 @@ sub-stream and reports the worst residual it saw, together with the
 tolerance it must stay under.  Sub-seeds are derived by hashing
 ``(seed, lemma_id, dim, instance)`` with SHA-256 and feeding 64 bits to
 ``numpy.random.default_rng`` (PCG64), so the suite is reproducible
-instance by instance, in any order.  :func:`run_lemma_suite` splits these
-units over the CPUs the process may use: it runs one share itself and
-forks a child for each other share.  With one CPU, or without
-``os.fork``, the run is serial; the output bytes do not depend on the CPU
-count.  Each forked share costs a few milliseconds, which tiny suites
-pay.
+instance by instance, in any order.  :func:`run_lemma_suite` runs these
+units on the CPUs the process may use: it runs one share itself and
+forks a child for each other share, and each share takes runs of
+consecutive units from one queue whenever it is free, so a slower CPU
+runs fewer units.  With one CPU, or without ``os.fork``, the run is
+serial; the output bytes depend neither on the CPU count nor on which
+share ran which unit.  Each forked share costs a few milliseconds, which
+tiny suites pay.
 
 A check is ``check(rng, n, field)``: it draws one instance over one field
 and returns its residual, or a short sequence of residuals, without
@@ -103,6 +105,12 @@ _MAX_DIM = 12
 _FIELDS = (REAL, COMPLEX)
 
 _LARGEST_DOUBLE = 1.7976931348623157e308
+
+# A suite is cut into at most this many runs of consecutive units.  Their
+# four-byte numbers then take at most 4,096 bytes: PIPE_BUF, and the least
+# capacity of a Linux pipe, so the one write that queues them can neither
+# block nor be split.
+_MAX_RUNS = 1024
 
 
 def _subseed(seed: int, lemma_id: str, dim: int, instance: int) -> int:
@@ -671,16 +679,21 @@ def run_lemma_suite(seed: int, dims=None, instances: int = 5):
     unit draws from its own derived sub-stream, so the result is
     independent of evaluation order; both fields of an instance share it.
 
-    The units are split over the CPUs this process may use: with k of
-    them, share j is ``units[j::k]``.  This process runs share 0 and one
-    forked child runs each other share, returning its worst residual per
-    lemma through a pipe; the shares merge with the NaN-sticky
-    ``np.maximum``, so the reports do not depend on the CPU count, byte for
-    byte.  With one CPU, or without ``os.fork``, the run is serial.  Each
-    forked share costs a few milliseconds, which a tiny suite pays.  An
+    The units run on the CPUs this process may use, one share per CPU.
+    They are cut into runs of consecutive units (at most ``_MAX_RUNS``);
+    share j runs run j first and then takes the next run from one shared
+    queue whenever it is free, so a share on a slower CPU runs fewer
+    units.  This process runs share 0 and one forked child runs each
+    other share, returning its worst residual per lemma through a pipe;
+    the shares merge with the NaN-sticky ``np.maximum``, so the reports
+    depend neither on the CPU count nor on the schedule, byte for byte.
+    With one CPU, or without ``os.fork``, the run is serial.  Each forked
+    share costs a few milliseconds, which a tiny suite pays.  An
     exception other than a ``KreinAlgError`` propagates from the earliest
-    unit that raised, as in a serial run; a child that ends without
-    reporting raises RuntimeError.  No child outlives the call.
+    unit that raised, as in a serial run: a share stops taking runs at its
+    first such exception, and every earlier run was taken before, by a
+    share that had not stopped.  A child that ends without reporting
+    raises RuntimeError.  No child outlives the call.
     """
     dims = tuple(dims) if dims is not None else DEFAULT_DIMS
     if not dims or any(d < 1 or d > _MAX_DIM for d in dims):
@@ -721,15 +734,15 @@ def _share_count(units: int) -> int:
     return max(1, min(cpus or 1, units))
 
 
-def _run_share(seed: int, units, first: int, step: int):
-    """``({lemma index: worst residual}, failure)`` over ``units[first::step]``.
+def _run_share(seed: int, units, length: int, first: int, queue: int):
+    """``({lemma index: worst residual}, failure)`` over the units of :func:`_taken_runs`.
 
     A ``KreinAlgError`` scores its instance ``inf``.  Any other exception
-    ends the share: ``failure`` is then ``(position in units, exception)``,
-    and None otherwise.
+    ends the share, which then takes no further run: ``failure`` is then
+    ``(position in units, exception)``, and None otherwise.
     """
     worst = {}
-    for position in range(first, len(units), step):
+    for position in _taken_runs(len(units), length, first, queue):
         index, dim, instance = units[position]
         lemma = REGISTRY[index]
         rng = np.random.default_rng(_subseed(seed, lemma.lemma_id, dim, instance))
@@ -747,16 +760,40 @@ def _run_share(seed: int, units, first: int, step: int):
     return worst, None
 
 
+def _taken_runs(total: int, length: int, first: int, queue: int):
+    """Positions of run ``first``, then of each run read from ``queue``, until it is empty.
+
+    Run r is positions ``r * length`` up to ``(r + 1) * length`` of
+    ``total`` units; ``queue`` is a pipe of four-byte run numbers.  The
+    next run is read only once the caller asks past the last position.
+    """
+    run = first
+    while True:
+        yield from range(run * length, min(run * length + length, total))
+        record = os.read(queue, 4)
+        if not record:
+            return
+        run = int.from_bytes(record, "little")
+
+
 def _run_shares(seed: int, units, count: int) -> list:
     """:func:`_run_share` of each of ``count`` shares, share 0 in this process.
 
-    Every other share runs in a forked child and comes back as a pickle
-    through a pipe.  Each child is reaped here; if this process's share or
-    the reading raises (KeyboardInterrupt included), the children left are
-    killed first.
+    The units are cut into at most ``_MAX_RUNS`` runs of consecutive
+    units, each as long as the first but the last.  Before the first
+    fork, one write fills the queue with the numbers of the runs after
+    the first ``count``, in ascending order.  Every other share runs in a
+    forked child and comes back as a pickle through a pipe.  Each child
+    is reaped here; if this process's share or the reading raises
+    (KeyboardInterrupt included), the children left are killed first.
     """
+    length = -(-len(units) // _MAX_RUNS)
+    queued = np.arange(count, -(-len(units) // length), dtype="<u4")
+    queue, fill = os.pipe()
     children = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
+        with open(fill, "wb") as pipe:
+            pipe.write(queued.tobytes())
         for share in range(1, count):
             read, write = os.pipe()
             try:
@@ -766,10 +803,10 @@ def _run_shares(seed: int, units, count: int) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _report_share(write, seed, units, share, count)
+                _report_share(write, seed, units, length, share, queue)
             os.close(write)
             children[pid] = read
-        results = [_run_share(seed, units, 0, count)]
+        results = [_run_share(seed, units, length, 0, queue)]
         for share, pid in enumerate(list(children), 1):
             with open(children[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -783,6 +820,7 @@ def _run_shares(seed: int, units, count: int) -> list:
             results.append(pickle.loads(data))
         return results
     finally:
+        os.close(queue)
         if children:
             import signal  # only on this path: ``python -m kreinalg.cli`` does not load it
 
@@ -792,7 +830,7 @@ def _run_shares(seed: int, units, count: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def _report_share(write: int, seed: int, units, share: int, count: int) -> None:
+def _report_share(write: int, seed: int, units, length: int, share: int, queue: int) -> None:
     """In a forked child: write the pickled result of one share, then end the process.
 
     ``os._exit`` never returns into the caller, runs no ``atexit`` hook
@@ -801,7 +839,7 @@ def _report_share(write: int, seed: int, units, share: int, count: int) -> None:
     """
     status = 1
     try:
-        data = memoryview(pickle.dumps(_run_share(seed, units, share, count)))
+        data = memoryview(pickle.dumps(_run_share(seed, units, length, share, queue)))
         while data:
             data = data[os.write(write, data):]
         status = 0

@@ -120,12 +120,14 @@ def _inverse(m: np.ndarray, what: str) -> np.ndarray:
     ``m`` is singular, a non-finite one raises NonFiniteError), and the
     inverse is divided by ``s``.  Both scalings are exact, so in range the
     bits are those of ``inv(m)``, and a well-conditioned ``m`` near the
-    overflow threshold still inverts.
+    overflow threshold still inverts.  An inverse entry beyond the double
+    range (a subnormal ``m``) is infinite, with no warning.
     """
     scaled, scale = policy.unit(m, what)
     if policy.rank_deficient(scaled):
         raise SingularBasisError(f"{what} is numerically singular")
-    return np.linalg.inv(scaled) / scale
+    with np.errstate(over="ignore"):
+        return np.linalg.inv(scaled) / scale
 
 
 def natural_basis(space: VectorSpace) -> Basis:

@@ -95,17 +95,25 @@ def tensor_from_operator(space: VectorSpace, matrix) -> Tensor:
 
 
 def tensor_product(t1: Tensor, t2: Tensor) -> Tensor:
-    """Outer product; the result's slots are t1's followed by t2's."""
+    """Outer product; the result's slots are t1's followed by t2's.
+
+    +-inf beyond the double range, with no warning, as
+    :func:`kreinalg.matrices.kronecker_product`.
+    """
     if t1.space != t2.space:
         raise SpaceError("tensor product requires tensors over the same space")
     # multiply.outer forms each entry with a single scalar multiplication,
     # so flattening reproduces the Kronecker product bit for bit.
-    components = np.multiply.outer(t1.components, t2.components)
+    with np.errstate(over="ignore", invalid="ignore"):
+        components = np.multiply.outer(t1.components, t2.components)
     return Tensor(t1.space, t1.variance + t2.variance, components)
 
 
 def contract(t: Tensor, k: int, l: int) -> Tensor:
-    """Sum the diagonal of slots k and l (1-based, opposite variance)."""
+    """Sum the diagonal of slots k and l (1-based, opposite variance).
+
+    +-inf beyond the double range, with no warning.
+    """
     if k == l:
         raise ShapeError("contraction slots must differ")
     tag_k, tag_l = t.slot(k), t.slot(l)
@@ -113,7 +121,8 @@ def contract(t: Tensor, k: int, l: int) -> Tensor:
         raise VarianceError(
             f"cannot contract two {tag_k} slots; one must be up and one down"
         )
-    components = np.trace(t.components, axis1=k - 1, axis2=l - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        components = np.trace(t.components, axis1=k - 1, axis2=l - 1)
     variance = tuple(tag for i, tag in enumerate(t.variance) if i not in (k - 1, l - 1))
     return Tensor(t.space, variance, components)
 
@@ -135,7 +144,8 @@ def transform_tensor(t: Tensor, m) -> Tensor:
 
     ``m`` is the change-of-components matrix; new up components are
     ``M @ old`` along each up axis, new down components contract the old
-    axis with the first index of ``M^{-1}``.
+    axis with the first index of ``M^{-1}``.  Beyond the double range a
+    component is +-inf, or NaN where infinities cancel, with no warning.
     """
     m = np.asarray(m)
     n = t.space.dim
@@ -143,15 +153,16 @@ def transform_tensor(t: Tensor, m) -> Tensor:
         raise ShapeError(f"transformation matrix must be {n}x{n}, got {m.shape}")
     m_inv = _inverse(m, "transformation matrix")
     components = t.components
-    for axis, tag in enumerate(t.variance):
-        if tag == UP:
-            components = np.moveaxis(
-                np.tensordot(m, components, axes=(1, axis)), 0, axis
-            )
-        else:
-            components = np.moveaxis(
-                np.tensordot(m_inv, components, axes=(0, axis)), 0, axis
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, tag in enumerate(t.variance):
+            if tag == UP:
+                components = np.moveaxis(
+                    np.tensordot(m, components, axes=(1, axis)), 0, axis
+                )
+            else:
+                components = np.moveaxis(
+                    np.tensordot(m_inv, components, axes=(0, axis)), 0, axis
+                )
     if components.ndim:
         components = np.ascontiguousarray(components)
     return Tensor(t.space, t.variance, components)

@@ -513,13 +513,14 @@ class TestResultOutsideTheDoubleRange:
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["error"] == "SchemaError"
 
-    def test_library_calls_keep_numpys_warnings(self):
-        # The CLI silences overflow around its handler only.  kronecker_product
-        # answers +-inf without a warning by its own contract, so the plain
-        # tensor product, which keeps numpy's, is the witness.
-        big = kreinalg.tensor_from_operator(kreinalg.VectorSpace(2), np.full((2, 2), 1e300))
+    def test_library_calls_keep_numpys_warnings(self, capsys, tmp_path):
+        # The CLI silences overflow around its handler only.  The library's
+        # products answer +-inf without a warning by their own contract, so
+        # a plain numpy product, after a request that overflowed, is the witness.
+        big = self._documents(tmp_path)["big"]
+        assert run(capsys, "kron", "--in", big, "--in", big)[0] == 1
         with pytest.warns(RuntimeWarning, match="overflow"):
-            kreinalg.tensor_product(big, big)
+            np.full(2, 1e300) * 1e300
 
 
 class TestUsageBytes:

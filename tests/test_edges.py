@@ -1,10 +1,11 @@
 """The edge-of-domain contract.
 
-Every public callable of the layers that takes a matrix first answers
-edge input (n = 0, n = 1, a NaN entry, a result beyond the double range,
-subnormal entries) with a :class:`KreinAlgError` or its documented
-answer: never a numpy exception, and never a RuntimeWarning in place of
-the answer.  Beyond the double range the answer is infinite, with no
+Every public callable of the layers that takes a matrix first, and every
+public callable of the tensor layer on the operator tensor of the
+matrix, answers edge input (n = 0, n = 1, a NaN entry, a result beyond
+the double range, subnormal entries) with a :class:`KreinAlgError` or
+its documented answer: never a numpy exception, and never a
+RuntimeWarning in place of the answer.  Beyond the double range the answer is infinite, with no
 warning; n = 0 raises ShapeError in every decomposition.  Non-finite
 input has one answer wherever it is scaled: NonFiniteError, naming the
 first bad entry; the plain arithmetic, which scales nothing, carries
@@ -43,8 +44,10 @@ from kreinalg import (
     spectral_representation,
     standard_inner_product,
     tensor_from_ket,
+    tensor_from_operator,
     transform_tensor,
 )
+from kreinalg import tensors
 from kreinalg.unitary import g_selfadjoint_eigen
 
 LAYERS = ["matrices", "spaces", "eigen", "unitary", "indefinite"]
@@ -108,23 +111,64 @@ def test_the_sweep_covers_every_decomposition_and_oracle():
         "indefinite.dirac_spectral", "indefinite.metric_structure_from",
     } <= names
     assert len(names) >= 20
+    assert set(_tensor_callables()) == {
+        f"tensors.{name}" for name in (
+            "scalar_tensor", "tensor_from_ket", "tensor_from_bra", "tensor_from_operator",
+            "tensor_product", "contract", "full_trace", "transform_tensor", "sort_slots",
+            "kron_flatten", "kron_unflatten",
+        )
+    }
 
 
-def _outcome(fn, a):
-    """What ``fn`` gives for ``a`` and its companions, warnings raised: the result, or the exception."""
+def _outcome(call):
+    """What ``call()`` gives, warnings raised: the result, or the exception."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return fn(a.copy(), *_companions(fn, a))
+            return call()
     except Exception as exc:  # the tests sort the outcomes
         return exc
+
+
+def _matrix_first_outcomes(a):
+    """Each matrix-first callable's outcome for ``a`` and its companions."""
+    return {name: _outcome(lambda: fn(a.copy(), *_companions(fn, a)))
+            for name, fn in _matrix_first_callables().items()}
+
+
+def _tensor_callables():
+    return {f"tensors.{name}": getattr(tensors, name) for name in tensors.__all__
+            if inspect.isfunction(getattr(tensors, name))}
+
+
+def _tensor_arguments(fn, a):
+    """Arguments for a tensor-layer callable: the operator tensor of ``a``, or ``a``, its first row or column."""
+    space = VectorSpace(a.shape[0], "complex" if a.dtype.kind == "c" else "real")
+    make = {
+        "space": lambda: space,
+        "value": lambda: a[:1, :1].sum(),
+        "ket": lambda: a[:, :1],
+        "bra": lambda: a[:1, :],
+        "matrix": lambda: a,
+        "m": lambda: a,
+        "flat": lambda: a,
+        "variance": lambda: (tensors.UP, tensors.DOWN),
+        "t": lambda: tensor_from_operator(space, a),
+        "t1": lambda: tensor_from_operator(space, a),
+        "t2": lambda: tensor_from_operator(space, a),
+        "k": lambda: 1,
+        "l": lambda: 2,
+    }
+    return [make[name]() for name in inspect.signature(fn).parameters]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("edge", list(EDGES))
 def test_edge_input_gets_a_domain_error_or_an_answer(edge, field):
     a = EDGES[edge].astype(np.complex128 if field == "complex" else np.float64)
-    outcomes = {name: _outcome(fn, a) for name, fn in _matrix_first_callables().items()}
+    outcomes = _matrix_first_outcomes(a)
+    outcomes.update({name: _outcome(lambda: fn(*_tensor_arguments(fn, a.copy())))
+                     for name, fn in _tensor_callables().items()})
     foreign = [f"{name}: {type(out).__name__}: {out}" for name, out in outcomes.items()
                if isinstance(out, Exception) and not isinstance(out, KreinAlgError)]
     assert foreign == []
@@ -146,7 +190,7 @@ def _breaks_the_non_finite_rule(out) -> bool:
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_non_finite_input_raises_non_finite_error_naming_its_entry(field):
     a = EDGES["nan"].astype(np.complex128 if field == "complex" else np.float64)
-    outcomes = {name: _outcome(fn, a) for name, fn in _matrix_first_callables().items()}
+    outcomes = _matrix_first_outcomes(a)
     broken = [f"{name}: {out!r}" for name, out in outcomes.items() if _breaks_the_non_finite_rule(out)]
     assert broken == []
 
@@ -157,7 +201,8 @@ def test_non_finite_input_raises_non_finite_error_naming_its_entry(field):
     lambda space, a: transform_tensor(tensor_from_ket(space, np.ones((2, 1))), a),
 ], ids=["Basis", "InnerProduct", "HForm", "transform_tensor"])
 def test_the_classes_and_the_tensor_layer_reject_non_finite_input(make, field):
-    # The sweep reads functions only; the classes and the tensor layer are checked here.
+    # The sweep reads functions only, and sorts no domain error of the
+    # tensor layer; the classes and transform_tensor are checked here.
     a = EDGES["nan"].astype(np.complex128 if field == "complex" else np.float64)
     with pytest.raises(NonFiniteError, match=r"\(1, 1\)"):
         make(VectorSpace(2, field), a)

@@ -204,8 +204,9 @@ def _documents(reports):
     return json.dumps([r.to_dict() for r in reports]).encode()
 
 
-# With dims=(3,) and one instance, unit i is lemma i, and k shares give
-# unit i to share i % k; share 0 runs in this process.
+# With dims=(3,) and one instance, unit i is lemma i and runs alone.  Of k
+# shares, share j runs unit j first; the units from k on go to whichever
+# share asks the queue first.  Share 0 runs in this process.
 SHARE_DIMS = (3,)
 
 
@@ -224,11 +225,11 @@ class TestShares:
     @pytest.mark.parametrize("dims", [None, (7, 12)])
     def test_reports_do_not_depend_on_the_share_count(self, monkeypatch, seed, dims):
         runs = []
-        for count in (1, 2, 3):
+        for count in (1, 2, 3, 4):
             self.shares(monkeypatch, count)
             runs.append(run_lemma_suite(seed, dims=dims, instances=1))
-        assert runs[0] == runs[1] == runs[2]
-        assert _documents(runs[0]) == _documents(runs[1]) == _documents(runs[2])
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+        assert _documents(runs[0]) == _documents(runs[1]) == _documents(runs[2]) == _documents(runs[3])
 
     @pytest.mark.parametrize("value, check", [
         (math.nan, math.isnan),
@@ -247,16 +248,19 @@ class TestShares:
         assert _documents(forked) == _documents(run_lemma_suite(42, dims=SHARE_DIMS, instances=1))
 
     def test_an_exception_in_a_child_propagates(self, monkeypatch):
+        # Share 3, a child, runs unit 3 first.
         _replace_check(monkeypatch, REGISTRY[3].lemma_id,
                        _in_child(lambda: _raise(ValueError("bad draw")), lambda: 0.0))
-        self.shares(monkeypatch, 2)
+        self.shares(monkeypatch, 4)
         with pytest.raises(ValueError, match="^bad draw$"):
             run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
 
     @pytest.mark.parametrize("count, first, second", [
-        (2, 3, 6),  # a child's unit before this process's
-        (2, 2, 5),  # this process's unit before a child's
-        (3, 4, 2),  # two children, the later share's unit first
+        (2, 3, 6),  # two queued units, whichever shares take them
+        (2, 2, 5),
+        (3, 4, 2),  # a queued unit after a child's first unit
+        (2, 1, 0),  # a child's first unit after this process's
+        (3, 2, 1),  # two children's first units
     ])
     def test_the_earliest_unit_raises_when_two_shares_do(self, monkeypatch, count, first, second):
         early, late = sorted((first, second))
@@ -295,3 +299,52 @@ class TestShares:
     def test_shares_are_capped_at_the_units(self):
         assert lemmas._share_count(1) == 1
         assert 1 <= lemmas._share_count(10**6) <= max(1, os.cpu_count() or 1)
+
+    def test_a_slow_share_takes_fewer_units(self, monkeypatch):
+        # A unit takes 0.2 s in the child and no time here, so this process
+        # takes the queued units while the child sleeps through its first.
+        # A fixed split would give the child every other unit.
+        slow = _in_child(lambda: time.sleep(0.2) or 1.0, lambda: 0.0)
+        for lemma in REGISTRY:
+            _replace_check(monkeypatch, lemma.lemma_id, slow)
+        self.shares(monkeypatch, 2)
+        with _deadline(60):
+            reports = run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+        assert len(reports) == 42
+        assert sum(report.max_error == 1.0 for report in reports) <= 3
+
+    def test_a_suite_of_more_units_than_queued_runs_reports_the_same(self, monkeypatch):
+        # 1,245 units, more than _MAX_RUNS: the queue hands out runs of two.
+        documents = []
+        for count in (1, 2, 3):
+            self.shares(monkeypatch, count)
+            reports = run_lemma_suite(7, dims=(1, 2), instances=15)
+            documents.append(_documents(reports))
+        assert sum(report.instances for report in reports) > lemmas._MAX_RUNS
+        assert documents[0] == documents[1] == documents[2]
+
+    def test_a_large_suite_never_blocks_on_its_queue(self, monkeypatch):
+        # 24,350 units in 1,015 runs of 24: the most runs the queue holds, nearly.
+        monkeypatch.setattr(lemmas, "REGISTRY", tuple(
+            dataclasses.replace(lemma, check=lambda rng, n, field: 0.0) for lemma in lemmas.REGISTRY
+        ))
+        self.shares(monkeypatch, 2)
+        with _deadline(60):
+            reports = run_lemma_suite(42, dims=range(1, 13), instances=50)
+        assert sum(report.instances for report in reports) == 24350
+        assert all(report.max_error == 0.0 for report in reports)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list open descriptors")
+    @pytest.mark.parametrize("outcome", [None, ValueError, KeyboardInterrupt])
+    def test_the_suite_leaves_no_file_descriptor_open(self, monkeypatch, outcome):
+        if outcome is ValueError:
+            _replace_check(monkeypatch, REGISTRY[3].lemma_id, lambda: _raise(ValueError("bad draw")))
+        if outcome is KeyboardInterrupt:
+            _replace_check(monkeypatch, REGISTRY[1].lemma_id, _in_child(lambda: time.sleep(60), lambda: 0.0))
+            _replace_check(monkeypatch, REGISTRY[2].lemma_id,
+                           _in_child(lambda: 0.0, lambda: _raise(KeyboardInterrupt())))
+        self.shares(monkeypatch, 2)
+        before = set(os.listdir("/proc/self/fd"))
+        with _deadline(30), pytest.raises(outcome) if outcome else contextlib.nullcontext():
+            run_lemma_suite(42, dims=SHARE_DIMS, instances=1)
+        assert set(os.listdir("/proc/self/fd")) == before
