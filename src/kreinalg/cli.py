@@ -218,15 +218,14 @@ def _cmd_projectors(args) -> dict:
 
 
 def _as_tensor(matrix: np.ndarray, dim: int):
+    space = spaces.VectorSpace(dim, field_of(matrix), "V")
     if matrix.shape == (dim, 1):
-        return tensors.tensor_from_ket(spaces.VectorSpace(dim, field_of(matrix), "V"), matrix)
+        return tensors.tensor_from_ket(space, matrix)
     if matrix.shape == (1, dim):
-        return tensors.tensor_from_bra(spaces.VectorSpace(dim, field_of(matrix), "V"), matrix)
+        return tensors.tensor_from_bra(space, matrix)
     if matrix.shape == (dim, dim):
-        return tensors.tensor_from_operator(spaces.VectorSpace(dim, field_of(matrix), "V"), matrix)
-    raise ShapeError(
-        f"cannot interpret a {matrix.shape} document as a tensor over dimension {dim}"
-    )
+        return tensors.tensor_from_operator(space, matrix)
+    raise ShapeError(f"cannot interpret a {matrix.shape} document as a tensor over dimension {dim}")
 
 
 def _tensor_dim(matrix: np.ndarray) -> int:
@@ -250,9 +249,7 @@ def _cmd_tensor_product(args, a, b) -> dict:
 
 
 def _cmd_contract(args, f) -> dict:
-    t = _as_tensor(f, _tensor_dim(f))
-    if t.rank != 2:
-        raise ShapeError("contract expects a square operator document")
+    t = tensors.tensor_from_operator(spaces.VectorSpace(f.shape[0], field_of(f), "V"), f)
     return {"result": scalar_pair(tensors.contract(t, 1, 2).components[()])}
 
 

@@ -172,7 +172,8 @@ def _hermitian_form(a: np.ndarray, what: str):
     """
     m, scale = policy.unit(a, what)
     if not policy.selfadjoint(m, _adjoint_view):
-        raise SymmetryError(f"{what} is not Hermitian within tolerance")
+        ratio = policy._selfadjoint_ratio(m, _adjoint_view)
+        raise SymmetryError(f"{what} is not Hermitian within tolerance (residual/bound = {ratio:.3e})")
     return _hermitian_part(m), scale
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .eigen import _hermitian_part, _spectral_function
 from .matrices import COMPLEX, REAL, hermitian_conjugate
 from .spaces import Basis, VectorSpace
 from .tensors import Tensor
@@ -67,7 +68,7 @@ def random_invertible(rng: np.random.Generator, n: int, field: str = REAL) -> np
     u = random_unitary(rng, n, field)
     v = random_unitary(rng, n, field)
     s = rng.uniform(0.5, 2.0, size=n)
-    return u @ np.diag(s).astype(u.dtype) @ hermitian_conjugate(v)
+    return (u * s) @ hermitian_conjugate(v)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, field: str = REAL) -> np.ndarray:
@@ -80,8 +81,7 @@ def random_positive_definite(rng: np.random.Generator, n: int, field: str = REAL
     """Hermitian with eigenvalues in [0.5, 2]: safely positive definite."""
     u = random_unitary(rng, n, field)
     lam = rng.uniform(0.5, 2.0, size=n)
-    g = u @ np.diag(lam).astype(u.dtype) @ hermitian_conjugate(u)
-    return (g + hermitian_conjugate(g)) / 2.0
+    return _hermitian_part(_spectral_function(u, lam))
 
 
 def random_nondegenerate_hform(
@@ -97,8 +97,7 @@ def random_nondegenerate_hform(
     signs = np.concatenate([np.ones(n_plus), -np.ones(n - n_plus)])
     lam = signs * rng.uniform(0.5, 2.0, size=n)
     u = random_unitary(rng, n, field)
-    k = u @ np.diag(lam).astype(u.dtype) @ hermitian_conjugate(u)
-    return (k + hermitian_conjugate(k)) / 2.0
+    return _hermitian_part(_spectral_function(u, lam))
 
 
 # separated_eigenvalues draws from [_LOW, _HIGH], its distinct values _MIN_GAP apart.
@@ -141,7 +140,7 @@ def random_g_selfadjoint(
     if eigenvalues is None:
         eigenvalues = separated_eigenvalues(rng, n)
     w = ip.frame @ random_unitary(rng, n, ip.space.field)
-    return w @ np.diag(np.asarray(eigenvalues, dtype=float)).astype(w.dtype) @ np.linalg.inv(w)
+    return (w * np.asarray(eigenvalues, dtype=float)) @ np.linalg.inv(w)
 
 
 def random_dirac_selfadjoint(rng: np.random.Generator, ms) -> np.ndarray:
@@ -155,7 +154,7 @@ def random_dirac_selfadjoint(rng: np.random.Generator, ms) -> np.ndarray:
     n = ms.space.dim
     eigenvalues = separated_eigenvalues(rng, n)
     u = random_unitary(rng, n, ms.space.field)
-    a = u @ np.diag(eigenvalues).astype(u.dtype) @ hermitian_conjugate(u)
+    a = _spectral_function(u, eigenvalues)
     frame = ms.frame.basis
     return frame.matrix @ (a * ms.eta) @ frame.inverse
 

@@ -17,10 +17,11 @@ Conjugating with ``h`` turns the ordinary adjoint into the Dirac adjoint
 (``hconj(f) = h adjoint(f) h``), under which the form-preserving
 operators are exactly the pseudo-unitary group of the signature.  In the
 canonical frame B (``B^+ G B = 1``, ``B^+ K B = eta``) the Dirac adjoint
-of f is ``eta M^+ eta`` for ``M = B^{-1} (f / s) B``, s a power of two, so
-each Dirac property is decided on M by that plain identity, and
-:func:`dirac_spectral` decomposes ``M eta``.  With ``h`` equal to the
-identity the whole apparatus collapses back to the Hermitian one.
+of f is ``eta M^+ eta`` for ``M = B^{-1} (f / s) B``, s a power of two:
+f is Dirac-selfadjoint exactly when ``f h``, of frame matrix ``M eta``, is
+G-selfadjoint, so Dirac spectra use the one kernel of :mod:`kreinalg.unitary`
+and ``eta M^+ eta`` enters only the isometry rule.  With ``h`` equal to
+the identity the whole apparatus collapses back to the Hermitian one.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ from .errors import (
     DegenerateFormError,
     FieldError,
     ShapeError,
-    SymmetryError,
 )
 from .eigen import (  # noqa: F401  (jacobi_hermitian stays bound: perfbench/selftest.py checks it)
     SpectralDecomposition,
     _adjoint_view,
-    _eigenpairs,
     _eigh,
     _hermitian_form,
     _hermitian_part,
@@ -59,7 +58,7 @@ from .matrices import (
 )
 from .spaces import Basis, VectorSpace, _inverse
 from .tensors import DOWN, UP, Tensor
-from .unitary import InnerProduct, _in_frame
+from .unitary import InnerProduct, _in_frame, _selfadjoint_eigenpairs, adjoint
 
 __all__ = [
     "HForm",
@@ -292,15 +291,12 @@ def dirac_adjoint_covector(y_bra, ms: MetricStructure) -> np.ndarray:
 
 def dirac_adjoint_operator(f, ms: MetricStructure) -> np.ndarray:
     """h adjoint(f) h, satisfying H(x, f y) = H(hconj(f) x, y)."""
-    return ms.h @ (ms.ip.gram_inv @ hermitian_conjugate(ms.space.operator(f)) @ ms.ip.gram) @ ms.h
+    return ms.h @ adjoint(f, ms.ip) @ ms.h
 
 
-def _eta_sharp(eta: np.ndarray, adjoint=hermitian_conjugate):
-    """The Dirac adjoint in the canonical frame, ``M -> eta M^+ eta``: exact, since eta is +-1.
-
-    ``adjoint`` is ``_adjoint_view`` where the result feeds only an elementwise expression.
-    """
-    return lambda m: eta[:, np.newaxis] * adjoint(m) * eta
+def _eta_sharp(eta: np.ndarray):
+    """The canonical-frame Dirac adjoint ``M -> eta M^+ eta`` (exact: eta is +-1) of the isometry rule."""
+    return lambda m: eta[:, np.newaxis] * hermitian_conjugate(m) * eta
 
 
 def _in_canonical_frame(f, ms: MetricStructure):
@@ -309,8 +305,8 @@ def _in_canonical_frame(f, ms: MetricStructure):
 
 
 def is_dirac_selfadjoint(f, ms: MetricStructure) -> bool:
-    """True when the Dirac adjoint of f is f, i.e. H(f x, y) = H(x, f y)."""
-    return policy.selfadjoint(_in_canonical_frame(f, ms)[0], _eta_sharp(ms.eta, _adjoint_view))
+    """True when H(f x, y) = H(x, f y): ``M eta``, the frame matrix of ``f h``, is Hermitian."""
+    return policy.selfadjoint(_in_canonical_frame(f, ms)[0] * ms.eta, _adjoint_view)
 
 
 def is_pseudo_unitary(f, ms: MetricStructure) -> bool:
@@ -338,16 +334,14 @@ class DiracSpectralDecomposition(SpectralDecomposition):
 def dirac_spectral(f, ms: MetricStructure) -> DiracSpectralDecomposition:
     """Decompose a Dirac-selfadjoint operator through its selfadjoint partner ``f h``.
 
-    With ``M = B^{-1} (f / s) B`` in the canonical frame B, decided
-    Dirac-selfadjoint once (SymmetryError), ``f h = B (M eta) B^{-1}``, so
-    the Hermitian part of ``M eta`` is decomposed and its eigenvectors u
-    give the G-orthonormal ``B u``.  The projectors times ``h`` give f.
+    With ``M = B^{-1} (f / s) B`` in the canonical frame B, ``f h = B (M
+    eta) B^{-1}`` since ``B^{-1} h B = eta``, so ``M eta`` goes to the one
+    spectral kernel in the frame B (SymmetryError).  The projectors times
+    ``h`` give f.
     """
     m, scale = _in_canonical_frame(f, ms)
-    if not policy.selfadjoint(m, _eta_sharp(ms.eta, _adjoint_view)):
-        raise SymmetryError("operator is not Dirac-selfadjoint within tolerance")
-    w, u = _eigenpairs(_hermitian_part(m * ms.eta), scale)
-    dec = _spectral_decomposition(w, ms.frame.basis.matrix @ u, ms.ip.gram)
+    w, columns = _selfadjoint_eigenpairs(m * ms.eta, scale, ms.frame.basis.matrix, "Dirac-selfadjoint")
+    dec = _spectral_decomposition(w, columns, ms.ip.gram)
     return DiracSpectralDecomposition(dec.eigenvalues, dec.multiplicities, dec.projectors, ms.h.copy())
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from . import generators as gen
 from . import policy
 from .errors import KreinAlgError
-from .eigen import charpoly_eigenvalues, eigen_hermitian, jacobi_hermitian
+from .eigen import _hermitian_part, _spectral_function, charpoly_eigenvalues, eigen_hermitian, jacobi_hermitian
 from .indefinite import (
     MetricStructure,
     _structure_on,
@@ -160,11 +160,11 @@ def _random_structure(rng, n, field) -> MetricStructure:
     n_plus = int(rng.integers(0, n + 1))
     signs = np.concatenate([np.ones(n_plus), -np.ones(n - n_plus)])
     u = gen.random_unitary(rng, n, field)
-    involution = u @ np.diag(signs).astype(u.dtype) @ hermitian_conjugate(u)
+    involution = _spectral_function(u, signs)
     k = hermitian_conjugate(ip.frame_inv) @ involution @ ip.frame_inv
     # The structure is built on ip itself: metric_structure_from(ip.gram, K)
     # would rebuild the same inner product, bit for bit.
-    return _structure_on(ip, (k + hermitian_conjugate(k)) / 2.0)
+    return _structure_on(ip, _hermitian_part(k))
 
 
 def _random_ip(rng, n, field) -> InnerProduct:

@@ -4,11 +4,12 @@ Each object of the theory is defined by one identity (G = G^+, h h = 1,
 f## = f, F# F = 1), and deciding whether such an identity holds in
 floating point is the one judgement the package makes.  An operator's
 identity is tested on its frame matrix ``M = B^{-1} (f / s) B``
-(``unitary._in_frame``), where its adjoint is ``M^+`` or ``eta M^+ eta``,
-and ``h h = 1`` on the eigenvalues of h's frame matrix ``W^+ K W``, so
-no residual is amplified by cond(G).  Every tolerance lives here, named
-by the decision it governs, and the other modules ask these rules
-instead of comparing residuals themselves, with three exceptions that
+(``unitary._in_frame``), where its adjoint is ``M^+`` (Dirac: ``M eta``
+is Hermitian; ``eta M^+ eta`` appears only in the isometry rule), and
+``h h = 1`` on the eigenvalues of h's frame matrix ``W^+ K W``, so no
+residual is amplified by cond(G).  Every tolerance lives here, named by
+the decision it governs, and the other modules ask these rules instead
+of comparing residuals themselves, with three exceptions that
 compare against a constant of this module in place: Gram-Schmidt
 breakdown (``unitary.orthonormalize``, ``BREAKDOWN_TOL``), eigenvalue
 clustering (``eigen._clusters``, ``CLUSTER_TOL``) and the stop rule of
@@ -178,6 +179,11 @@ def selfadjoint(m, sharp) -> bool:
     norms are the plain :func:`frobenius` of unit data.
     """
     return _holds(frobenius(sharp(m) - m), frobenius(m))
+
+
+def _selfadjoint_ratio(m, sharp) -> float:
+    """The residual of :func:`selfadjoint` over its bound, for the message once it has refused ``m``."""
+    return frobenius(sharp(m) - m) / (TOL * frobenius(m))
 
 
 def isometric(m, scale, sharp) -> bool:

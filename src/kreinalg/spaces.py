@@ -16,7 +16,7 @@ import numpy as np
 
 from . import policy
 from .errors import FieldError, ShapeError, SingularBasisError, SpaceError
-from .matrices import COMPLEX, REAL, as_matrix, field_of
+from .matrices import COMPLEX, REAL, as_matrix, field_of, hermitian_conjugate
 
 __all__ = [
     "VectorSpace",
@@ -290,7 +290,7 @@ def canonical_form_bases(
     stretch = np.ones(domain_space.dim)
     stretch[:r] = 1.0 / s[:r]
     return (
-        Basis(domain_space, vh.conj().T @ np.diag(stretch)),
+        Basis(domain_space, hermitian_conjugate(vh) * stretch),
         Basis(codomain_space, u * scale),
         r,
     )

@@ -169,23 +169,24 @@ def _in_frame(f: np.ndarray, b: np.ndarray, b_inv: np.ndarray):
     return b_inv @ m @ b, scale
 
 
-def _selfadjoint_eigenpairs(f, ip: InnerProduct):
-    """The kernel of :func:`g_selfadjoint_eigen` and :func:`spectral_representation`.
+def _selfadjoint_eigenpairs(m, scale, frame, what="selfadjoint w.r.t. the inner product"):
+    """The one spectral kernel, on f's frame matrix ``m = B^{-1} (f / s) B`` for ``B^+ G B = 1``.
 
-    f is decided self-adjoint on its frame matrix ``M = W^{-1} (f / s) W``
-    (``M^+ = M``); the eigenvalues of M's Hermitian part times s are f's,
-    and ``W`` maps its orthonormal eigenvectors to G-orthonormal ones.
+    f is decided ``what`` by ``m^+ = m`` (SymmetryError); the eigenvalues of
+    m's Hermitian part times s are f's, and ``frame`` B maps its eigenvectors
+    to G-orthonormal ones.  B is G's frame W, or, for the Dirac problem,
+    which passes ``f h``, the canonical frame.
     """
-    m, scale = _in_frame(ip.space.operator(f), ip.frame, ip.frame_inv)
     if not policy.selfadjoint(m, _adjoint_view):
-        raise SymmetryError("operator is not selfadjoint w.r.t. the inner product within tolerance")
+        ratio = policy._selfadjoint_ratio(m, _adjoint_view)
+        raise SymmetryError(f"operator is not {what} within tolerance (residual/bound = {ratio:.3e})")
     w, u = _eigenpairs(_hermitian_part(m), scale)
-    return w, ip.frame @ u
+    return w, frame @ u
 
 
 def g_selfadjoint_eigen(f, ip: InnerProduct):
     """Eigenvalues (descending) and G-orthonormal eigenvector columns, tested once (SymmetryError)."""
-    return _selfadjoint_eigenpairs(f, ip)
+    return _selfadjoint_eigenpairs(*_in_frame(ip.space.operator(f), ip.frame, ip.frame_inv), ip.frame)
 
 
 def is_selfadjoint(f, ip: InnerProduct) -> bool:
@@ -199,7 +200,8 @@ def spectral_representation(f, ip: InnerProduct) -> SpectralDecomposition:
     The projectors are G-selfadjoint, idempotent, mutually annihilating,
     and complete, and distinct eigenspaces are G-orthogonal.
     """
-    return _spectral_decomposition(*_selfadjoint_eigenpairs(f, ip), ip.gram)
+    w, columns = _selfadjoint_eigenpairs(*_in_frame(ip.space.operator(f), ip.frame, ip.frame_inv), ip.frame)
+    return _spectral_decomposition(w, columns, ip.gram)
 
 
 def is_unitary_wrt(f, ip: InnerProduct) -> bool:

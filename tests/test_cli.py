@@ -454,6 +454,28 @@ options:
 _COMMAND_LIST = ", ".join(repr(name) for name in _CHOICES[1:-1].split(","))
 
 
+class TestContract:
+    """``contract`` reads its document as an operator, so a 1 x 1 one is square, not a ket."""
+
+    @pytest.mark.parametrize("doc,result", [
+        ('{"field":"real","rows":1,"cols":1,"data":[[3.0]]}', [3.0, 0.0]),
+        ('{"field":"complex","rows":1,"cols":1,"data":[[[3.0,-2.0]]]}', [3.0, -2.0]),
+    ], ids=["real", "complex"])
+    def test_one_by_one_is_its_trace(self, capsys, tmp_path, doc, result):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "contract", "--in", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"result": result}
+
+    def test_non_square_is_shape_error(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"field":"real","rows":1,"cols":2,"data":[[3.0,4.0]]}')
+        code, out, err = run(capsys, "contract", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ShapeError"
+
+
 class TestResultOutsideTheDoubleRange:
     """A result that overflows is one SchemaError document, never a warning or a traceback."""
 

@@ -37,6 +37,7 @@ from kreinalg import (
     is_pseudo_orthogonal,
     is_pseudo_unitary,
     is_selfadjoint,
+    is_unitary_wrt,
     kernel_dimension,
     metric_structure_from,
     minkowski_structure,
@@ -442,23 +443,33 @@ class TestRaiseLower:
 
 class TestDefiniteDegeneration:
     def test_whole_machinery_collapses_when_metric_is_identity(self):
+        # With G = K = 1 the canonical frame is the identity and h h = 1, so
+        # the Dirac problem is the Hermitian one: the same bits, the same answers.
         rng = np.random.default_rng(119)
-        n = 4
-        ms = metric_structure_from(np.eye(n, dtype=complex), np.eye(n, dtype=complex))
-        f = random_invertible(rng, n, "complex")
-        np.testing.assert_allclose(
-            dirac_adjoint_operator(f, ms), hermitian_conjugate(f), atol=1e-12
-        )
-        h = f + hermitian_conjugate(f)
-        from kreinalg import eigen_hermitian, spectral_representation
-
-        dirac = dirac_spectral(h, ms)
-        hermitian = spectral_representation(h, ms.ip)
-        plain = eigen_hermitian(h)
-        np.testing.assert_allclose(dirac.eigenvalues, hermitian.eigenvalues, atol=1e-12)
-        np.testing.assert_allclose(hermitian.eigenvalues, plain.eigenvalues, atol=1e-12)
-        for a, b in zip(dirac.projectors, plain.projectors):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        for n in range(1, 9):
+            for field, dtype in (("real", float), ("complex", complex)):
+                ms = metric_structure_from(np.eye(n, dtype=dtype), np.eye(n, dtype=dtype))
+                f = random_invertible(rng, n, field)
+                np.testing.assert_allclose(dirac_adjoint_operator(f, ms), hermitian_conjugate(f), atol=1e-12)
+                h = f + hermitian_conjugate(f)
+                dirac, hermitian, plain = dirac_spectral(h, ms), spectral_representation(h, ms.ip), eigen_hermitian(h)
+                assert np.array(dirac.eigenvalues).tobytes() == np.array(hermitian.eigenvalues).tobytes()
+                assert dirac.multiplicities == hermitian.multiplicities
+                assert [p.tobytes() for p in dirac.projectors] == [p.tobytes() for p in hermitian.projectors]
+                np.testing.assert_allclose(hermitian.eigenvalues, plain.eigenvalues, atol=1e-12)
+                for a, b in zip(hermitian.projectors, plain.projectors):
+                    np.testing.assert_allclose(a, b, atol=1e-12)
+                # Non-members are off by 1e-6 relative; a real 1 x 1 h has no skew direction.
+                skew = random_matrix(rng, n, n, field)
+                skew = skew - hermitian_conjugate(skew)
+                selfadjoint = [(h, True)]
+                if skew.any():
+                    selfadjoint.append((h + 1e-6 * np.linalg.norm(h) / np.linalg.norm(skew) * skew, False))
+                for g, member in selfadjoint:
+                    assert is_dirac_selfadjoint(g, ms) == is_selfadjoint(g, ms.ip) == member
+                u, e = random_unitary(rng, n, field), random_matrix(rng, n, n, field)
+                for g, member in ((u, True), (u + 1e-6 * np.linalg.norm(u) / np.linalg.norm(e) * e, False)):
+                    assert is_pseudo_unitary(g, ms) == is_unitary_wrt(g, ms.ip) == member
 
 
 EPS = np.finfo(np.float64).eps

@@ -588,9 +588,10 @@ class TestPlainNormDecidesAsTheScaleFreeNorm:
             b = random_unitary(rng, n, field) * rng.uniform(0.01, 10.0, n)
             m = np.linalg.inv(b) @ m @ b
         eta = np.where(np.arange(n) < rng.integers(0, n + 1), 1.0, -1.0)
-        for sharp in (hermitian_conjugate, np.transpose, eigen._adjoint_view,
-                      indefinite._eta_sharp(eta), indefinite._eta_sharp(eta, eigen._adjoint_view)):
+        for sharp in (hermitian_conjugate, np.transpose, eigen._adjoint_view, indefinite._eta_sharp(eta)):
             assert policy.selfadjoint(m, sharp) == _reference_selfadjoint(m, sharp)
+        # Dirac self-adjointness is decided as ``m eta`` Hermitian.
+        assert policy.selfadjoint(m * eta, eigen._adjoint_view) == _reference_selfadjoint(m * eta, eigen._adjoint_view)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -930,10 +931,7 @@ class TestPolicyGuard:
         # bring back a natural-frame sharp.
         reads = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "gram_inv"
                        and isinstance(node.ctx, ast.Load))
-        assert reads == [
-            "indefinite.py:_structure_on", "indefinite.py:dirac_adjoint_operator",
-            "unitary.py:adjoint", "unitary.py:riesz_inverse",
-        ]
+        assert reads == ["indefinite.py:_structure_on", "unitary.py:adjoint", "unitary.py:riesz_inverse"]
 
     def test_in_place_tolerance_reads_are_the_three_named_sites(self):
         # The module docstring of policy names the three decisions that compare
@@ -988,6 +986,22 @@ class TestPolicyGuard:
         assert _call_sites({"_inverse"}) == [
             "indefinite.py:inverse", "spaces.py:__init__", "tensors.py:transform_tensor",
         ]
+
+    def test_one_spectral_kernel(self):
+        # The Hermitian, G-selfadjoint and Dirac eigenproblems all reach the seam's
+        # eigenpairs through eigen_hermitian or the one frame kernel of unitary.
+        assert _call_sites({"_eigenpairs"}) == ["eigen.py:eigen_hermitian", "unitary.py:_selfadjoint_eigenpairs"]
+
+    def test_no_dense_diagonal_products(self):
+        # U diag(x) V^+ is the broadcast (U * x) @ V^+: no O(n^3) product with a diagonal matrix.
+        def is_diag(node):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+                node = node.func.value
+            return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "diag"
+                    and getattr(node.func.value, "id", None) == "np")
+
+        assert _sites(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                      and (is_diag(node.left) or is_diag(node.right)), sorted(SRC.glob("*.py"))) == []
 
     def test_eigensolver_call_sites(self):
         lapack = _call_sites({"eigh", "eigvalsh", "eig", "eigvals"})

@@ -34,6 +34,7 @@ from kreinalg.generators import (
     random_positive_definite,
     random_unitary,
 )
+from kreinalg.policy import TOL
 
 SPACE3C = VectorSpace(3, "complex", "V")
 SPACE2 = VectorSpace(2, "real", "V")
@@ -362,6 +363,22 @@ class TestSpectralRepresentation:
         for decompose in (spectral_representation, g_selfadjoint_eigen):
             with pytest.raises(SymmetryError, match=message):
                 decompose(nilpotent, ip)
+
+    def test_a_refusal_says_by_how_much(self):
+        # Each SymmetryError gives ||m^+ - m|| / (TOL ||m||), the number its rule compared with 1.
+        from kreinalg.unitary import g_selfadjoint_eigen
+
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        ip = standard_inner_product(SPACE2)
+        ratios = []
+        for refuse in (lambda: spectral_representation(nilpotent, ip), lambda: g_selfadjoint_eigen(nilpotent, ip),
+                       lambda: InnerProduct(SPACE2, np.array([[2.0, 1.0], [0.0, 2.0]]))):
+            with pytest.raises(SymmetryError, match=r"within tolerance \(residual/bound = [^)]+\)$") as info:
+                refuse()
+            ratios.append(float(str(info.value).rsplit("= ", 1)[1][:-1]))
+        assert min(ratios) > 1.0
+        # The nilpotent's unit matrix m has ||m^+ - m|| = sqrt(2) and ||m|| = 1.
+        assert ratios[:2] == [float(f"{math.sqrt(2.0) / TOL:.3e}")] * 2
 
 
 class TestUnitaryMembership:
