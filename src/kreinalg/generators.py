@@ -73,8 +73,7 @@ def random_invertible(rng: np.random.Generator, n: int, field: str = REAL) -> np
 
 def random_hermitian(rng: np.random.Generator, n: int, field: str = REAL) -> np.ndarray:
     """(A + A^+) / 2 for a generic A: Hermitian by construction."""
-    a = random_matrix(rng, n, n, field)
-    return (a + hermitian_conjugate(a)) / 2.0
+    return _hermitian_part(random_matrix(rng, n, n, field))
 
 
 def random_positive_definite(rng: np.random.Generator, n: int, field: str = REAL) -> np.ndarray:

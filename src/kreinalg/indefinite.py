@@ -90,7 +90,7 @@ class HForm:
     (SymmetryError) and keeps its Hermitian part, both as the unit form
     ``_unit`` with the power of two ``_scale`` of :func:`policy.unit` for
     the input and as ``matrix``, their product; nothing is factorized.  K's
-    non-degeneracy is decided on that scale by the structure factory built
+    non-degeneracy is decided in that unit by the structure factory built
     on the form, each by its own bound: :func:`compatible_structure_from_hform`
     floors K's eigenvalues, :func:`metric_structure_from` an Ostrowski
     bound on them (DegenerateFormError).  The inverse ``K^{-1}`` (LU, gated
@@ -206,9 +206,9 @@ def _structure_on(ip: InnerProduct, hform_matrix) -> MetricStructure:
         raise CompatibilityError("metric operator G^{-1} K is not finite")
     w, u = _eigh(_hermitian_part(m))
     u = u[:, np.argsort(-w, kind="stable")]  # +1 block first; exact +-1 ties keep this order
-    bounds = ip.min_eigenvalue * np.abs(w)  # below |eigenvalues of K|, by Ostrowski
-    if not policy.clears_form_floor(bounds, hf._unit, hf._scale):
-        raise _degenerate("lambda_min(G) min |w|", bounds)
+    bounds = ip.min_eigenvalue * (np.abs(w) / hf._scale)  # below |eigenvalues of K / s|, by Ostrowski
+    if not policy.clears_form_floor(bounds, hf._unit):
+        raise _degenerate("lambda_min(G) min |w|", policy.scaled_back(bounds, hf._scale))
     if not policy.involutory(w):
         residual = np.max(np.abs(np.abs(w) - 1.0))
         raise CompatibilityError(f"metric operator is not an involution (max ||w| - 1| = {residual:.3e})")
@@ -222,23 +222,23 @@ def compatible_structure_from_hform(hform_matrix) -> MetricStructure:
 
     The space is ``VectorSpace(n, field)`` for the n and the field of K.
     K is non-degenerate when every ``|eigenvalue| > FORM_TOL ||K||``,
-    otherwise DegenerateFormError is raised.
-    Everything comes from the one eigendecomposition ``K = U Lambda U^+``:
-    the positive-definite ``G = U |Lambda| U^+`` with its frame ``W = U
-    |Lambda|^{-1/2}``, the metric operator ``h = U sign(Lambda) U^+``, and
-    the canonical frame, which is ``W`` with its +1 columns first.  Only
+    otherwise DegenerateFormError is raised, as it is when ``|K|^{-1}`` leaves
+    the double range.  Everything comes from the one eigendecomposition of
+    the unit ``K / s = U Lambda U^+`` of :class:`HForm`: ``G = s U |Lambda|
+    U^+`` with its frame ``W = U (s |Lambda|)^{-1/2}``, ``h = U sign(Lambda)
+    U^+``, and the canonical frame, ``W`` with its +1 columns first.  Only
     ``G^{-1}`` is a separate (LU) factorization, run on its first read.
     """
     hform_matrix = _matrix_view(hform_matrix)
     space = VectorSpace(hform_matrix.shape[0], field_of(hform_matrix))
     hf = HForm(space, hform_matrix)
-    lam, u = _eigh(hf.matrix)
+    lam, u = _eigh(hf._unit)
     mag = np.abs(lam)
-    if not policy.clears_form_floor(mag, hf._unit, hf._scale):
-        raise _degenerate("min |eigenvalue|", mag)
+    if not policy.clears_form_floor(mag, hf._unit):
+        raise _degenerate("min |eigenvalue|", policy.scaled_back(mag, hf._scale))
     half = _spectral_function(u, mag) / 2.0
     ip = InnerProduct.__new__(InnerProduct)
-    ip._init(space, half + hermitian_conjugate(half), mag, u)
+    ip._init(space, half + hermitian_conjugate(half), hf._scale, mag, u)
     h = _spectral_function(u, np.sign(lam))
     signature = _signature_of(lam)
     order = np.argsort(lam < 0, kind="stable")
@@ -272,16 +272,18 @@ def h_orthonormal_basis(ms: MetricStructure) -> HOrthonormalBasis:
 
 
 def hform_value(x, y, ms: MetricStructure):
-    """H(x, y) = x^+ K y; antilinear in the first argument."""
+    """H(x, y) = x^+ K y; antilinear in the first argument; +-inf beyond the double range, with no warning."""
     x = ms.space.ket(x)
     y = ms.space.ket(y)
-    value = (hermitian_conjugate(x) @ ms.hform.matrix @ y)[0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (hermitian_conjugate(x) @ ms.hform.matrix @ y)[0, 0]
     return complex(value) if ms.space.field == COMPLEX else float(value)
 
 
 def dirac_adjoint_vector(x, ms: MetricStructure) -> np.ndarray:
-    """The covector x^+ K, pairing with y to give H(x, y)."""
-    return hermitian_conjugate(ms.space.ket(x)) @ ms.hform.matrix
+    """The covector x^+ K, pairing with y to give H(x, y); +-inf beyond the double range, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return hermitian_conjugate(ms.space.ket(x)) @ ms.hform.matrix
 
 
 def dirac_adjoint_covector(y_bra, ms: MetricStructure) -> np.ndarray:

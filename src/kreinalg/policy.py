@@ -18,8 +18,10 @@ rank answer is :func:`singular_rank`.  Each input is scaled once, where
 it enters, by :func:`unit`, the one function that chooses a scale (the
 power of two of ``max |a_ij|``), and the rules decide plain identities
 on its matrices, so every rule gives the same answer for ``c A`` as for
-``A`` at any scale ``c``; a result computed at unit scale is scaled
-back by :func:`scaled_back`.  Norms are Frobenius norms.  The rules measure
+``A`` at any scale ``c``: a form is decided in its own unit, and only
+:func:`isometric`, whose ``f# f = 1`` is not homogeneous, takes a scale.
+A result computed at unit scale is scaled back by :func:`scaled_back`, a
+root by :func:`_scaled_root`.  Norms are Frobenius norms.  The rules measure
 their unit data with the plain formula :func:`frobenius`: a matrix of
 :func:`unit`, or a frame matrix formed from one, is finite and its norm
 is 0 or far inside ``[2**-400, inf)``, where the plain value has the bits
@@ -166,6 +168,15 @@ def scaled_back(x, scale, power=1):
         return out
 
 
+def _scaled_root(w, scale):
+    """``sqrt(scale w)`` for the ``scale = 2**e`` of :func:`unit`, as ``2**(e//2) sqrt(2**(e%2) w)``.
+
+    ``scale w`` is not formed, so nothing overflows; where it is normal, the bits are the same.
+    """
+    e = math.frexp(scale)[1] - 1
+    return np.sqrt(w * (1.0 + e % 2)) * math.ldexp(1.0, e // 2)
+
+
 def _holds(residual, size) -> bool:
     return bool(residual <= TOL * size < math.inf)
 
@@ -211,18 +222,15 @@ def involutory(w) -> bool:
     return _holds(np.abs(np.abs(w) - 1.0).max(), 1.0)
 
 
-def clears_form_floor(values, k, scale) -> bool:
-    """Every value exceeds ``FORM_TOL ||scale k||``, decided on the unit form ``k``.
+def clears_form_floor(values, k) -> bool:
+    """Every value exceeds ``FORM_TOL ||k||``, for the unit ``k`` of a form of :func:`eigen._hermitian_form`.
 
-    ``(k, scale)`` is the Hermitian form of :func:`eigen._hermitian_form`,
-    whose unit ``k`` is kept beside its scale.  The values are the
-    eigenvalues of the form ``scale k`` (their moduli, for an indefinite
-    form), or lower bounds on those moduli, and are divided by ``scale``
-    exactly, so a finite form whose norm is beyond the double range is
-    decided as at any other scale.  ``k`` is unit data, measured by the
-    plain :func:`frobenius`.
+    The values are in that unit: the eigenvalues of ``k`` (their moduli,
+    for an indefinite form), or lower bounds on those moduli.  So a form is
+    decided the same at every scale, beyond the double range too.  ``k`` is
+    unit data, measured by the plain :func:`frobenius`.
     """
-    return bool((values / scale).min() > FORM_TOL * frobenius(k))
+    return bool(values.min() > FORM_TOL * frobenius(k))
 
 
 def singular_rank(s) -> int:

@@ -54,42 +54,44 @@ __all__ = [
 class InnerProduct:
     """A positive-definite Hermitian Gram matrix on a space.
 
-    Construction validates Hermiticity and positive definiteness, runs one
-    eigendecomposition ``G = U diag(w) U^+``, and caches the smallest
-    eigenvalue ``min_eigenvalue`` and the frame ``W = U diag(w^{-1/2})``,
-    a G-orthonormal basis (``W^+ G W = 1``) whose inverse ``frame_inv =
-    diag(w^{1/2}) U^+`` is exact in closed form.  The adjoint and spectral
-    machinery read only these.  ``G^{-1}`` is computed on first read: only
-    the natural-frame formulas and the metric operator ``h = G^{-1} K``
-    read it.  It is the LU inverse, which is more accurate than ``U
-    diag(1/w) U^+``.
+    Construction validates Hermiticity and positive definiteness on the
+    unit ``G / s`` of :func:`policy.unit`, runs its one eigendecomposition
+    ``G / s = U diag(w) U^+``, and keeps the unit ``_unit`` and the scale
+    ``_scale`` beside ``gram``, as :class:`HForm` does.  It caches the
+    smallest eigenvalue ``min_eigenvalue = s min(w)`` and the frame ``W = U
+    diag((s w)^{-1/2})``, a G-orthonormal basis (``W^+ G W = 1``) whose
+    inverse ``frame_inv = diag((s w)^{1/2}) U^+`` is exact in closed form;
+    the frame of ``4^j G`` is ``2^-j W``, bit for bit.  The adjoint and
+    spectral machinery read only these; ``G^{-1}`` (LU, more accurate than
+    ``U diag(1/w) U^+``) only the natural-frame formulas and h.
     """
 
     def __init__(self, space: VectorSpace, gram) -> None:
-        """Coerce ``gram`` and decide its Hermiticity and form floor, once each."""
-        h, scale = _hermitian_form(space.operator(gram), "Gram matrix")
-        g = scale * h
-        w, vectors = _eigh(g)
-        if not policy.clears_form_floor(w, h, scale):
-            raise DegenerateFormError(
-                f"Gram matrix is not positive definite "
-                f"(min eigenvalue {np.min(w):.3e})"
-            )
-        self._init(space, g, w, vectors)
+        """Coerce ``gram`` and decide its Hermiticity and form floor, once each, on its unit."""
+        unit, scale = _hermitian_form(space.operator(gram), "Gram matrix")
+        w, vectors = _eigh(unit)
+        if not policy.clears_form_floor(w, unit):
+            least = float(policy.scaled_back(np.min(w), scale))
+            raise DegenerateFormError(f"Gram matrix is not positive definite (min eigenvalue {least:.3e})")
+        self._init(space, unit, scale, w, vectors)
 
-    def _init(self, space: VectorSpace, g: np.ndarray, w, vectors) -> None:
-        """Cache ``G = U diag(w) U^+`` untested; a bare H-form's ``|K|`` is floored on K."""
-        root = np.sqrt(w)
-        self.space = space
-        self.gram = g
-        self.min_eigenvalue = float(w.min())
+    def _init(self, space: VectorSpace, unit: np.ndarray, scale: float, w, vectors) -> None:
+        """Cache ``G = s U diag(w) U^+``, floored (``|K|`` on K); DegenerateFormError if G^-1 leaves the range."""
+        w_min = float(w.min())
+        self.min_eigenvalue = scale * w_min
+        if not 1.0 / w_min / scale < math.inf:  # 1 / (s min(w)), which cannot divide by zero
+            raise DegenerateFormError(
+                f"Gram matrix inverse leaves the double range (min eigenvalue {self.min_eigenvalue:.3e})")
+        root = policy._scaled_root(w, scale)
+        self.space, self._unit, self._scale = space, unit, scale
+        self.gram = scale * unit
         self.frame = vectors / root
         self.frame_inv = hermitian_conjugate(vectors) * root[:, np.newaxis]
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
-        """``G^{-1}`` (LU), computed on first read."""
-        return np.linalg.inv(self.gram)
+        """``G^{-1}``, the LU inverse of the unit over the scale, computed on first read."""
+        return np.linalg.inv(self._unit) / self._scale
 
     def __repr__(self) -> str:
         return f"InnerProduct(space={self.space!r})"
@@ -101,26 +103,27 @@ def standard_inner_product(space: VectorSpace) -> InnerProduct:
 
 
 def inner_product(x, y, ip: InnerProduct):
-    """(x, y) = x^+ G y; antilinear in x, linear in y."""
+    """(x, y) = x^+ G y; antilinear in x, linear in y; +-inf beyond the double range, with no warning."""
     x = ip.space.ket(x)
     y = ip.space.ket(y)
-    value = (hermitian_conjugate(x) @ ip.gram @ y)[0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (hermitian_conjugate(x) @ ip.gram @ y)[0, 0]
     return complex(value) if ip.space.field == COMPLEX else float(value)
 
 
 def norm(x, ip: InnerProduct) -> float:
-    """sqrt((x, x)) at any scale of ``x``, by :func:`policy.scale_free_norm`.
+    """sqrt((x, x)) at any scale of ``x`` and of G, by :func:`policy.scale_free_norm`.
 
-    The tiny negative that roundoff can produce in ``(x, x)`` is clamped.
+    ``(x, x)`` is formed on G's unit, its tiny roundoff negative clamped, and its root scaled back.
     """
-    return policy.scale_free_norm(
-        ip.space.ket(x), lambda v: math.sqrt(max(np.real(inner_product(v, v, ip)), 0.0))
-    )
+    return policy.scale_free_norm(ip.space.ket(x), lambda v: float(policy._scaled_root(
+        max(np.real((hermitian_conjugate(v) @ ip._unit @ v)[0, 0]), 0.0), ip._scale)))
 
 
 def riesz_map(x, ip: InnerProduct) -> np.ndarray:
-    """The covector x^+ G, pairing with y to give (x, y)."""
-    return hermitian_conjugate(ip.space.ket(x)) @ ip.gram
+    """The covector x^+ G, pairing with y to give (x, y); +-inf beyond the double range, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return hermitian_conjugate(ip.space.ket(x)) @ ip.gram
 
 
 def riesz_inverse(y_bra, ip: InnerProduct) -> np.ndarray:

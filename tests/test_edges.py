@@ -32,12 +32,14 @@ from kreinalg import (
     VectorSpace,
     charpoly_eigenvalues,
     characteristic_polynomial,
+    compatible_structure_from_hform,
     determinant,
     determinant_permutation_sum,
     dirac_spectral,
     eigen_hermitian,
     jacobi_hermitian,
     kernel_dimension,
+    metric_structure_from,
     minkowski_structure,
     natural_basis,
     rank,
@@ -208,6 +210,86 @@ def test_the_classes_and_the_tensor_layer_reject_non_finite_input(make, field):
         make(VectorSpace(2, field), a)
 
 
+# Forms that construction accepts at the edge of the range, beside the edge matrices.
+EDGE_FORMS = dict(EDGES, **{
+    "near-overflow": 0.8e308 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+    "indefinite-overflow": 1e308 * np.diag([1.0, -1.0]),
+    "subnormal-definite": 1e-310 * np.eye(2),
+    "subnormal-indefinite": 1e-310 * np.diag([1.0, -1.0]),
+})
+
+
+def _edge_objects(a):
+    """``InnerProduct`` on ``a`` and both structures with H-form ``a``, each that construction accepts."""
+    field = "complex" if a.dtype.kind == "c" else "real"
+    objects = {}
+    for name, build in (
+        ("ip", lambda: InnerProduct(VectorSpace(a.shape[0], field), a)),
+        ("hform", lambda: compatible_structure_from_hform(a)),
+        ("pair", lambda: metric_structure_from(objects["hform"].ip.gram, a)),
+    ):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                objects[name] = build()
+        except (KreinAlgError, KeyError):  # refused, or built on a refused structure
+            pass
+    return objects
+
+
+def _object_callables():
+    """Every public function of ``unitary`` and ``indefinite`` that takes an inner product or a structure."""
+    found = {}
+    for layer in ("unitary", "indefinite"):
+        module = getattr(kreinalg, layer)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and {"ip", "ms"} & set(inspect.signature(obj).parameters):
+                found[f"{layer}.{name}"] = obj
+    return found
+
+
+def _object_arguments(fn, obj):
+    """Arguments for ``fn`` on ``obj``: all-ones kets and bras, the identity and its tensor, the natural frame."""
+    space = obj.space
+    n, dtype = space.dim, np.complex128 if space.field == "complex" else np.float64
+    make = {
+        "x": lambda: np.ones((n, 1), dtype), "y": lambda: np.ones((n, 1), dtype),
+        "y_bra": lambda: np.ones((1, n), dtype), "f": lambda: np.eye(n, dtype=dtype),
+        "vectors": lambda: list(np.eye(n, dtype=dtype).T[:, :, np.newaxis]),
+        "t": lambda: tensor_from_operator(space, np.eye(n, dtype=dtype)), "slot": lambda: 1,
+        "ip": lambda: obj, "ms": lambda: obj,
+    }
+    return [make[name]() for name in inspect.signature(fn).parameters]
+
+
+def test_the_object_sweep_builds_the_edge_forms():
+    built = {edge: set(_edge_objects(a)) for edge, a in EDGE_FORMS.items()}
+    assert built["near-overflow"] == {"ip", "hform", "pair"}
+    assert built["indefinite-overflow"] == {"hform", "pair"}
+    assert not built["subnormal-definite"] and not built["subnormal-indefinite"]
+    assert len(_object_callables()) >= 20
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("edge", list(EDGE_FORMS))
+def test_edge_objects_get_a_domain_error_or_an_answer(edge, field):
+    # Each reader of an inner product or a structure built at the edge answers
+    # without a numpy exception or warning: beyond the range, +-inf.
+    a = EDGE_FORMS[edge].astype(np.complex128 if field == "complex" else np.float64)
+    outcomes = {}
+    for kind, obj in _edge_objects(a).items():
+        # An inner product is read as itself; a structure as itself and through its inner product.
+        readers = {"ip": obj} if kind == "ip" else {"ms": obj, "ip": obj.ip}
+        for name, fn in _object_callables().items():
+            param = "ms" if "ms" in inspect.signature(fn).parameters else "ip"
+            if param in readers:
+                outcomes[f"{kind}.{param}: {name}"] = _outcome(lambda: fn(*_object_arguments(fn, readers[param])))
+    foreign = [f"{name}: {type(out).__name__}: {out}" for name, out in outcomes.items()
+               if isinstance(out, Exception) and not isinstance(out, KreinAlgError)]
+    assert foreign == []
+
+
 def _decompositions():
     ip = standard_inner_product(VectorSpace(2))
     return {
@@ -229,6 +311,16 @@ class TestDocumentedAnswers:
                 # f h = 1.7e308 [[1, -.5], [-.5, -1]] has eigenvalues +-1.9e308.
                 expected = [math.inf, -math.inf] if name == "dirac_spectral" else [math.inf, 0.0]
                 assert list(values) == expected, name
+
+    def test_the_readers_of_a_form_near_the_overflow_threshold(self):
+        # (x, x) = 4.8e308 is beyond the range; its root is not, and norm forms it on G's unit.
+        ip = InnerProduct(VectorSpace(2), EDGE_FORMS["near-overflow"])
+        ones = np.ones((2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kreinalg.unitary.inner_product(ones, ones, ip) == math.inf
+            assert kreinalg.unitary.norm(ones, ip) == 2.1908902300206643e+154
+            assert list(kreinalg.unitary.riesz_map(ones, ip).ravel()) == [math.inf, math.inf]
 
     def test_n_zero_decomposition_raises_shape_error(self):
         for name, decompose in _decompositions().items():

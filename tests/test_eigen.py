@@ -341,9 +341,10 @@ class TestHermitianPartFormedOnce:
         ip = InnerProduct(VectorSpace(4, field), random_positive_definite(rng, 4, field))
         ms = minkowski_structure(2, 2, field)
         f = random_g_selfadjoint(rng, ip)
+        a = random_hermitian(rng, 4, field)  # drawn outside the count
         formed.clear()
         for decompose in (
-            lambda: eigen_hermitian(random_hermitian(rng, 4, field)),
+            lambda: eigen_hermitian(a),
             lambda: spectral_representation(f, ip),
             lambda: dirac_spectral(np.diag([2.0, 1.0, -1.0, -3.0]).astype(ip.gram.dtype), ms),
         ):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kreinalg import (
     UP,
@@ -55,6 +55,7 @@ from kreinalg.generators import (
     random_ket,
     random_matrix,
     random_nondegenerate_hform,
+    random_positive_definite,
     random_pseudo_unitary,
     random_unitary,
 )
@@ -714,6 +715,104 @@ class TestPairDecisionAtAnyScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _decision(c * g, c * k) == _decision(g, k)
+
+
+class TestFormsAtAnyScale:
+    """Every form is decomposed in its own unit, so ``c G`` is G's object at any power of two c.
+
+    For ``c = 4^j``, ``|j| <= 500``, the frames of ``c G`` and the canonical
+    frames of both factories on ``(c G, c K)`` are ``2^-j`` times those of
+    ``(G, K)``, bit for bit, with the same signature and h, and
+    ``min_eigenvalue`` is c times G's.  At odd powers of two the frames
+    differ by the rounding of ``sqrt(2)``, but ``min_eigenvalue`` is still
+    exact and every decision is the same.
+    """
+
+    @staticmethod
+    def _draw(n, field, seed, power):
+        """``(G, K, |K|, c)``, with ``c = 2^power`` applied to each exactly (else the draw is skipped)."""
+        rng = np.random.default_rng(seed)
+        g, k = random_positive_definite(rng, n, field), random_nondegenerate_hform(rng, n, field)
+        gk = compatible_structure_from_hform(k).ip.gram
+        c = math.ldexp(1.0, power)
+        assume(all(np.array_equal(c * x / c, x) for x in (g, k, gk)))  # no entry of c x is subnormal
+        return g, k, gk, c
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PAIRS, j=st.integers(-500, 500))
+    @example(n=4, field="real", seed=0, j=500)
+    @example(n=4, field="complex", seed=0, j=-500)
+    def test_frames_scale_by_the_root_of_c(self, n, field, seed, j):
+        g, k, gk, c = self._draw(n, field, seed, 2 * j)
+        root = math.ldexp(1.0, j)
+        space = VectorSpace(n, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ip, scaled_ip = InnerProduct(space, g), InnerProduct(space, c * g)
+            pairs = [
+                (compatible_structure_from_hform(k), compatible_structure_from_hform(c * k)),
+                (metric_structure_from(gk, k), metric_structure_from(c * gk, c * k)),
+            ]
+        assert scaled_ip.frame.tobytes() == (ip.frame / root).tobytes()
+        assert scaled_ip.frame_inv.tobytes() == (ip.frame_inv * root).tobytes()
+        assert scaled_ip.min_eigenvalue == c * ip.min_eigenvalue
+        for ms, scaled in pairs:
+            assert scaled.frame.basis.matrix.tobytes() == (ms.frame.basis.matrix / root).tobytes()
+            assert scaled.frame.basis.inverse.tobytes() == (ms.frame.basis.inverse * root).tobytes()
+            assert scaled.signature == ms.signature
+            assert scaled.ip.min_eigenvalue == c * ms.ip.min_eigenvalue
+            # The pair's h is G^{-1} K: equal wherever no entry of (c G)^{-1} is below the double range.
+            if np.array_equal(scaled.ip.gram_inv * c, ms.ip.gram_inv):
+                assert scaled.h.tobytes() == ms.h.tobytes()
+        assert pairs[0][1].h.tobytes() == pairs[0][0].h.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**dict(_PAIRS, n=st.integers(2, 6)), j=st.integers(-500, 499))
+    @example(n=4, field="real", seed=0, j=499)
+    @example(n=4, field="complex", seed=0, j=-500)
+    def test_odd_powers_keep_the_eigenvalues_and_the_decisions(self, n, field, seed, j):
+        g, k, gk, c = self._draw(n, field, seed, 2 * j + 1)
+        rng = np.random.default_rng(seed)
+        space = VectorSpace(n, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ip, scaled_ip = InnerProduct(space, g), InnerProduct(space, c * g)
+            ms, scaled_ms = metric_structure_from(gk, k), metric_structure_from(c * gk, c * k)
+            bare, scaled_bare = compatible_structure_from_hform(k), compatible_structure_from_hform(c * k)
+            assert scaled_ip.min_eigenvalue == c * ip.min_eigenvalue
+            assert scaled_bare.h.tobytes() == bare.h.tobytes()
+            assert (scaled_ms.signature, scaled_bare.signature) == (ms.signature, bare.signature)
+            # Members and non-members (moved by 1e-6 relative), built in the frame of G or of (G, K).
+            m, a = random_hermitian(rng, n, field), random_matrix(rng, n, n, field)
+            lam, eta = random_pseudo_unitary(rng, *ms.signature, field), ms.eta
+            skew = _of_relative_size(a - hermitian_conjugate(a), m)
+            lifts = (ip.frame, ip.frame_inv), (ms.frame.basis.matrix, ms.frame.basis.inverse)
+            for rule, (b, b_inv), structure, scaled, member, other in (
+                (is_selfadjoint, lifts[0], ip, scaled_ip, m, m + skew),
+                (is_dirac_selfadjoint, lifts[1], ms, scaled_ms, m * eta, (m + skew) * eta),
+                (is_pseudo_unitary, lifts[1], ms, scaled_ms, lam,
+                 lam + lam @ (_of_relative_size(random_hermitian(rng, n, field), lam) * eta)),
+            ):
+                member, other = b @ member @ b_inv, b @ other @ b_inv
+                assert [rule(member, scaled), rule(other, scaled)] == [True, False]
+                assert [rule(member, structure), rule(other, structure)] == [True, False]
+
+    def test_a_gram_near_the_overflow_threshold_has_finite_frames(self):
+        g = np.array([[2.0, 1.0], [1.0, 2.0]])
+        ip = InnerProduct(VectorSpace(2), 0.8e308 * g)
+        assert np.isfinite(ip.frame).all() and np.isfinite(ip.frame_inv).all()
+        assert np.count_nonzero(ip.frame) == 4
+        # The pair at that scale is refused as the unscaled pair is, by the same measure.
+        message = r"max \|\|w\| - 1\| = 1\.547e-01"
+        for c in (1.0, 0.8e308):
+            with pytest.raises(CompatibilityError, match=message):
+                metric_structure_from(c * g, c * np.diag([2.0, -2.0]))
+
+    def test_a_form_whose_inverse_leaves_the_range_is_degenerate(self):
+        with pytest.raises(DegenerateFormError, match="inverse leaves the double range"):
+            InnerProduct(VectorSpace(2), 5e-324 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        with pytest.raises(DegenerateFormError, match="inverse leaves the double range"):
+            compatible_structure_from_hform(5e-324 * np.array([[2.0, -1.0], [-1.0, -2.0]]))
 
 
 class TestFactorizationCounts:

@@ -503,8 +503,8 @@ def _reference_isometric(m, scale, sharp):
     return _reference_holds(residual, policy.norm(m_sharp) * policy.norm(m))
 
 
-def _reference_clears_form_floor(values, k, scale):
-    return bool((values / scale).min() > policy.FORM_TOL * policy.norm(k))
+def _reference_clears_form_floor(values, k):
+    return bool(values.min() > policy.FORM_TOL * policy.norm(k))
 
 
 def _reference_cluster_eigenvalues(values):
@@ -636,8 +636,9 @@ class TestPlainNormDecidesAsTheScaleFreeNorm:
         if zero:
             form, lam = np.zeros_like(form), np.zeros(n)
         h, scale = eigen._hermitian_form(_times_power_of_two(form, k), "H-form matrix")
-        for values in (np.abs(np.linalg.eigvalsh(h)) * scale, np.abs(_times_power_of_two(lam, k))):
-            assert policy.clears_form_floor(values, h, scale) == _reference_clears_form_floor(values, h, scale)
+        # The values in the unit of the form: its own eigenvalues, and the exact ones divided by its scale.
+        for values in (np.abs(np.linalg.eigvalsh(h)), np.abs(_times_power_of_two(lam, k)) / scale):
+            assert policy.clears_form_floor(values, h) == _reference_clears_form_floor(values, h)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -947,7 +948,7 @@ class TestPolicyGuard:
         # Each input is scaled once, where it enters: the rules decide plain
         # identities on the matrices of policy.unit and choose no scale.
         scalings = {"scale_of", "unit", "scale_free_norm",
-                    "_scale_exponent", "ldexp", "frexp"}
+                    "_scale_exponent", "_scaled_root", "ldexp", "frexp"}
         tree = ast.parse((SRC / "policy.py").read_text())
         rules = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
                  and fn.name in {"selfadjoint", "isometric", "involutory", "clears_form_floor"}}
@@ -958,6 +959,10 @@ class TestPolicyGuard:
             for name, fn in rules.items()
         }
         assert calls == dict.fromkeys(rules, [])
+        # A form is decided in its own unit; only f# f = 1, which is not
+        # homogeneous, needs the scale of f.
+        scaled = sorted(name for name, fn in rules.items() if "scale" in {arg.arg for arg in fn.args.args})
+        assert scaled == ["isometric"]
 
     def test_inputs_are_scaled_where_they_enter(self):
         assert _call_sites({"unit", "scale_of"}) == [
